@@ -14,6 +14,7 @@ import sys
 
 from lyricstats import __version__
 from lyricstats.corpus import (
+    EmptySelectionError,
     IngestConfig,
     IngestError,
     TokenizeConfig,
@@ -54,11 +55,13 @@ def _write_config_digest(out_dir: str, command: str, options: dict) -> None:
         fh.write(json.dumps({"digest": digest, "options": json.loads(resolved)}, indent=2, sort_keys=True) + "\n")
 
 
-def _load_config_defaults(path: str | None) -> dict:
-    if not path:
-        return {}
+def _load_config_defaults(path: str) -> dict:
+    """The --config file's options, keyed by argparse destination."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError("config must be a JSON object")
+    return {key.replace("-", "_"): value for key, value in config.items()}
 
 
 def cmd_ingest(args) -> int:
@@ -91,6 +94,9 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_style(args) -> int:
+    if args.top_k < 1:
+        print("error: --top-k must be >= 1", file=sys.stderr)
+        return EXIT_IO
     try:
         corpus = load_cache(args.cache)
         lexicon = load_swear_lexicon(args.lexicon or default_swear_lexicon_path())
@@ -175,7 +181,7 @@ def cmd_style(args) -> int:
         for year in target_years:
             try:
                 tops = top_words(corpus, year, args.cohort, args.top_k, stopwords)
-            except Exception:
+            except EmptySelectionError:
                 continue
             for rank, word in enumerate(tops, start=1):
                 writer.writerow([year, rank, word])
@@ -225,7 +231,7 @@ def cmd_train(args) -> int:
         seed=args.seed,
     )
     try:
-        table = train_sgns(corpus, config, parallel=not args.deterministic, workers=args.workers)
+        table = train_sgns(corpus, config)
     except EmbeddingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_QUALITY
@@ -246,7 +252,6 @@ def cmd_train(args) -> int:
             "min_count": args.min_count,
             "subsample": args.subsample,
             "seed": args.seed,
-            "deterministic": args.deterministic,
         },
     )
     print(f"trained {len(table)} vectors of dim {table.dim} -> {args.out}")
@@ -296,7 +301,9 @@ def cmd_weat(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+    """The `lyricstats` parser. `defaults` (argparse destination -> value, as
+    read from a --config file) replace the subcommands' built-in defaults."""
     parser = argparse.ArgumentParser(prog="lyricstats", description=__doc__)
     parser.add_argument("--config", help="JSON config file; flags override its values")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -331,8 +338,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-count", type=int, default=5)
     p.add_argument("--subsample", type=float, default=1e-3)
     p.add_argument("--seed", type=int)
-    p.add_argument("--deterministic", action="store_true")
-    p.add_argument("--workers", type=int, default=4)
+    p.add_argument(
+        "--deterministic",
+        action="store_true",
+        help="accepted for compatibility and ignored: training is always reproducible at a fixed seed",
+    )
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("weat", help="run the WEAT battery against a vector file")
@@ -347,22 +357,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("version", help="print the package version")
     p.set_defaults(func=lambda args: print(__version__) or EXIT_OK)
+    for command in sub.choices.values():
+        command.set_defaults(**(defaults or {}))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     raw_argv = list(sys.argv[1:] if argv is None else argv)
-    args = parser.parse_args(raw_argv)
+    args = build_parser().parse_args(raw_argv)
     if args.config:
-        # config supplies defaults; flags given on the command line win
-        passed = {
-            tok[2:].split("=", 1)[0].replace("-", "_") for tok in raw_argv if tok.startswith("--")
-        }
-        for key, value in _load_config_defaults(args.config).items():
-            attr = key.replace("-", "_")
-            if hasattr(args, attr) and attr not in passed:
-                setattr(args, attr, value)
+        # the config's values become the command's defaults and the command
+        # line is parsed again, so every flag given there wins, abbreviated or not
+        try:
+            config = _load_config_defaults(args.config)
+        except (OSError, ValueError) as exc:
+            print(f"error: {args.config}: {exc}", file=sys.stderr)
+            return EXIT_IO
+        unknown = sorted(set(config) - (set(vars(args)) - {"config", "command", "func"}))
+        if unknown:
+            print(
+                f"error: {args.config}: unknown option(s) for {args.command}: {', '.join(unknown)}",
+                file=sys.stderr,
+            )
+            return EXIT_IO
+        args = build_parser(config).parse_args(raw_argv)
     return args.func(args)
 
 

@@ -4,7 +4,6 @@ negative-sampling trainer over a tokenized corpus."""
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -166,8 +165,54 @@ def unigram_noise_probs(counts: Sequence[int], power: float = 0.75) -> np.ndarra
     return arr / arr.sum()
 
 
+def sgns_batch_grads(
+    w_in: np.ndarray,
+    w_out: np.ndarray,
+    centers: np.ndarray,
+    contexts: np.ndarray,
+    negatives: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients of the summed sgns_pair_loss over a batch of pairs, all taken
+    at the given parameters.
+
+    Pair p is (w_in[centers[p]], w_out[contexts[p]]) with the noise words in
+    row p of `negatives`, shaped (pairs, k); a noise word equal to its pair's
+    context word is left out, as in training. Returns
+    (in_rows, in_grads, out_rows, out_grads): the distinct rows of w_in and of
+    w_out that the batch touches, ascending, and each row's gradient summed
+    over the batch.
+
+    The loss is a sum over (center, output word) entries, each of which adds
+    (sigmoid(score) - label) times the other word's vector to a gradient. So
+    the kernel takes the scores of all distinct rows in one product, sums the
+    entries' scalar weights into a (centers x output words) matrix, and gets
+    both tables' row-summed gradients from two more products.
+    """
+    in_rows, in_index = np.unique(centers, return_inverse=True)
+    out_rows, out_index = np.unique(np.concatenate((contexts, negatives.ravel())), return_inverse=True)
+    v = w_in[in_rows]
+    u = w_out[out_rows]
+    # the pairs' (center, context) entries, then their (center, negative) ones
+    # row by row, as flat indices into the (centers x output words) matrix
+    centers_of = np.concatenate((in_index, np.repeat(in_index, negatives.shape[1])))
+    cell = centers_of * len(out_rows) + out_index
+    weight = _sigmoid((v @ u.T).ravel()[cell])
+    weight[: len(centers)] -= 1.0
+    weight[len(centers) :] *= (negatives != contexts[:, None]).ravel()
+    coupling = np.bincount(cell, weights=weight, minlength=len(in_rows) * len(out_rows))
+    coupling = coupling.reshape(len(in_rows), len(out_rows))
+    return in_rows, coupling @ u, out_rows, coupling.T @ v
+
+
+# pairs per kernel call: a longer sentence is trained in consecutive batches,
+# which bounds the kernel's temporaries and how many summed updates one step
+# applies at once (on 1000-token Zipf songs at dim 100 and lr 0.1, one batch per
+# song blew the vectors up to |v| ~ 4e6; 256-pair batches kept them below 1)
+_BATCH_PAIRS = 256
+
+
 class _TrainState:
-    """Shared vocabulary, noise table, and vector arrays during training."""
+    """Vocabulary, noise table, and vector arrays during training."""
 
     def __init__(self, corpus: Corpus, config: SgnsConfig):
         counts = Counter()
@@ -194,20 +239,20 @@ class _TrainState:
         rng = np.random.default_rng(config.seed)
         self.w_in = (rng.random((len(kept), config.dim)) - 0.5) / config.dim
         self.w_out = np.zeros((len(kept), config.dim))
+        self.offsets = np.concatenate((np.arange(-config.window, 0), np.arange(1, config.window + 1)))
         self.config = config
 
-    def draw_negatives(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.searchsorted(self.noise_cdf, rng.random(n))
+    def draw_negatives(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
+        """Noise-word indices of the given shape, from the unigram^0.75 table."""
+        return np.searchsorted(self.noise_cdf, rng.random(size))
 
-    def train_sentences(self, sent_ids: Sequence[int], rng: np.random.Generator, epoch: int) -> None:
+    def train_epoch(self, rng: np.random.Generator, epoch: int) -> None:
         cfg = self.config
         lr0 = cfg.initial_learning_rate
         lr_floor = 1e-4 * lr0
         total_positions = max(cfg.epochs * self.n_positions, 1)
         done = epoch * self.n_positions
-        w_in, w_out = self.w_in, self.w_out
-        for si in sent_ids:
-            sent = self.sentences[si]
+        for sent in self.sentences:
             if len(sent) == 0:
                 continue
             kept = sent[rng.random(len(sent)) < self.keep_prob[sent]]
@@ -216,57 +261,37 @@ class _TrainState:
                 continue
             lr = max(lr0 * (1.0 - done / total_positions), lr_floor)
             windows = rng.integers(1, cfg.window + 1, size=len(kept))
-            for pos, center in enumerate(kept):
-                b = windows[pos]
-                lo = max(0, pos - b)
-                hi = min(len(kept), pos + b + 1)
-                v_c = w_in[center]
-                for cpos in range(lo, hi):
-                    if cpos == pos:
-                        continue
-                    ctx = kept[cpos]
-                    negs = self.draw_negatives(rng, cfg.negatives)
-                    negs = negs[negs != ctx]
-                    g_c, g_ctx, g_negs = sgns_pair_grads(v_c, w_out[ctx], w_out[negs])
-                    w_out[ctx] -= lr * g_ctx
-                    if len(negs):
-                        w_out[negs] -= lr * g_negs
-                    v_c = v_c - lr * g_c
-                w_in[center] = v_c
+            # every (center, context) pair of the sentence, in position order
+            ctx_pos = np.arange(len(kept))[:, None] + self.offsets
+            valid = (np.abs(self.offsets) <= windows[:, None]) & (ctx_pos >= 0) & (ctx_pos < len(kept))
+            centers = kept[np.nonzero(valid)[0]]
+            contexts = kept[ctx_pos[valid]]
+            negatives = self.draw_negatives(rng, (len(centers), cfg.negatives))
+            for lo in range(0, len(centers), _BATCH_PAIRS):
+                batch = slice(lo, lo + _BATCH_PAIRS)
+                in_rows, in_grads, out_rows, out_grads = sgns_batch_grads(
+                    self.w_in, self.w_out, centers[batch], contexts[batch], negatives[batch]
+                )
+                self.w_in[in_rows] -= lr * in_grads
+                self.w_out[out_rows] -= lr * out_grads
 
 
-def train_sgns(
-    corpus: Corpus,
-    config: SgnsConfig,
-    parallel: bool = False,
-    workers: int = 4,
-    epoch_callback=None,
-) -> EmbeddingTable:
+def train_sgns(corpus: Corpus, config: SgnsConfig, epoch_callback=None) -> EmbeddingTable:
     """Skip-gram with negative sampling over the tokenized corpus.
 
-    Deterministic under a fixed seed in single-threaded mode; the parallel
-    mode updates shared arrays lock-free and is only statistically
-    reproducible. `epoch_callback(epoch, w_in, w_out)` runs after each epoch.
+    Training runs one sentence (one song's in-vocabulary tokens, after
+    frequent-word subsampling) per batch: the sentence's (center, context)
+    pairs and their negatives are drawn at once, every gradient is taken at
+    the parameters as they stand at the start of the batch, and the summed
+    row updates are applied together (see `sgns_batch_grads`). A sentence with
+    more than 256 pairs is trained in consecutive batches of 256, which bounds
+    memory and the size of one update. There is one code path, so a fixed seed
+    gives bit-identical vectors. `epoch_callback(epoch, w_in, w_out)` runs
+    after each epoch.
     """
     state = _TrainState(corpus, config)
-    n_sent = len(state.sentences)
     for epoch in range(config.epochs):
-        if parallel and workers > 1:
-            shards = [list(range(w, n_sent, workers)) for w in range(workers)]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(
-                        state.train_sentences,
-                        shard,
-                        np.random.default_rng((config.seed, epoch, w)),
-                        epoch,
-                    )
-                    for w, shard in enumerate(shards)
-                ]
-                for fut in futures:
-                    fut.result()
-        else:
-            state.train_sentences(range(n_sent), np.random.default_rng((config.seed, epoch)), epoch)
+        state.train_epoch(np.random.default_rng((config.seed, epoch)), epoch)
         if epoch_callback is not None:
             epoch_callback(epoch, state.w_in, state.w_out)
     vectors = state.w_in.copy()

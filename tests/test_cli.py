@@ -79,6 +79,20 @@ class TestStyleCommand:
         assert {r["year"] for r in rows} == {"1965"}
 
 
+    def test_top_k_below_one_exit_1(self, tmp_path, mini_cache, capsys):
+        assert main(["style", "--cache", str(mini_cache), "--out", str(tmp_path / "o"), "--top-k", "0"]) == 1
+        assert "--top-k" in capsys.readouterr().err
+
+    def test_top_words_failure_propagates(self, tmp_path, mini_cache, monkeypatch):
+        # only an empty year/cohort cell is skipped; any other error surfaces
+        def broken(*args, **kwargs):
+            raise RuntimeError("broken top_words")
+
+        monkeypatch.setattr("lyricstats.cli.top_words", broken)
+        with pytest.raises(RuntimeError, match="broken top_words"):
+            main(["style", "--cache", str(mini_cache), "--out", str(tmp_path / "o")])
+
+
 class TestTrainCommand:
     def test_deterministic_byte_identical(self, tmp_path, mini_cache):
         files = []
@@ -88,6 +102,18 @@ class TestTrainCommand:
                 ["train", "--cache", str(mini_cache), "--out", str(out),
                  "--dim", "8", "--epochs", "1", "--min-count", "1",
                  "--seed", "7", "--deterministic"]
+            )
+            assert code == 0
+            files.append(out.read_bytes())
+        assert files[0] == files[1]
+
+    def test_deterministic_flag_is_a_no_op(self, tmp_path, mini_cache):
+        files = []
+        for name, flags in (("v1.txt", ["--deterministic"]), ("v2.txt", [])):
+            out = tmp_path / name
+            code = main(
+                ["train", "--cache", str(mini_cache), "--out", str(out),
+                 "--dim", "8", "--epochs", "1", "--min-count", "1", "--seed", "7", *flags]
             )
             assert code == 0
             files.append(out.read_bytes())
@@ -177,3 +203,27 @@ class TestMisc:
         with open(out / "top_words.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 3
+
+    def test_config_abbreviated_flag_wins(self, tmp_path, mini_cache):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"top_k": 3}))
+        out = tmp_path / "style"
+        code = main(
+            ["--config", str(cfg), "style", "--cache", str(mini_cache), "--out", str(out),
+             "--year", "1965", "--cohort", "popular", "--top", "5"]
+        )
+        assert code == 0
+        with open(out / "top_words.csv") as fh:
+            assert len(list(csv.DictReader(fh))) == 5
+        assert json.loads((out / "style.config.json").read_text())["options"]["top_k"] == 5
+
+    @pytest.mark.parametrize("config", [{"top_kk": 3}, {"dim": 8}, {"func": 1}, [3]])
+    def test_config_unknown_key_exit_1(self, tmp_path, mini_cache, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "style"
+        code = main(["--config", str(cfg), "style", "--cache", str(mini_cache), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()

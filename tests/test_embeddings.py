@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lyricstats.corpus import Corpus, tokenize
 from lyricstats.embeddings import (
@@ -9,6 +11,7 @@ from lyricstats.embeddings import (
     cosine,
     load_vectors,
     save_vectors,
+    sgns_batch_grads,
     sgns_pair_grads,
     sgns_pair_loss,
     train_sgns,
@@ -148,6 +151,59 @@ class TestSgnsGradients:
         assert np.dot(step, context) > 0
 
 
+def per_pair_reference(w_in, w_out, centers, contexts, negatives):
+    """Full-size gradient tables: sgns_pair_grads of each pair, with the noise
+    words equal to its context left out, scattered with np.add.at."""
+    g_in, g_out = np.zeros_like(w_in), np.zeros_like(w_out)
+    for center, context, negs in zip(centers, contexts, negatives):
+        negs = negs[negs != context]
+        g_c, g_ctx, g_negs = sgns_pair_grads(w_in[center], w_out[context], w_out[negs])
+        np.add.at(g_in, center, g_c)
+        np.add.at(g_out, context, g_ctx)
+        np.add.at(g_out, negs, g_negs)
+    return g_in, g_out
+
+
+def assert_batch_matches_pairs(w_in, w_out, centers, contexts, negatives):
+    in_rows, in_grads, out_rows, out_grads = sgns_batch_grads(w_in, w_out, centers, contexts, negatives)
+    assert in_rows.tolist() == sorted(set(centers.tolist()))
+    assert out_rows.tolist() == sorted(set(contexts.tolist()) | set(negatives.ravel().tolist()))
+    ref_in, ref_out = per_pair_reference(w_in, w_out, centers, contexts, negatives)
+    got_in, got_out = np.zeros_like(w_in), np.zeros_like(w_out)
+    got_in[in_rows] = in_grads
+    got_out[out_rows] = out_grads
+    np.testing.assert_allclose(got_in, ref_in, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got_out, ref_out, rtol=0, atol=1e-12)
+
+
+class TestSgnsBatchKernel:
+    def test_row_sums_equal_summed_pair_grads(self):
+        rng = np.random.default_rng(21)
+        w_in = rng.normal(scale=0.5, size=(7, 6))
+        w_out = rng.normal(scale=0.5, size=(7, 6))
+        # centers, contexts and noise words repeat rows across and within
+        # pairs, and noise words 1 (pair 0) and 3 (pair 2) equal their contexts
+        centers = np.array([0, 0, 2, 2, 5, 0])
+        contexts = np.array([1, 3, 3, 1, 1, 6])
+        negatives = np.array([[1, 4, 4], [2, 0, 6], [3, 3, 1], [4, 4, 4], [6, 2, 0], [5, 5, 2]])
+        assert_batch_matches_pairs(w_in, w_out, centers, contexts, negatives)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_np_add_at_scatter_with_duplicate_rows(self, data):
+        n_words = data.draw(st.integers(1, 6), label="n_words")
+        n_pairs = data.draw(st.integers(1, 10), label="n_pairs")
+        k = data.draw(st.integers(1, 4), label="k")
+        rows = st.lists(st.integers(0, n_words - 1), min_size=n_pairs * (k + 2), max_size=n_pairs * (k + 2))
+        drawn = np.array(data.draw(rows, label="rows"))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        w_in = rng.normal(size=(n_words, 5))
+        w_out = rng.normal(size=(n_words, 5))
+        assert_batch_matches_pairs(
+            w_in, w_out, drawn[:n_pairs], drawn[n_pairs : 2 * n_pairs], drawn[2 * n_pairs :].reshape(n_pairs, k)
+        )
+
+
 class TestNoiseDistribution:
     def test_probs_proportional_to_counts_power(self):
         counts = [100, 10, 1]
@@ -235,11 +291,3 @@ class TestTraining:
 
         train_sgns(corpus, config, epoch_callback=record)
         assert losses[1] < losses[0]
-
-    def test_parallel_mode_runs(self):
-        rng = np.random.default_rng(4)
-        corpus, clusters = two_cluster_corpus(rng, n_songs=16, song_len=20)
-        table = train_sgns(
-            corpus, SgnsConfig(dim=8, min_count=1, epochs=1, seed=3), parallel=True, workers=2
-        )
-        assert len(table) == 16 and table.vectors.shape == (16, 8)
