@@ -1,6 +1,6 @@
 """Command-line front end: ingest -> style reports -> train/load vectors -> WEAT.
 
-Exit codes: 0 success, 1 environment/I/O failure, 2 data-quality failure.
+Exit codes: 0 success, 1 environment/I/O or usage failure, 2 data-quality failure.
 """
 
 from __future__ import annotations
@@ -55,13 +55,49 @@ def _write_config_digest(out_dir: str, command: str, options: dict) -> None:
         fh.write(json.dumps({"digest": digest, "options": json.loads(resolved)}, indent=2, sort_keys=True) + "\n")
 
 
-def _load_config_defaults(path: str) -> dict:
-    """The --config file's options, keyed by argparse destination."""
-    with open(path, "r", encoding="utf-8") as fh:
+def _config_defaults(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
+    """The --config file's options for `args.command`, keyed by argparse
+    destination. Raises ValueError for a file that is not a JSON object, a key
+    the command does not take, a value outside the option's choices, a flag
+    that is not true or false, or a value that is not a string and that the
+    option's `type` rejects or would change, such as 2.5 or true for an int.
+    argparse checks none of these for defaults; it passes only string
+    defaults through `type`."""
+    with open(args.config, "r", encoding="utf-8") as fh:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise ValueError("config must be a JSON object")
-    return {key.replace("-", "_"): value for key, value in config.items()}
+    config = {key.replace("-", "_"): value for key, value in config.items()}
+    unknown = sorted(set(config) - (set(vars(args)) - {"config", "command", "func"}))
+    if unknown:
+        raise ValueError(f"unknown option(s) for {args.command}: {', '.join(unknown)}")
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for action in subparsers.choices[args.command]._actions:
+        value = config.get(action.dest)
+        if value is None:
+            continue
+        if action.nargs == 0 and not isinstance(value, bool):
+            raise ValueError(f"{action.dest}: {value!r} is not true or false")
+        if action.type is not None and not isinstance(value, str):
+            try:
+                converted = action.type(value)
+            except (TypeError, ValueError):
+                converted = None
+            if isinstance(value, bool) or converted != value:
+                raise ValueError(f"{action.dest}: {value!r} is not a valid {action.type.__name__}")
+            config[action.dest] = value = converted
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"{action.dest}: {value!r} is not one of {', '.join(map(str, action.choices))}")
+    return config
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors exit with EXIT_IO: exit code 2 is
+    reserved for data-quality failures."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_IO, f"{self.prog}: error: {message}\n")
 
 
 def cmd_ingest(args) -> int:
@@ -304,7 +340,7 @@ def cmd_weat(args) -> int:
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     """The `lyricstats` parser. `defaults` (argparse destination -> value, as
     read from a --config file) replace the subcommands' built-in defaults."""
-    parser = argparse.ArgumentParser(prog="lyricstats", description=__doc__)
+    parser = _Parser(prog="lyricstats", description=__doc__)
     parser.add_argument("--config", help="JSON config file; flags override its values")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -364,21 +400,15 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     raw_argv = list(sys.argv[1:] if argv is None else argv)
-    args = build_parser().parse_args(raw_argv)
+    parser = build_parser()
+    args = parser.parse_args(raw_argv)
     if args.config:
         # the config's values become the command's defaults and the command
         # line is parsed again, so every flag given there wins, abbreviated or not
         try:
-            config = _load_config_defaults(args.config)
+            config = _config_defaults(parser, args)
         except (OSError, ValueError) as exc:
             print(f"error: {args.config}: {exc}", file=sys.stderr)
-            return EXIT_IO
-        unknown = sorted(set(config) - (set(vars(args)) - {"config", "command", "func"}))
-        if unknown:
-            print(
-                f"error: {args.config}: unknown option(s) for {args.command}: {', '.join(unknown)}",
-                file=sys.stderr,
-            )
             return EXIT_IO
         args = build_parser(config).parse_args(raw_argv)
     return args.func(args)

@@ -9,7 +9,7 @@ import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 COHORTS = ("popular", "other")
 
@@ -271,7 +271,6 @@ def token_counts(
     corpus: Corpus,
     year: Optional[int] = None,
     cohort: Optional[str] = None,
-    where: Optional[Callable[[SongRecord], bool]] = None,
 ) -> Counter:
     """Exact token multiset counts over the filtered songs."""
     counts: Counter = Counter()
@@ -280,8 +279,6 @@ def token_counts(
         if year is not None and rec.year != year:
             continue
         if cohort is not None and rec.cohort != cohort:
-            continue
-        if where is not None and not where(rec):
             continue
         matched = True
         for line in tok.lines:
@@ -325,24 +322,30 @@ def load_cache(path: str) -> Corpus:
             header = json.loads(header_line)
         except json.JSONDecodeError as exc:
             raise IngestError(f"{path}: not a corpus cache: {exc}") from exc
-        if header.get("cache_version") != CACHE_VERSION:
-            raise IngestError(f"{path}: unsupported cache version {header.get('cache_version')!r}")
-        for line in fh:
-            row = json.loads(line)
-            records.append(
-                SongRecord(
-                    id=row["id"],
-                    title=row["title"],
-                    artist=row["artist"],
-                    year=row["year"],
-                    duration_seconds=row["duration_seconds"],
-                    cohort=row["cohort"],
-                    lyrics=row["lyrics"],
+        version = header.get("cache_version") if isinstance(header, dict) else None
+        if version != CACHE_VERSION:
+            raise IngestError(f"{path}: unsupported cache version {version!r}")
+        for line_no, line in enumerate(fh, start=2):
+            try:
+                row = json.loads(line)
+                records.append(
+                    SongRecord(
+                        id=row["id"],
+                        title=row["title"],
+                        artist=row["artist"],
+                        year=row["year"],
+                        duration_seconds=row["duration_seconds"],
+                        cohort=row["cohort"],
+                        lyrics=row["lyrics"],
+                    )
                 )
-            )
-            tokenized.append(
-                TokenizedLyric(song_id=row["id"], lines=tuple(tuple(line) for line in row["lines"]))
-            )
+                tokenized.append(
+                    TokenizedLyric(song_id=row["id"], lines=tuple(tuple(line) for line in row["lines"]))
+                )
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                # a truncated or hand-edited cache: a bad row, or one missing a key
+                reason = f"{type(exc).__name__}: {exc}"
+                raise IngestError(f"{path}:{line_no}: malformed cache row ({reason})") from exc
     return Corpus(records=tuple(records), tokenized=tuple(tokenized), provenance=header.get("provenance", {}))
 
 

@@ -207,10 +207,19 @@ def rank_series(
     """Year-by-year frequency rank of each requested word (1 = most frequent)."""
     if not words:
         raise StyleError("rank_series needs a non-empty word list")
-    years = sorted({rec.year for rec in corpus.records if cohort is None or rec.cohort == cohort})
+    # one pass groups the songs by year; each year is then counted and ranked
+    # on its own, so only one year's counts are held at a time
+    by_year: dict[int, list[TokenizedLyric]] = defaultdict(list)
+    for rec, tok in corpus:
+        if cohort is None or rec.cohort == cohort:
+            by_year[rec.year].append(tok)
     per_word: dict[str, dict[int, int]] = {w: {} for w in words}
-    for year in years:
-        ranks = _year_ranks(token_counts(corpus, year=year, cohort=cohort))
+    for year in sorted(by_year):
+        counts: Counter = Counter()
+        for tok in by_year[year]:
+            for line in tok.lines:
+                counts.update(line)
+        ranks = _year_ranks(counts)
         for w in words:
             if w in ranks:
                 per_word[w][year] = ranks[w]

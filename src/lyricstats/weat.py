@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
+from itertools import chain, combinations, islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -15,6 +15,7 @@ from lyricstats.embeddings import EmbeddingTable
 
 EXACT_PARTITION_BUDGET = 200_000
 DEFAULT_MC_SAMPLES = 100_000
+_SUBSET_CHUNK = 20_000  # n-subsets scored per numpy call, in exact and Monte Carlo mode alike
 
 
 class WeatError(Exception):
@@ -149,11 +150,16 @@ def _association_scores(
     return (t @ a.T).mean(axis=1) - (t @ b.T).mean(axis=1)
 
 
+def _prepare(test: WeatTest, emb: EmbeddingTable, policy: OovPolicy):
+    """Filter the word lists once and score both target lists against the
+    attributes: (sx, sy, coverage, dropped)."""
+    x, y, a, b, coverage, dropped = apply_oov_policy(test, emb, policy)
+    return _association_scores(x, a, b, emb), _association_scores(y, a, b, emb), coverage, dropped
+
+
 def test_statistic(test: WeatTest, emb: EmbeddingTable, policy: OovPolicy = OovPolicy()) -> float:
     """Sum of X association scores minus sum of Y association scores."""
-    x, y, a, b, _, _ = apply_oov_policy(test, emb, policy)
-    sx = _association_scores(x, a, b, emb)
-    sy = _association_scores(y, a, b, emb)
+    sx, sy, _, _ = _prepare(test, emb, policy)
     return float(sx.sum() - sy.sum())
 
 
@@ -166,9 +172,7 @@ def _effect_size_from_scores(sx: np.ndarray, sy: np.ndarray) -> float:
 
 
 def effect_size(test: WeatTest, emb: EmbeddingTable, policy: OovPolicy = OovPolicy()) -> WeatResult:
-    x, y, a, b, coverage, dropped = apply_oov_policy(test, emb, policy)
-    sx = _association_scores(x, a, b, emb)
-    sy = _association_scores(y, a, b, emb)
+    sx, sy, coverage, dropped = _prepare(test, emb, policy)
     return WeatResult(
         test_name=test.name,
         effect_size=_effect_size_from_scores(sx, sy),
@@ -180,18 +184,50 @@ def effect_size(test: WeatTest, emb: EmbeddingTable, policy: OovPolicy = OovPoli
     )
 
 
-def _partition_p(scores: np.ndarray, n: int, observed: float, inclusive: bool) -> float:
-    """Exact one-sided p over all equal-size partitions of the pooled scores."""
-    total_sum = scores.sum()
-    count = 0
-    n_parts = 0
-    for idx in combinations(range(len(scores)), n):
-        s_x = scores[list(idx)].sum()
-        stat = 2.0 * s_x - total_sum  # sum(X) - sum(Y)
-        if stat > observed or (inclusive and stat == observed):
-            count += 1
-        n_parts += 1
-    return count / n_parts
+def _p_value(
+    sx: np.ndarray, sy: np.ndarray, mode: str, n_samples: int, seed: Optional[int], inclusive: bool
+) -> float:
+    """One-sided permutation p of the scores: the share of n-subsets of the
+    pooled scores, taken as the X side, whose statistic beats the observed one.
+    Exact mode enumerates every subset, Monte Carlo mode draws n_samples; both
+    feed the same counting loop in chunks."""
+    n = len(sx)
+    pooled = np.concatenate([sx, sy])
+    total_sum = pooled.sum()
+    # observed statistic computed with the same float operations as the
+    # subset statistics below, so the identity partition never flips a
+    # strict comparison by rounding
+    observed = float(2.0 * pooled[:n].sum() - total_sum)
+    if mode == "exact":
+        size = math.comb(2 * n, n)
+        if size > EXACT_PARTITION_BUDGET:
+            raise ExactBudgetError(
+                f"C({2 * n},{n}) = {size} partitions exceed the exact budget "
+                f"of {EXACT_PARTITION_BUDGET}; use monte_carlo"
+            )
+        subsets = combinations(range(2 * n), n)
+
+        def draw(rows: int) -> np.ndarray:
+            return np.fromiter(chain.from_iterable(islice(subsets, rows)), np.intp, rows * n).reshape(rows, n)
+
+    elif mode == "monte_carlo":
+        if seed is None:
+            raise WeatError("monte_carlo mode requires an explicit seed")
+        size = n_samples
+        rng = np.random.default_rng(seed)
+
+        def draw(rows: int) -> np.ndarray:
+            # a uniform random n-subset per row via argsort of iid uniforms;
+            # indices sorted so each subset sums in the same order as exact mode
+            return np.sort(np.argsort(rng.random((rows, 2 * n)), axis=1)[:, :n], axis=1)
+
+    else:
+        raise WeatError(f"unknown p-value mode {mode!r}")
+    hits = 0
+    for start in range(0, size, _SUBSET_CHUNK):
+        stats = 2.0 * pooled[draw(min(_SUBSET_CHUNK, size - start))].sum(axis=1) - total_sum
+        hits += int(np.count_nonzero(stats >= observed if inclusive else stats > observed))
+    return hits / size
 
 
 def permutation_p(
@@ -205,43 +241,8 @@ def permutation_p(
 ) -> float:
     """One-sided permutation p-value: the proportion of equal-size partitions
     of X∪Y whose statistic beats the observed one (strict ">" by default)."""
-    x, y, a, b, _, _ = apply_oov_policy(test, emb, policy)
-    n = len(x)
-    sx = _association_scores(x, a, b, emb)
-    sy = _association_scores(y, a, b, emb)
-    pooled = np.concatenate([sx, sy])
-    total_sum = pooled.sum()
-    # observed statistic computed with the same float operations as the
-    # partition statistics below, so the identity partition never flips a
-    # strict comparison by rounding
-    observed = float(2.0 * pooled[np.arange(n)].sum() - total_sum)
-    if mode == "exact":
-        n_partitions = math.comb(2 * n, n)
-        if n_partitions > EXACT_PARTITION_BUDGET:
-            raise ExactBudgetError(
-                f"C({2 * n},{n}) = {n_partitions} partitions exceed the exact budget "
-                f"of {EXACT_PARTITION_BUDGET}; use monte_carlo"
-            )
-        return _partition_p(pooled, n, observed, inclusive)
-    if mode == "monte_carlo":
-        if seed is None:
-            raise WeatError("monte_carlo mode requires an explicit seed")
-        rng = np.random.default_rng(seed)
-        hits = 0
-        remaining = n_samples
-        while remaining > 0:
-            chunk = min(remaining, 20_000)
-            # a uniform random n-subset per row via argsort of iid uniforms;
-            # indices sorted so each subset sums in the same order as exact mode
-            order = np.sort(np.argsort(rng.random((chunk, len(pooled))), axis=1)[:, :n], axis=1)
-            stats = 2.0 * pooled[order].sum(axis=1) - total_sum
-            if inclusive:
-                hits += int(np.count_nonzero(stats >= observed))
-            else:
-                hits += int(np.count_nonzero(stats > observed))
-            remaining -= chunk
-        return hits / n_samples
-    raise WeatError(f"unknown p-value mode {mode!r}")
+    sx, sy, _, _ = _prepare(test, emb, policy)
+    return _p_value(sx, sy, mode, n_samples, seed, inclusive)
 
 
 def run_test(
@@ -253,28 +254,13 @@ def run_test(
     seed: Optional[int] = 0,
     inclusive: bool = False,
 ) -> WeatResult:
+    coverage, dropped = {}, ()
     try:
-        x, y, a, b, coverage, dropped = apply_oov_policy(test, emb, policy)
-    except WeatError as exc:
-        return WeatResult(
-            test_name=test.name,
-            effect_size=None,
-            test_statistic=None,
-            p_value=None,
-            p_method="none",
-            coverage={},
-            error=str(exc),
-        )
-    try:
-        sx = _association_scores(x, a, b, emb)
-        sy = _association_scores(y, a, b, emb)
+        sx, sy, coverage, dropped = _prepare(test, emb, policy)
         d = _effect_size_from_scores(sx, sy)
-        stat = float(sx.sum() - sy.sum())
-        p = permutation_p(
-            test, emb, mode=p_mode, n_samples=n_samples, seed=seed, inclusive=inclusive, policy=policy
-        )
-        method = "exact" if p_mode == "exact" else f"monte_carlo(n={n_samples}, seed={seed})"
+        p = _p_value(sx, sy, p_mode, n_samples, seed, inclusive)
     except WeatError as exc:
+        # coverage and drops stay known when the error came after filtering
         return WeatResult(
             test_name=test.name,
             effect_size=None,
@@ -288,9 +274,9 @@ def run_test(
     return WeatResult(
         test_name=test.name,
         effect_size=d,
-        test_statistic=stat,
+        test_statistic=float(sx.sum() - sy.sum()),
         p_value=p,
-        p_method=method,
+        p_method="exact" if p_mode == "exact" else f"monte_carlo(n={n_samples}, seed={seed})",
         coverage=coverage,
         dropped_words=dropped,
     )

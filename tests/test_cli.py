@@ -83,6 +83,20 @@ class TestStyleCommand:
         assert main(["style", "--cache", str(mini_cache), "--out", str(tmp_path / "o"), "--top-k", "0"]) == 1
         assert "--top-k" in capsys.readouterr().err
 
+    def test_truncated_cache_exit_1(self, tmp_path, mini_cache, capsys):
+        data = mini_cache.read_bytes()
+        cut = tmp_path / "cut.cache"
+        cut.write_bytes(data[: data.index(b"\n", len(data) // 2) - 10])  # ends mid-row
+        assert main(["style", "--cache", str(cut), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cut}:") and "malformed cache row" in err and err.count("\n") == 1
+
+    def test_top_k_not_an_int_exit_1(self, tmp_path, mini_cache, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["style", "--cache", str(mini_cache), "--out", str(tmp_path / "o"), "--top-k", "x"])
+        assert exc.value.code == 1
+        assert "invalid int value: 'x'" in capsys.readouterr().err
+
     def test_top_words_failure_propagates(self, tmp_path, mini_cache, monkeypatch):
         # only an empty year/cohort cell is skipped; any other error surfaces
         def broken(*args, **kwargs):
@@ -227,3 +241,52 @@ class TestMisc:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", [2.5, True, [3], {"k": 3}], ids=["float", "bool", "list", "object"])
+    def test_config_value_of_wrong_type_exit_1(self, tmp_path, mini_cache, capsys, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"top_k": value}))
+        out = tmp_path / "style"
+        code = main(["--config", str(cfg), "style", "--cache", str(mini_cache), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg}: top_k: {value!r} is not a valid int\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, config, message",
+        [
+            ("style", {"cohort": "pop"}, "cohort: 'pop' is not one of popular, other"),
+            ("ingest", {"format": 3}, "format: 3 is not one of jsonl, csv"),
+            ("ingest", {"keep_annotations": "no"}, "keep_annotations: 'no' is not true or false"),
+        ],
+        ids=["choice", "choice_not_a_string", "flag"],
+    )
+    def test_config_value_outside_option_exit_1(self, tmp_path, mini_cache, capsys, command, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        source = ["--cache", str(mini_cache)] if command == "style" else ["--input", str(mini_cache)]
+        assert main(["--config", str(cfg), command, *source, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+        assert not out.exists()
+
+    def test_config_string_of_wrong_type_exit_1(self, tmp_path, mini_cache, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"top_k": "x"}))
+        out = tmp_path / "style"
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "style", "--cache", str(mini_cache), "--out", str(out)])
+        assert exc.value.code == 1
+        assert "invalid int value: 'x'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_int_for_float_option_is_converted(self, tmp_path):
+        src = tmp_path / "songs.jsonl"
+        write_jsonl(src, [jsonl_row("s1")])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_reject_fraction": 1}))
+        out = tmp_path / "build"
+        assert main(["--config", str(cfg), "ingest", "--input", str(src), "--out", str(out)]) == 0
+        options = json.loads((out / "ingest.config.json").read_text())["options"]
+        assert options["max_reject_fraction"] == 1.0 and isinstance(options["max_reject_fraction"], float)

@@ -147,6 +147,23 @@ class TestIngest:
         assert loaded.records == mini_corpus.records
         assert loaded.tokenized == mini_corpus.tokenized
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda rows: rows[:3] + [rows[3][: len(rows[3]) // 2]],  # cut mid-row
+            lambda rows: rows[:3] + [json.dumps({k: v for k, v in json.loads(rows[3]).items() if k != "lines"})],
+            lambda rows: rows[:3] + ["[1, 2]"],  # a row that is not an object
+        ],
+        ids=["truncated", "missing_key", "not_an_object"],
+    )
+    def test_malformed_cache_row_names_path_and_line(self, tmp_path, mini_corpus, edit):
+        cache = tmp_path / "c.cache"
+        save_cache(mini_corpus, str(cache))
+        rows = cache.read_text(encoding="utf-8").splitlines()
+        cache.write_text("\n".join(edit(rows)), encoding="utf-8")
+        with pytest.raises(IngestError, match=f"{cache}:4: malformed cache row"):
+            load_cache(str(cache))
+
     def test_reject_report_schema(self, tmp_path):
         src = tmp_path / "songs.jsonl"
         write_jsonl(src, [jsonl_row("s1"), dict(jsonl_row("s2"), lyrics="   ")])

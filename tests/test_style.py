@@ -278,6 +278,19 @@ class TestRankSeries:
                 else:
                     assert year not in results[word]
 
+    @pytest.mark.parametrize("cohort", [None, "other"])
+    def test_one_pass_matches_per_year_recount(self, mini_corpus, cohort):
+        words = ["rock", "blues", "love", "the"]
+        results = {s.word: s.entries for s in rank_series(mini_corpus, words, cohort=cohort)}
+        expected = {w: {} for w in words}
+        for year in {r.year for r in mini_corpus.records if cohort is None or r.cohort == cohort}:
+            counts = token_counts(mini_corpus, year=year, cohort=cohort)
+            ordered = sorted(counts, key=lambda w: (-counts[w], w))
+            for word in words:
+                if word in counts:
+                    expected[word][year] = ordered.index(word) + 1
+        assert results == expected
+
     def test_empty_word_list_rejected(self, mini_corpus):
         with pytest.raises(StyleError):
             rank_series(mini_corpus, [])

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from lyricstats.weat import (
     load_battery,
     permutation_p,
     run_battery,
+    run_test,
 )
 from lyricstats.weat import test_statistic as weat_statistic
 from tests.conftest import make_table, random_table
@@ -43,6 +45,18 @@ def brute_force_p(pooled, n, inclusive=False):
         if s > observed or (inclusive and s == observed):
             count += 1
     return count / parts
+
+
+def combinations_p(pooled, n, inclusive=False):
+    """Independent enumerator over itertools.combinations, with exactly rounded sums."""
+    total = math.fsum(pooled)
+
+    def stat(subset):
+        return 2 * math.fsum(pooled[i] for i in subset) - total
+
+    observed = stat(range(n))
+    stats = [stat(subset) for subset in combinations(range(len(pooled)), n)]
+    return sum(s > observed or (inclusive and s == observed) for s in stats) / len(stats)
 
 
 def symmetric_table(n_targets=2):
@@ -219,6 +233,20 @@ class TestPermutationP:
                 pooled = list(np.concatenate([sx, sy]))
                 assert permutation_p(test, table, mode="exact") == brute_force_p(pooled, n)
 
+    def test_exact_over_several_chunks_matches_combinations(self):
+        # C(18, 9) = 48,620 partitions: more than one 20,000-subset chunk
+        rng = np.random.default_rng(21)
+        test, table = random_weat(rng, n_targets=9, n_attrs=3)
+        from lyricstats.weat import _association_scores
+
+        sx = _association_scores(list(test.targets_x), test.attributes_a, test.attributes_b, table)
+        sy = _association_scores(list(test.targets_y), test.attributes_a, test.attributes_b, table)
+        pooled = list(np.concatenate([sx, sy]))
+        for inclusive in (False, True):
+            assert permutation_p(test, table, mode="exact", inclusive=inclusive) == combinations_p(
+                pooled, 9, inclusive
+            )
+
     def test_budget_exceeded_directs_to_monte_carlo(self):
         rng = np.random.default_rng(11)
         test, table = random_weat(rng, n_targets=11, n_attrs=2)
@@ -312,6 +340,55 @@ class TestBattery:
         results = run_battery(tests, table, p_mode="monte_carlo", n_samples=1000, seed=2)
         assert results[2].error is not None and "under-filled" in results[2].error
         assert all(r.error is None for i, r in enumerate(results) if i != 2)
+
+
+class TestRunTest:
+    def test_agrees_with_public_functions(self):
+        rng = np.random.default_rng(22)
+        for _ in range(10):
+            test, table = random_weat(rng, n_targets=int(rng.integers(2, 7)), n_attrs=int(rng.integers(2, 5)))
+            inclusive = bool(rng.integers(2))
+            for mode in ("exact", "monte_carlo"):
+                r = run_test(test, table, p_mode=mode, n_samples=3000, seed=4, inclusive=inclusive)
+                assert r.error is None
+                assert r.effect_size == effect_size(test, table).effect_size
+                assert r.test_statistic == weat_statistic(test, table)
+                assert r.p_value == permutation_p(
+                    test, table, mode=mode, n_samples=3000, seed=4, inclusive=inclusive
+                )
+
+    def test_filters_and_scores_once(self, monkeypatch):
+        import lyricstats.weat as weat
+
+        calls = {"apply_oov_policy": 0, "_association_scores": 0}
+        for name in calls:
+            original = getattr(weat, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(weat, name, counted)
+        test, table = random_weat(np.random.default_rng(23))
+        assert run_test(test, table, p_mode="monte_carlo", n_samples=500, seed=1).error is None
+        assert calls == {"apply_oov_policy": 1, "_association_scores": 2}
+
+    def test_degenerate_result_keeps_coverage(self):
+        rng = np.random.default_rng(24)
+        table = random_table(["x1", "x2", "y1", "y2", "a1", "a2"], 4, rng)
+        test = WeatTest("degen", ("x1", "x2", "x9"), ("y1", "y2"), ("a1", "a2"), ("a1", "a2"))
+        r = run_test(test, table, p_mode="exact")
+        assert r.error is not None and "effect size undefined" in r.error
+        assert r.p_value is None and r.p_method == "none"
+        assert r.coverage["targets_x"] == (3, 2) and r.coverage["attributes_b"] == (2, 2)
+        assert r.dropped_words == ("x9",)
+
+    def test_underfilled_result_has_no_coverage(self):
+        rng = np.random.default_rng(25)
+        table = random_table(["x1", "y1", "a1", "a2", "b1", "b2"], 4, rng)
+        test = WeatTest("uf", ("x1", "x9"), ("y1", "y9"), ("a1", "a2"), ("b1", "b2"))
+        r = run_test(test, table)
+        assert "under-filled" in r.error and r.coverage == {} and r.dropped_words == ()
 
 
 class TestProperties:
