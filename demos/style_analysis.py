@@ -14,6 +14,7 @@ from lyricstats.style import (
     load_wordlist,
     rank_series,
     top_words,
+    year_rankings,
 )
 
 # --- ingest ----------------------------------------------------------------
@@ -46,15 +47,17 @@ for agg in aggregate(corpus, metrics):
     )
 
 # --- top words per year ----------------------------------------------------
+# one count and one sort per year serve both the top words and the ranks
+rankings = year_rankings(corpus, cohort="popular")
 stopwords = load_wordlist(default_stopwords_path())
 print("\ntop 5 words, popular songs:")
-for year in sorted({r.year for r in corpus.records if r.cohort == "popular"}):
-    words = top_words(corpus, year, "popular", 5, stopwords)
+for year, ranked in rankings.items():
+    words = top_words(ranked, 5, stopwords)
     print(f"  {year}: {', '.join(words)}")
 
 # --- rank comparison: how two words trade places over the years ------------
 print("\nrank of 'rock' vs 'blues' in popular lyrics (1 = most frequent):")
-for series in rank_series(corpus, ["rock", "blues"], cohort="popular"):
+for series in rank_series(rankings, ["rock", "blues"]):
     entries = ", ".join(f"{y}:{r}" for y, r in sorted(series.entries.items()))
     print(f"  {series.word}: {entries or 'never seen'}")
 

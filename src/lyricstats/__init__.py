@@ -21,6 +21,7 @@ from lyricstats.style import (
     repetitiveness,
     speed,
     top_words,
+    year_rankings,
 )
 from lyricstats.weat import (
     OovPolicy,

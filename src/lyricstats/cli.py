@@ -14,7 +14,6 @@ import sys
 
 from lyricstats import __version__
 from lyricstats.corpus import (
-    EmptySelectionError,
     IngestConfig,
     IngestError,
     TokenizeConfig,
@@ -26,12 +25,14 @@ from lyricstats.corpus import (
 from lyricstats.embeddings import EmbeddingError, SgnsConfig, load_vectors, save_vectors, train_sgns
 from lyricstats.resources import default_battery_path, default_stopwords_path, default_swear_lexicon_path
 from lyricstats.style import (
+    StyleError,
     aggregate,
     corpus_style_metrics,
     load_swear_lexicon,
     load_wordlist,
     rank_series,
     top_words,
+    year_rankings,
 )
 from lyricstats.weat import OovPolicy, WeatError, load_battery, run_battery, write_results_csv
 
@@ -133,11 +134,15 @@ def cmd_style(args) -> int:
     if args.top_k < 1:
         print("error: --top-k must be >= 1", file=sys.stderr)
         return EXIT_IO
+    words = [w.strip() for w in (args.words or "").split(",") if w.strip()]
+    if args.words and not words:
+        print(f"error: --words {args.words!r} names no word", file=sys.stderr)
+        return EXIT_IO
     try:
         corpus = load_cache(args.cache)
         lexicon = load_swear_lexicon(args.lexicon or default_swear_lexicon_path())
         stopwords = load_wordlist(args.stopwords or default_stopwords_path())
-    except (IngestError, OSError) as exc:
+    except (IngestError, StyleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     os.makedirs(args.out, exist_ok=True)
@@ -209,25 +214,20 @@ def cmd_style(args) -> int:
                 ]
             )
 
-    years = sorted({r.year for r in corpus.records if args.cohort is None or r.cohort == args.cohort})
+    rankings = year_rankings(corpus, args.cohort)
     with open(os.path.join(args.out, "top_words.csv"), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["year", "rank", "word"])
-        target_years = [args.year] if args.year is not None else years
-        for year in target_years:
-            try:
-                tops = top_words(corpus, year, args.cohort, args.top_k, stopwords)
-            except EmptySelectionError:
-                continue
+        for year in rankings if args.year is None else [args.year]:
+            tops = top_words(rankings.get(year, []), args.top_k, stopwords)
             for rank, word in enumerate(tops, start=1):
                 writer.writerow([year, rank, word])
 
     with open(os.path.join(args.out, "rank_series.csv"), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["word", "year", "rank"])
-        if args.words:
-            words = [w.strip() for w in args.words.split(",") if w.strip()]
-            for series in rank_series(corpus, words, cohort=args.cohort):
+        if words:
+            for series in rank_series(rankings, words):
                 for year in sorted(series.entries):
                     writer.writerow([series.word, year, series.entries[year]])
 
@@ -252,20 +252,20 @@ def cmd_train(args) -> int:
         print("error: --seed is mandatory for training (stochastic step)", file=sys.stderr)
         return EXIT_IO
     try:
+        config = SgnsConfig(
+            dim=args.dim,
+            window=args.window,
+            negatives=args.negatives,
+            epochs=args.epochs,
+            initial_learning_rate=args.learning_rate,
+            min_count=args.min_count,
+            subsample_threshold=args.subsample,
+            seed=args.seed,
+        )
         corpus = load_cache(args.cache)
-    except (IngestError, OSError) as exc:
+    except (EmbeddingError, IngestError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    config = SgnsConfig(
-        dim=args.dim,
-        window=args.window,
-        negatives=args.negatives,
-        epochs=args.epochs,
-        initial_learning_rate=args.learning_rate,
-        min_count=args.min_count,
-        subsample_threshold=args.subsample,
-        seed=args.seed,
-    )
     try:
         table = train_sgns(corpus, config)
     except EmbeddingError as exc:
@@ -297,17 +297,21 @@ def cmd_train(args) -> int:
 def _print_summary(results) -> None:
     print(f"{'test':<55} {'effect':>8} {'p':>10}  method")
     for r in results:
+        effect = "-" if r.effect_size is None else f"{r.effect_size:.3f}"
         if r.error:
-            print(f"{r.test_name:<55} {'-':>8} {'-':>10}  error: {r.error}")
+            print(f"{r.test_name:<55} {effect:>8} {'-':>10}  error: {r.error}")
         else:
-            print(f"{r.test_name:<55} {r.effect_size:>8.3f} {r.p_value:>10.4g}  {r.p_method}")
+            print(f"{r.test_name:<55} {effect:>8} {r.p_value:>10.4g}  {r.p_method}")
 
 
 def cmd_weat(args) -> int:
+    if args.mc_samples < 1:
+        print("error: --mc-samples must be >= 1", file=sys.stderr)
+        return EXIT_IO
     try:
         table = load_vectors(args.vectors)
         tests = load_battery(args.tests or default_battery_path())
-    except (EmbeddingError, WeatError, OSError, json.JSONDecodeError) as exc:
+    except (EmbeddingError, WeatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     results = run_battery(

@@ -247,6 +247,8 @@ def ingest(
             tokenized.append(tok)
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
     digest_src = json.dumps(
         {
@@ -291,13 +293,13 @@ def token_counts(
 # ---------------------------------------------------------------------------
 # cache serialization (versioned JSONL: one header line, then one song per line)
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2  # 2: the header stores the song count
 
 
 def save_cache(result_or_corpus, path: str) -> None:
     corpus = result_or_corpus.corpus if isinstance(result_or_corpus, IngestResult) else result_or_corpus
     with open(path, "w", encoding="utf-8") as fh:
-        header = {"cache_version": CACHE_VERSION, "provenance": corpus.provenance}
+        header = {"cache_version": CACHE_VERSION, "provenance": corpus.provenance, "songs": len(corpus)}
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for rec, tok in corpus:
             row = {
@@ -316,36 +318,43 @@ def save_cache(result_or_corpus, path: str) -> None:
 def load_cache(path: str) -> Corpus:
     records: list[SongRecord] = []
     tokenized: list[TokenizedLyric] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header_line = fh.readline()
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
-            raise IngestError(f"{path}: not a corpus cache: {exc}") from exc
-        version = header.get("cache_version") if isinstance(header, dict) else None
-        if version != CACHE_VERSION:
-            raise IngestError(f"{path}: unsupported cache version {version!r}")
-        for line_no, line in enumerate(fh, start=2):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header_line = fh.readline()
             try:
-                row = json.loads(line)
-                records.append(
-                    SongRecord(
-                        id=row["id"],
-                        title=row["title"],
-                        artist=row["artist"],
-                        year=row["year"],
-                        duration_seconds=row["duration_seconds"],
-                        cohort=row["cohort"],
-                        lyrics=row["lyrics"],
+                header = json.loads(header_line)
+            except json.JSONDecodeError as exc:
+                raise IngestError(f"{path}: not a corpus cache: {exc}") from exc
+            version = header.get("cache_version") if isinstance(header, dict) else None
+            if version != CACHE_VERSION:
+                raise IngestError(f"{path}: unsupported cache version {version!r}")
+            for line_no, line in enumerate(fh, start=2):
+                try:
+                    row = json.loads(line)
+                    records.append(
+                        SongRecord(
+                            id=row["id"],
+                            title=row["title"],
+                            artist=row["artist"],
+                            year=row["year"],
+                            duration_seconds=row["duration_seconds"],
+                            cohort=row["cohort"],
+                            lyrics=row["lyrics"],
+                        )
                     )
-                )
-                tokenized.append(
-                    TokenizedLyric(song_id=row["id"], lines=tuple(tuple(line) for line in row["lines"]))
-                )
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                # a truncated or hand-edited cache: a bad row, or one missing a key
-                reason = f"{type(exc).__name__}: {exc}"
-                raise IngestError(f"{path}:{line_no}: malformed cache row ({reason})") from exc
+                    tokenized.append(
+                        TokenizedLyric(song_id=row["id"], lines=tuple(tuple(line) for line in row["lines"]))
+                    )
+                except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                    # a truncated or hand-edited cache: a bad row, or one missing a key
+                    reason = f"{type(exc).__name__}: {exc}"
+                    raise IngestError(f"{path}:{line_no}: malformed cache row ({reason})") from exc
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    # a cache cut, or padded, exactly at a row boundary parses cleanly row by row
+    expected = header.get("songs")
+    if expected != len(records):
+        raise IngestError(f"{path}: header says {expected!r} songs but the cache holds {len(records)}")
     return Corpus(records=tuple(records), tokenized=tuple(tokenized), provenance=header.get("provenance", {}))
 
 

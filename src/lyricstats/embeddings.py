@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from lyricstats.corpus import Corpus
+from lyricstats.corpus import Corpus, token_counts
 
 
 class EmbeddingError(Exception):
@@ -74,37 +74,40 @@ def load_vectors(path: str) -> EmbeddingTable:
     index: dict = {}
     dim: Optional[int] = None
     duplicates = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split(" ")
-            if not line.strip():
-                continue
-            if line_no == 1 and len(parts) == 2:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                parts = line.rstrip("\n").split(" ")
+                if not line.strip():
+                    continue
+                if line_no == 1 and len(parts) == 2:
+                    try:
+                        int(parts[0]), int(parts[1])
+                        continue  # header line
+                    except ValueError:
+                        pass
+                word = parts[0]
                 try:
-                    int(parts[0]), int(parts[1])
-                    continue  # header line
-                except ValueError:
-                    pass
-            word = parts[0]
-            try:
-                vec = np.array([float(x) for x in parts[1:] if x != ""], dtype=float)
-            except ValueError as exc:
-                raise EmbeddingError(f"{path}:{line_no}: unparsable number: {exc}") from exc
-            if dim is None:
-                dim = len(vec)
-                if dim == 0:
-                    raise EmbeddingError(f"{path}:{line_no}: row has no vector values")
-            elif len(vec) != dim:
-                raise EmbeddingError(
-                    f"{path}:{line_no}: dimension mismatch, expected {dim} got {len(vec)}"
-                )
-            if word in index:
-                rows[index[word]] = vec
-                duplicates += 1
-            else:
-                index[word] = len(words)
-                words.append(word)
-                rows.append(vec)
+                    vec = np.array([float(x) for x in parts[1:] if x != ""], dtype=float)
+                except ValueError as exc:
+                    raise EmbeddingError(f"{path}:{line_no}: unparsable number: {exc}") from exc
+                if dim is None:
+                    dim = len(vec)
+                    if dim == 0:
+                        raise EmbeddingError(f"{path}:{line_no}: row has no vector values")
+                elif len(vec) != dim:
+                    raise EmbeddingError(
+                        f"{path}:{line_no}: dimension mismatch, expected {dim} got {len(vec)}"
+                    )
+                if word in index:
+                    rows[index[word]] = vec
+                    duplicates += 1
+                else:
+                    index[word] = len(words)
+                    words.append(word)
+                    rows.append(vec)
+    except UnicodeDecodeError as exc:
+        raise EmbeddingError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if dim is None:
         raise EmbeddingError(f"{path}: empty vector file")
     vectors = np.vstack(rows)
@@ -215,9 +218,8 @@ class _TrainState:
     """Vocabulary, noise table, and vector arrays during training."""
 
     def __init__(self, corpus: Corpus, config: SgnsConfig):
-        counts = Counter()
-        for tok in corpus.tokenized:
-            counts.update(tok.tokens)
+        # token_counts refuses a corpus without songs; that ends below as an empty vocabulary
+        counts = token_counts(corpus) if len(corpus) else Counter()
         kept = sorted(
             ((w, c) for w, c in counts.items() if c >= config.min_count),
             key=lambda kv: (-kv[1], kv[0]),

@@ -6,9 +6,10 @@ import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import Iterable, Optional, Sequence
 
-from lyricstats.corpus import Corpus, EmptySelectionError, SongRecord, TokenizedLyric, token_counts
+from lyricstats.corpus import Corpus, SongRecord, TokenizedLyric
 
 _VOWEL_GROUPS = re.compile(r"[aeiouy]+")
 
@@ -108,11 +109,14 @@ def fk_grade(lyric: TokenizedLyric) -> float:
 def load_wordlist(path: str) -> frozenset[str]:
     """One lowercase word per line; '#' starts a comment; blanks ignored."""
     entries: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            word = line.split("#", 1)[0].strip()
-            if word:
-                entries.add(word.lower())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line in fh:
+                word = line.split("#", 1)[0].strip()
+                if word:
+                    entries.add(word.lower())
+    except UnicodeDecodeError as exc:
+        raise StyleError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     return frozenset(entries)
 
 
@@ -194,51 +198,43 @@ def aggregate(corpus: Corpus, metrics: Sequence[StyleMetrics]) -> list[YearCohor
     return out
 
 
-def _year_ranks(counts: Counter) -> dict[str, int]:
-    # descending frequency, lexicographic ascending on ties; ranks are a
-    # bijection onto 1..V for that year's vocabulary
-    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return {word: i + 1 for i, (word, _) in enumerate(ordered)}
-
-
-def rank_series(
-    corpus: Corpus, words: Sequence[str], cohort: Optional[str] = None
-) -> list[RankSeries]:
-    """Year-by-year frequency rank of each requested word (1 = most frequent)."""
-    if not words:
-        raise StyleError("rank_series needs a non-empty word list")
-    # one pass groups the songs by year; each year is then counted and ranked
+def year_rankings(corpus: Corpus, cohort: Optional[str] = None) -> dict[int, list[str]]:
+    """Each year's vocabulary in rank order, for the songs of `cohort` (every
+    song when None): descending count, ties in lexicographic order. Keys are the
+    years that have songs, ascending; position i + 1 of a list is that word's
+    rank in that year."""
+    # one pass groups the songs by year; each year is then counted and sorted
     # on its own, so only one year's counts are held at a time
     by_year: dict[int, list[TokenizedLyric]] = defaultdict(list)
     for rec, tok in corpus:
         if cohort is None or rec.cohort == cohort:
             by_year[rec.year].append(tok)
-    per_word: dict[str, dict[int, int]] = {w: {} for w in words}
+    rankings: dict[int, list[str]] = {}
     for year in sorted(by_year):
         counts: Counter = Counter()
         for tok in by_year[year]:
             for line in tok.lines:
                 counts.update(line)
-        ranks = _year_ranks(counts)
-        for w in words:
-            if w in ranks:
-                per_word[w][year] = ranks[w]
+        rankings[year] = sorted(counts, key=lambda w: (-counts[w], w))
+    return rankings
+
+
+def rank_series(rankings: dict[int, Sequence[str]], words: Sequence[str]) -> list[RankSeries]:
+    """Year-by-year rank of each requested word (1 = most frequent), from
+    `year_rankings`; a year in which a word does not occur has no entry."""
+    if not words:
+        raise StyleError("rank_series needs a non-empty word list")
+    per_word: dict[str, dict[int, int]] = {w: {} for w in words}
+    for year, ranked in rankings.items():
+        for rank, word in enumerate(ranked, start=1):
+            if word in per_word:
+                per_word[word][year] = rank
     return [RankSeries(word=w, entries=per_word[w]) for w in words]
 
 
-def top_words(
-    corpus: Corpus,
-    year: int,
-    cohort: Optional[str],
-    k: int,
-    stopwords: frozenset[str] = frozenset(),
-) -> list[str]:
-    """The k most frequent non-stopword tokens for one year/cohort cell."""
+def top_words(ranked: Sequence[str], k: int, stopwords: frozenset[str] = frozenset()) -> list[str]:
+    """The first k non-stopwords of one year's ranking from `year_rankings`;
+    fewer when the ranking holds fewer."""
     if k < 1:
         raise StyleError("k must be >= 1")
-    counts = token_counts(corpus, year=year, cohort=cohort)
-    candidates = [(w, c) for w, c in counts.items() if w not in stopwords]
-    if not candidates:
-        raise EmptySelectionError(f"no non-stopword tokens for year={year} cohort={cohort}")
-    candidates.sort(key=lambda kv: (-kv[1], kv[0]))
-    return [w for w, _ in candidates[:k]]
+    return list(islice((w for w in ranked if w not in stopwords), k))

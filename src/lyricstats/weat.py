@@ -74,20 +74,29 @@ class WeatResult:
     error: Optional[str] = None
 
 
+_WORD_LISTS = ("targets_x", "targets_y", "attributes_a", "attributes_b")
+
+
 def load_battery(path: str) -> list[WeatTest]:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    """A JSON list of tests, each an object with a "name" and the four word
+    lists. Raises WeatError naming the path, and the entry, for a file that
+    does not have that shape."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise WeatError(f"{path}: not a JSON battery ({exc})") from exc
+    if not isinstance(raw, list):
+        raise WeatError(f"{path}: a battery is a JSON list of tests")
     tests = []
-    for entry in raw:
-        tests.append(
-            WeatTest(
-                name=entry["name"],
-                targets_x=tuple(entry["targets_x"]),
-                targets_y=tuple(entry["targets_y"]),
-                attributes_a=tuple(entry["attributes_a"]),
-                attributes_b=tuple(entry["attributes_b"]),
-            )
-        )
+    for i, entry in enumerate(raw):
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise WeatError(f"{path}: entry {i}: not an object with a string \"name\"")
+        for label in _WORD_LISTS:
+            words = entry.get(label)
+            if not (isinstance(words, list) and words and all(isinstance(w, str) for w in words)):
+                raise WeatError(f"{path}: entry {i} ({entry['name']}): {label} is not a non-empty list of words")
+        tests.append(WeatTest(entry["name"], *(tuple(entry[label]) for label in _WORD_LISTS)))
     return tests
 
 
@@ -213,6 +222,8 @@ def _p_value(
     elif mode == "monte_carlo":
         if seed is None:
             raise WeatError("monte_carlo mode requires an explicit seed")
+        if n_samples < 1:
+            raise WeatError(f"monte_carlo mode needs n_samples >= 1, got {n_samples}")
         size = n_samples
         rng = np.random.default_rng(seed)
 
@@ -254,17 +265,20 @@ def run_test(
     seed: Optional[int] = 0,
     inclusive: bool = False,
 ) -> WeatResult:
-    coverage, dropped = {}, ()
+    coverage, dropped, d, statistic = {}, (), None, None
     try:
         sx, sy, coverage, dropped = _prepare(test, emb, policy)
         d = _effect_size_from_scores(sx, sy)
+        statistic = float(sx.sum() - sy.sum())
         p = _p_value(sx, sy, p_mode, n_samples, seed, inclusive)
     except WeatError as exc:
-        # coverage and drops stay known when the error came after filtering
+        # what was computed before the error stays: coverage and drops once
+        # the lists are filtered, the effect size and statistic when only the
+        # p-value failed (an exact test over the partition budget)
         return WeatResult(
             test_name=test.name,
-            effect_size=None,
-            test_statistic=None,
+            effect_size=d,
+            test_statistic=statistic,
             p_value=None,
             p_method="none",
             coverage=coverage,
@@ -274,7 +288,7 @@ def run_test(
     return WeatResult(
         test_name=test.name,
         effect_size=d,
-        test_statistic=float(sx.sum() - sy.sum()),
+        test_statistic=statistic,
         p_value=p,
         p_method="exact" if p_mode == "exact" else f"monte_carlo(n={n_samples}, seed={seed})",
         coverage=coverage,

@@ -79,6 +79,12 @@ class TestStyleCommand:
         assert {r["year"] for r in rows} == {"1965"}
 
 
+    def test_words_naming_no_word_exit_1(self, tmp_path, mini_cache, capsys):
+        out = tmp_path / "o"
+        assert main(["style", "--cache", str(mini_cache), "--out", str(out), "--words", " , "]) == 1
+        assert capsys.readouterr().err == "error: --words ' , ' names no word\n"
+        assert not out.exists()
+
     def test_top_k_below_one_exit_1(self, tmp_path, mini_cache, capsys):
         assert main(["style", "--cache", str(mini_cache), "--out", str(tmp_path / "o"), "--top-k", "0"]) == 1
         assert "--top-k" in capsys.readouterr().err
@@ -105,6 +111,46 @@ class TestStyleCommand:
         monkeypatch.setattr("lyricstats.cli.top_words", broken)
         with pytest.raises(RuntimeError, match="broken top_words"):
             main(["style", "--cache", str(mini_cache), "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("cohort", [None, "popular"])
+    def test_top_words_match_recount(self, tmp_path, mini_cache, cohort):
+        from lyricstats.corpus import load_cache, token_counts
+        from lyricstats.resources import default_stopwords_path
+        from lyricstats.style import load_wordlist
+
+        out = tmp_path / "style"
+        flags = ["--top-k", "7"] + (["--cohort", cohort] if cohort else [])
+        assert main(["style", "--cache", str(mini_cache), "--out", str(out), *flags]) == 0
+        corpus = load_cache(str(mini_cache))
+        stopwords = load_wordlist(default_stopwords_path())
+        expected = []
+        for year in sorted({r.year for r in corpus.records if cohort is None or r.cohort == cohort}):
+            counts = token_counts(corpus, year=year, cohort=cohort)
+            ranked = sorted((w for w in counts if w not in stopwords), key=lambda w: (-counts[w], w))
+            expected += [[str(year), str(rank), w] for rank, w in enumerate(ranked[:7], start=1)]
+        with open(out / "top_words.csv", newline="") as fh:
+            assert list(csv.reader(fh)) == [["year", "rank", "word"], *expected]
+
+    def test_year_without_songs_header_only(self, tmp_path, mini_cache):
+        out = tmp_path / "style"
+        argv = ["style", "--cache", str(mini_cache), "--out", str(out), "--year", "1777", "--cohort", "popular"]
+        assert main(argv) == 0
+        assert (out / "top_words.csv").read_bytes() == b"year,rank,word\r\n"
+
+    def test_cache_cut_at_row_boundary_exit_1(self, tmp_path, mini_cache, capsys):
+        cut = tmp_path / "cut.cache"
+        rows = mini_cache.read_text(encoding="utf-8").splitlines(keepends=True)
+        cut.write_text("".join(rows[:21]), encoding="utf-8")  # the header and 20 of the 50 songs
+        assert main(["style", "--cache", str(cut), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {cut}: header says 50 songs but the cache holds 20\n"
+
+    def test_lexicon_entry_with_space_exit_1(self, tmp_path, mini_cache, capsys):
+        lexicon = tmp_path / "lexicon.txt"
+        lexicon.write_text("damn\nfuck you\n")
+        out = tmp_path / "o"
+        assert main(["style", "--cache", str(mini_cache), "--out", str(out), "--lexicon", str(lexicon)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {lexicon}: entry 'fuck you'") and err.count("\n") == 1
 
 
 class TestTrainCommand:
@@ -135,6 +181,22 @@ class TestTrainCommand:
 
     def test_seed_mandatory(self, tmp_path, mini_cache):
         assert main(["train", "--cache", str(mini_cache), "--out", str(tmp_path / "v.txt")]) == 1
+
+    def test_bad_config_value_exit_1(self, tmp_path, mini_cache, capsys):
+        out = tmp_path / "v.txt"
+        assert main(["train", "--cache", str(mini_cache), "--out", str(out), "--seed", "1", "--dim", "1"]) == 1
+        assert capsys.readouterr().err == "error: dim must be >= 2\n"
+        assert not out.exists()
+
+    def test_empty_corpus_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "songs.jsonl"
+        write_jsonl(src, [dict(jsonl_row("b1"), lyrics="")])
+        build = tmp_path / "build"
+        assert main(["ingest", "--input", str(src), "--out", str(build)]) == 2
+        capsys.readouterr()
+        out = tmp_path / "v.txt"
+        assert main(["train", "--cache", str(build / "corpus.cache"), "--out", str(out), "--seed", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: empty vocabulary")
 
 
 class TestWeatCommand:
@@ -198,6 +260,78 @@ class TestWeatCommand:
         with open(out / "weat_results.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert any(r["error"] for r in rows) and sum(1 for r in rows if not r["error"]) == 7
+
+
+    def test_exact_over_budget_keeps_effect_size(self, tmp_path, capsys):
+        # 11 targets per list: C(22, 11) partitions exceed the exact budget
+        lists = {
+            "targets_x": [f"x{i}" for i in range(11)],
+            "targets_y": [f"y{i}" for i in range(11)],
+            "attributes_a": ["a1", "a2"],
+            "attributes_b": ["b1", "b2"],
+        }
+        tests = tmp_path / "tests.json"
+        tests.write_text(json.dumps([{"name": "big", **lists}]))
+        vecs = self._vector_file(tmp_path, {w for words in lists.values() for w in words})
+        out = tmp_path / "weat"
+        assert main(["weat", "--vectors", str(vecs), "--tests", str(tests), "--out", str(out), "--exact"]) == 0
+        with open(out / "weat_results.csv") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["effect_size"] and row["test_statistic"] and row["p_value"] == "" and row["p_method"] == "none"
+        assert "exact budget" in row["error"]
+        summary = capsys.readouterr().out.splitlines()[1].split()
+        assert summary[:3] == ["big", f"{float(row['effect_size']):.3f}", "-"]
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_mc_samples_below_one_exit_1(self, tmp_path, samples, capsys):
+        vecs = self._vector_file(tmp_path, ["a", "b"])
+        out = tmp_path / "weat"
+        assert main(["weat", "--vectors", str(vecs), "--out", str(out), "--mc-samples", samples]) == 1
+        assert capsys.readouterr().err == "error: --mc-samples must be >= 1\n"
+        assert not out.exists()
+
+    def test_malformed_battery_exit_1(self, tmp_path, capsys):
+        vecs = self._vector_file(tmp_path, ["a", "b"])
+        tests = tmp_path / "tests.json"
+        tests.write_text(json.dumps([{"name": "t", "targets_x": "x1 x2"}]))
+        assert main(["weat", "--vectors", str(vecs), "--tests", str(tests), "--out", str(tmp_path / "w")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {tests}: entry 0 (t): targets_x is not a non-empty list of words\n"
+
+
+class TestNotUtf8:
+    """A file that is not UTF-8 text ends the command with exit 1 and one line
+    naming the file."""
+
+    def _bad_bytes(self, path, good: bytes):
+        # a Latin-1 byte in the middle of otherwise valid content
+        path.write_bytes(good[: len(good) // 2] + b"\xe9" + good[len(good) // 2 :])
+        return path
+
+    def test_ingest_input(self, tmp_path, capsys):
+        src = self._bad_bytes(tmp_path / "songs.jsonl", json.dumps(jsonl_row("s1")).encode() + b"\n")
+        assert main(["ingest", "--input", str(src), "--out", str(tmp_path / "b")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {src}: not UTF-8 text") and err.count("\n") == 1
+
+    def test_style_cache(self, tmp_path, mini_cache, capsys):
+        cache = self._bad_bytes(tmp_path / "corpus.cache", mini_cache.read_bytes())
+        assert main(["style", "--cache", str(cache), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cache}: not UTF-8 text") and err.count("\n") == 1
+
+    def test_style_stopwords(self, tmp_path, mini_cache, capsys):
+        stopwords = self._bad_bytes(tmp_path / "stop.txt", b"the\nand\nyou\n")
+        out = tmp_path / "o"
+        assert main(["style", "--cache", str(mini_cache), "--out", str(out), "--stopwords", str(stopwords)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {stopwords}: not UTF-8 text") and err.count("\n") == 1
+
+    def test_weat_vectors(self, tmp_path, capsys):
+        vecs = self._bad_bytes(tmp_path / "vecs.txt", b"2 2\nalpha 0.1 0.2\nbeta 0.3 0.4\n")
+        assert main(["weat", "--vectors", str(vecs), "--out", str(tmp_path / "w")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {vecs}: not UTF-8 text") and err.count("\n") == 1
 
 
 class TestMisc:

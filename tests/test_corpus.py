@@ -164,6 +164,25 @@ class TestIngest:
         with pytest.raises(IngestError, match=f"{cache}:4: malformed cache row"):
             load_cache(str(cache))
 
+    def test_cache_cut_at_row_boundary(self, tmp_path, mini_corpus):
+        cache = tmp_path / "c.cache"
+        save_cache(mini_corpus, str(cache))
+        rows = cache.read_text(encoding="utf-8").splitlines(keepends=True)
+        cache.write_text("".join(rows[:21]), encoding="utf-8")
+        with pytest.raises(IngestError, match=f"^{cache}: header says 50 songs but the cache holds 20$"):
+            load_cache(str(cache))
+
+    def test_cache_without_song_count_refused(self, tmp_path, mini_corpus):
+        cache = tmp_path / "c.cache"
+        save_cache(mini_corpus, str(cache))
+        rows = cache.read_text(encoding="utf-8").splitlines(keepends=True)
+        header = json.loads(rows[0])
+        del header["songs"]
+        header["cache_version"] = 1
+        cache.write_text(json.dumps(header) + "\n" + "".join(rows[1:]), encoding="utf-8")
+        with pytest.raises(IngestError, match="unsupported cache version 1"):
+            load_cache(str(cache))
+
     def test_reject_report_schema(self, tmp_path):
         src = tmp_path / "songs.jsonl"
         write_jsonl(src, [jsonl_row("s1"), dict(jsonl_row("s2"), lyrics="   ")])

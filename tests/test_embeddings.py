@@ -240,6 +240,10 @@ class TestTraining:
         with pytest.raises(EmbeddingError, match="empty vocabulary"):
             train_sgns(corpus, SgnsConfig(dim=4, min_count=5, seed=0, epochs=1))
 
+    def test_empty_corpus_empty_vocabulary(self):
+        with pytest.raises(EmbeddingError, match="empty vocabulary"):
+            train_sgns(Corpus(records=(), tokenized=()), SgnsConfig(dim=4, min_count=1, seed=0, epochs=1))
+
     def test_deterministic_mode_reproduces_vector_file(self, tmp_path):
         rng = np.random.default_rng(0)
         corpus, _ = two_cluster_corpus(rng, n_songs=20, song_len=20)

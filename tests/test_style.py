@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from lyricstats.corpus import EmptySelectionError, token_counts, tokenize
+from lyricstats.corpus import token_counts, tokenize
 from lyricstats.resources import default_swear_lexicon_path
 from lyricstats.style import (
     LexiconError,
@@ -21,6 +21,7 @@ from lyricstats.style import (
     speed,
     swear_stats,
     top_words,
+    year_rankings,
 )
 from tests.conftest import make_record
 
@@ -250,25 +251,38 @@ class TestRankSeries:
 
     def test_tie_break_lexicographic(self):
         corpus = self._corpus({2000: {"love": 10, "rock": 5, "blues": 5}})
-        series = {s.word: s.entries for s in rank_series(corpus, ["love", "blues", "rock"])}
+        assert year_rankings(corpus) == {2000: ["love", "blues", "rock"]}
+        series = {s.word: s.entries for s in rank_series(year_rankings(corpus), ["love", "blues", "rock"])}
         assert series["love"][2000] == 1
         assert series["blues"][2000] == 2
         assert series["rock"][2000] == 3
 
     def test_absent_word_absent_entry(self):
         corpus = self._corpus({2000: {"love": 3}, 2001: {"rock": 2}})
-        (series,) = rank_series(corpus, ["rock"])
+        (series,) = rank_series(year_rankings(corpus), ["rock"])
         assert 2000 not in series.entries and series.entries[2001] == 1
 
     def test_ranks_form_permutation(self, mini_corpus):
-        from lyricstats.style import _year_ranks
+        for year, ranked in year_rankings(mini_corpus).items():
+            counts = token_counts(mini_corpus, year=year)
+            assert len(set(ranked)) == len(ranked) and set(ranked) == set(counts)
 
-        for year in sorted({r.year for r in mini_corpus.records}):
-            ranks = _year_ranks(token_counts(mini_corpus, year=year))
-            assert sorted(ranks.values()) == list(range(1, len(ranks) + 1))
+    def test_year_without_songs_absent(self, mini_corpus):
+        rankings = year_rankings(mini_corpus, cohort="popular")
+        assert list(rankings) == sorted({r.year for r in mini_corpus.records if r.cohort == "popular"})
+        assert 1777 not in rankings
+
+    @pytest.mark.parametrize("cohort", [None, "popular", "other"])
+    def test_rankings_match_per_year_recount(self, mini_corpus, cohort):
+        expected = {}
+        for year in sorted({r.year for r in mini_corpus.records if cohort is None or r.cohort == cohort}):
+            counts = token_counts(mini_corpus, year=year, cohort=cohort)
+            expected[year] = sorted(counts, key=lambda w: (-counts[w], w))
+        assert year_rankings(mini_corpus, cohort=cohort) == expected
 
     def test_mini_corpus_matches_sort_oracle(self, mini_corpus):
-        results = {s.word: s.entries for s in rank_series(mini_corpus, ["rock", "blues"], cohort="popular")}
+        rankings = year_rankings(mini_corpus, cohort="popular")
+        results = {s.word: s.entries for s in rank_series(rankings, ["rock", "blues"])}
         for year in sorted({r.year for r in mini_corpus.records if r.cohort == "popular"}):
             counts = token_counts(mini_corpus, year=year, cohort="popular")
             ordered = sorted(counts, key=lambda w: (-counts[w], w))
@@ -281,7 +295,7 @@ class TestRankSeries:
     @pytest.mark.parametrize("cohort", [None, "other"])
     def test_one_pass_matches_per_year_recount(self, mini_corpus, cohort):
         words = ["rock", "blues", "love", "the"]
-        results = {s.word: s.entries for s in rank_series(mini_corpus, words, cohort=cohort)}
+        results = {s.word: s.entries for s in rank_series(year_rankings(mini_corpus, cohort=cohort), words)}
         expected = {w: {} for w in words}
         for year in {r.year for r in mini_corpus.records if cohort is None or r.cohort == cohort}:
             counts = token_counts(mini_corpus, year=year, cohort=cohort)
@@ -293,30 +307,33 @@ class TestRankSeries:
 
     def test_empty_word_list_rejected(self, mini_corpus):
         with pytest.raises(StyleError):
-            rank_series(mini_corpus, [])
+            rank_series(year_rankings(mini_corpus), [])
 
 
 class TestTopWords:
     def test_stopword_filtered(self):
         corpus = TestRankSeries()._corpus({1965: {"love": 9, "you": 9, "baby": 3}})
-        assert top_words(corpus, 1965, "popular", 2, frozenset({"you"})) == ["love", "baby"]
+        assert top_words(year_rankings(corpus)[1965], 2, frozenset({"you"})) == ["love", "baby"]
 
     def test_k_larger_than_vocab(self):
         corpus = TestRankSeries()._corpus({1965: {"love": 2, "baby": 1}})
-        assert top_words(corpus, 1965, "popular", 100) == ["love", "baby"]
+        assert top_words(year_rankings(corpus)[1965], 100) == ["love", "baby"]
 
     def test_k_must_be_positive(self, mini_corpus):
         with pytest.raises(StyleError):
-            top_words(mini_corpus, 1965, "popular", 0)
+            top_words(year_rankings(mini_corpus, cohort="popular")[1965], 0)
 
-    def test_empty_selection(self, mini_corpus):
-        with pytest.raises(EmptySelectionError):
-            top_words(mini_corpus, 1777, "popular", 10)
+    def test_empty_selection(self):
+        # a year whose words are all stopwords, or that has no songs, gives no top words
+        corpus = TestRankSeries()._corpus({1965: {"you": 3, "the": 1}})
+        rankings = year_rankings(corpus)
+        assert top_words(rankings[1965], 10, frozenset({"you", "the"})) == []
+        assert top_words(rankings.get(1777, []), 10) == []
 
     def test_mini_corpus_top10_matches_recount(self, mini_corpus):
         counts = token_counts(mini_corpus, year=1965, cohort="popular")
         expected = sorted(counts, key=lambda w: (-counts[w], w))[:10]
-        assert top_words(mini_corpus, 1965, "popular", 10) == expected
+        assert top_words(year_rankings(mini_corpus, cohort="popular")[1965], 10) == expected
 
 
 class TestPerSongMetrics:

@@ -1,3 +1,4 @@
+import json
 import math
 from itertools import combinations
 
@@ -267,6 +268,12 @@ class TestPermutationP:
         with pytest.raises(WeatError, match="seed"):
             permutation_p(test, table, mode="monte_carlo", seed=None)
 
+    @pytest.mark.parametrize("n_samples", [0, -5])
+    def test_monte_carlo_needs_a_sample(self, n_samples):
+        test, table = random_weat(np.random.default_rng(13))
+        with pytest.raises(WeatError, match="n_samples >= 1"):
+            permutation_p(test, table, mode="monte_carlo", n_samples=n_samples, seed=1)
+
     def test_inclusive_at_least_strict(self):
         test, table = random_weat(np.random.default_rng(14), n_targets=3)
         strict = permutation_p(test, table, mode="exact")
@@ -305,6 +312,9 @@ class TestOovPolicy:
         assert "x2" in dropped and "y3" in dropped
 
 
+ENTRY = {"name": "t", "targets_x": ["x1"], "targets_y": ["y1"], "attributes_a": ["a1"], "attributes_b": ["b1"]}
+
+
 class TestBattery:
     def test_bundled_file_has_eight_tests(self):
         tests = load_battery(default_battery_path())
@@ -322,6 +332,33 @@ class TestBattery:
         assert len(results) == 8
         assert [r.test_name for r in results] == [t.name for t in tests]
         assert all(r.error is None for r in results)
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (json.dumps({"name": "t"}), "a battery is a JSON list of tests"),
+            (json.dumps([["x1"]]), "entry 0: not an object"),
+            (json.dumps([{"targets_x": ["x1"]}]), 'entry 0: not an object with a string "name"'),
+            (json.dumps([ENTRY, {**ENTRY, "name": "u", "attributes_b": None}]), r"entry 1 \(u\): attributes_b"),
+            (json.dumps([{**ENTRY, "targets_y": "y1 y2"}]), r"entry 0 \(t\): targets_y is not"),
+            (json.dumps([{**ENTRY, "attributes_a": ["a1", 2]}]), r"entry 0 \(t\): attributes_a is not"),
+            (json.dumps([{**ENTRY, "targets_x": []}]), r"entry 0 \(t\): targets_x is not a non-empty list"),
+            ("[{", "not a JSON battery"),
+        ],
+        ids=["not_a_list", "entry_not_an_object", "no_name", "missing_list", "string_for_list",
+             "word_not_a_string", "empty_list", "invalid_json"],
+    )
+    def test_malformed_file_names_path_and_entry(self, tmp_path, content, message):
+        path = tmp_path / "tests.json"
+        path.write_text(content)
+        with pytest.raises(WeatError, match=f"^{path}: {message}"):
+            load_battery(str(path))
+
+    def test_not_utf8_names_path(self, tmp_path):
+        path = tmp_path / "tests.json"
+        path.write_bytes(json.dumps([ENTRY]).encode().replace(b"x1", b"x\xe9"))
+        with pytest.raises(WeatError, match=f"^{path}: not a JSON battery"):
+            load_battery(str(path))
 
     def test_missing_name_words_fail_only_that_test(self):
         rng = np.random.default_rng(18)
@@ -382,6 +419,16 @@ class TestRunTest:
         assert r.p_value is None and r.p_method == "none"
         assert r.coverage["targets_x"] == (3, 2) and r.coverage["attributes_b"] == (2, 2)
         assert r.dropped_words == ("x9",)
+
+    def test_exact_over_budget_keeps_effect_size(self):
+        # C(22, 11) = 705,432 partitions exceed the exact budget: only the p-value fails
+        test, table = random_weat(np.random.default_rng(26), n_targets=11)
+        r = run_test(test, table, p_mode="exact")
+        assert r.error is not None and "exact budget" in r.error
+        assert r.p_value is None and r.p_method == "none"
+        assert r.effect_size == effect_size(test, table).effect_size
+        assert r.test_statistic == weat_statistic(test, table)
+        assert r.coverage["targets_x"] == (11, 11)
 
     def test_underfilled_result_has_no_coverage(self):
         rng = np.random.default_rng(25)
