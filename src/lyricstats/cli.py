@@ -214,7 +214,8 @@ def cmd_style(args) -> int:
                 ]
             )
 
-    rankings = year_rankings(corpus, args.cohort)
+    # rank_series.csv needs every year; top_words.csv alone needs only --year
+    rankings = year_rankings(corpus, args.cohort, None if words else args.year)
     with open(os.path.join(args.out, "top_words.csv"), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["year", "rank", "word"])

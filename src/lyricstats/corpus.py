@@ -128,7 +128,13 @@ def tokenize(record: SongRecord, config: TokenizeConfig = TokenizeConfig()) -> T
             continue
         if annotation is not None and annotation.match(stripped):
             continue
-        toks = tuple(t for t in (_EDGE.sub("", w) for w in stripped.split()) if t)
+        # a word that starts and ends with an alphanumeric character has no edge
+        # for _EDGE to strip (\w is isalnum() plus "_"), so it skips the regex
+        toks = tuple(
+            t
+            for t in (w if w[0].isalnum() and w[-1].isalnum() else _EDGE.sub("", w) for w in stripped.split())
+            if t
+        )
         if toks:
             lines.append(toks)
     if not lines:

@@ -68,11 +68,13 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
 
 def load_vectors(path: str) -> EmbeddingTable:
     """Parse the text vector format: optional "V D" header, then one word and
-    D space-separated reals per line. Duplicate words: last occurrence wins."""
+    D space-separated reals per line. A header must match the V rows of
+    dimension D that follow it. Duplicate words: last occurrence wins."""
     words: list[str] = []
     rows: list[np.ndarray] = []
     index: dict = {}
     dim: Optional[int] = None
+    header: Optional[tuple[int, int]] = None
     duplicates = 0
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -82,8 +84,8 @@ def load_vectors(path: str) -> EmbeddingTable:
                     continue
                 if line_no == 1 and len(parts) == 2:
                     try:
-                        int(parts[0]), int(parts[1])
-                        continue  # header line
+                        header = int(parts[0]), int(parts[1])
+                        continue
                     except ValueError:
                         pass
                 word = parts[0]
@@ -110,6 +112,11 @@ def load_vectors(path: str) -> EmbeddingTable:
         raise EmbeddingError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if dim is None:
         raise EmbeddingError(f"{path}: empty vector file")
+    if header is not None and header != (len(words) + duplicates, dim):
+        raise EmbeddingError(
+            f"{path}: header says {header[0]} rows of dimension {header[1]}, "
+            f"read {len(words) + duplicates} rows of dimension {dim}"
+        )
     vectors = np.vstack(rows)
     zero = frozenset(w for w, i in index.items() if not np.any(vectors[i]))
     table = EmbeddingTable(dim=dim, vocab=index, vectors=vectors, zero_words=zero)
@@ -121,11 +128,14 @@ def load_vectors(path: str) -> EmbeddingTable:
 
 
 def save_vectors(table: EmbeddingTable, path: str) -> None:
+    # one % call per row; "%.6f" and "{:.6f}" share CPython's float formatter,
+    # so the bytes match per-float formatting. The word stays out of the format
+    # string because it may contain "%".
+    row_format = " ".join(["%.6f"] * table.dim) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(table.vocab)} {table.dim}\n")
         for word, idx in sorted(table.vocab.items(), key=lambda kv: kv[1]):
-            values = " ".join(f"{x:.6f}" for x in table.vectors[idx])
-            fh.write(f"{word} {values}\n")
+            fh.write(f"{word} " + row_format % tuple(table.vectors[idx].tolist()))
 
 
 # ---------------------------------------------------------------------------

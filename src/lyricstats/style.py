@@ -198,24 +198,26 @@ def aggregate(corpus: Corpus, metrics: Sequence[StyleMetrics]) -> list[YearCohor
     return out
 
 
-def year_rankings(corpus: Corpus, cohort: Optional[str] = None) -> dict[int, list[str]]:
+def year_rankings(
+    corpus: Corpus, cohort: Optional[str] = None, year: Optional[int] = None
+) -> dict[int, list[str]]:
     """Each year's vocabulary in rank order, for the songs of `cohort` (every
-    song when None): descending count, ties in lexicographic order. Keys are the
-    years that have songs, ascending; position i + 1 of a list is that word's
-    rank in that year."""
+    song when None) in `year` (every year when None): descending count, ties in
+    lexicographic order. Keys are the years that have songs, ascending;
+    position i + 1 of a list is that word's rank in that year."""
     # one pass groups the songs by year; each year is then counted and sorted
     # on its own, so only one year's counts are held at a time
     by_year: dict[int, list[TokenizedLyric]] = defaultdict(list)
     for rec, tok in corpus:
-        if cohort is None or rec.cohort == cohort:
+        if (cohort is None or rec.cohort == cohort) and (year is None or rec.year == year):
             by_year[rec.year].append(tok)
     rankings: dict[int, list[str]] = {}
-    for year in sorted(by_year):
+    for y in sorted(by_year):
         counts: Counter = Counter()
-        for tok in by_year[year]:
+        for tok in by_year[y]:
             for line in tok.lines:
                 counts.update(line)
-        rankings[year] = sorted(counts, key=lambda w: (-counts[w], w))
+        rankings[y] = sorted(counts, key=lambda w: (-counts[w], w))
     return rankings
 
 

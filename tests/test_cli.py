@@ -131,6 +131,25 @@ class TestStyleCommand:
         with open(out / "top_words.csv", newline="") as fh:
             assert list(csv.reader(fh)) == [["year", "rank", "word"], *expected]
 
+    def test_year_without_words_ranks_only_that_year(self, tmp_path, mini_cache, monkeypatch):
+        import lyricstats.cli
+        from lyricstats.style import year_rankings
+
+        ranked_years = []
+
+        def recording(*args):
+            rankings = year_rankings(*args)
+            ranked_years.append(sorted(rankings))
+            return rankings
+
+        monkeypatch.setattr(lyricstats.cli, "year_rankings", recording)
+        base = ["style", "--cache", str(mini_cache), "--year", "1965", "--cohort", "popular"]
+        assert main([*base, "--out", str(tmp_path / "alone")]) == 0
+        assert main([*base, "--out", str(tmp_path / "words"), "--words", "rock,blues"]) == 0
+        assert ranked_years[0] == [1965] and len(ranked_years[1]) > 1
+        alone, with_words = ((tmp_path / d / "top_words.csv").read_bytes() for d in ("alone", "words"))
+        assert alone == with_words and alone.count(b"\n") > 1
+
     def test_year_without_songs_header_only(self, tmp_path, mini_cache):
         out = tmp_path / "style"
         argv = ["style", "--cache", str(mini_cache), "--out", str(out), "--year", "1777", "--cohort", "popular"]
@@ -288,6 +307,16 @@ class TestWeatCommand:
         out = tmp_path / "weat"
         assert main(["weat", "--vectors", str(vecs), "--out", str(out), "--mc-samples", samples]) == 1
         assert capsys.readouterr().err == "error: --mc-samples must be >= 1\n"
+        assert not out.exists()
+
+    def test_vector_file_cut_below_its_header_exit_1(self, tmp_path, capsys):
+        vecs = self._vector_file(tmp_path, [f"w{i}" for i in range(6)])
+        lines = vecs.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines[0] == "6 6\n"
+        vecs.write_text("".join(lines[:4]), encoding="utf-8")  # the header and 3 of the 6 rows
+        out = tmp_path / "weat"
+        assert main(["weat", "--vectors", str(vecs), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {vecs}: header says 6 rows of dimension 6, read 3 rows of dimension 6\n"
         assert not out.exists()
 
     def test_malformed_battery_exit_1(self, tmp_path, capsys):

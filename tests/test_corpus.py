@@ -1,9 +1,13 @@
 import json
+import unicodedata
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lyricstats.corpus import (
+    _EDGE,
     EmptySelectionError,
     IngestError,
     RecordError,
@@ -60,6 +64,27 @@ class TestTokenize:
         tok = tokenize(rec)
         rendered = "\n".join(" ".join(line) for line in tok.lines)
         assert tokenize(make_record(lyrics=rendered)).tokens == tok.tokens
+
+
+# letters with and without accents, combining marks, Arabic-Indic and other
+# non-ASCII digits and numerals, a letter whose lowercase ends in a combining
+# mark, and the edge characters the tokenizer strips or keeps inside a word
+TOKEN_ALPHABET = "aZ\u00e9\u00dc\u00df\u4e2d\u0130\u0301\u0308\u0663\u06f4\u00b2\u216b7_'-!\".\u2014"
+
+
+class TestEdgeStripFastPath:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(st.sampled_from(TOKEN_ALPHABET), min_size=1, max_size=5), min_size=1, max_size=6))
+    def test_tokens_match_edge_regex_on_every_word(self, words):
+        line = " ".join(words)
+        text = unicodedata.normalize("NFC", line).lower()
+        expected = tuple(t for t in (_EDGE.sub("", w) for w in text.split()) if t)
+        record = make_record(lyrics=line)
+        if not expected:
+            with pytest.raises(RecordError):
+                tokenize(record, TokenizeConfig(drop_annotations=False))
+        else:
+            assert tokenize(record, TokenizeConfig(drop_annotations=False)).lines == (expected,)
 
 
 class TestIngest:

@@ -1,11 +1,16 @@
+import os
+import pathlib
+import tempfile
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lyricstats.corpus import Corpus, tokenize
 from lyricstats.embeddings import (
     EmbeddingError,
+    EmbeddingTable,
     SgnsConfig,
     _TrainState,
     cosine,
@@ -18,6 +23,33 @@ from lyricstats.embeddings import (
     unigram_noise_probs,
 )
 from tests.conftest import make_record, make_table
+
+
+def save_vectors_per_float(table, path):
+    """Reference writer: the per-float formatting that `save_vectors` must match byte for byte."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{len(table.vocab)} {table.dim}\n")
+        for word, idx in sorted(table.vocab.items(), key=lambda kv: kv[1]):
+            values = " ".join(f"{x:.6f}" for x in table.vectors[idx])
+            fh.write(f"{word} {values}\n")
+
+
+def assert_same_bytes_as_reference(table, tmp_path):
+    save_vectors(table, str(tmp_path / "fast.txt"))
+    save_vectors_per_float(table, str(tmp_path / "reference.txt"))
+    assert (tmp_path / "fast.txt").read_bytes() == (tmp_path / "reference.txt").read_bytes()
+
+
+@st.composite
+def word_rows(draw):
+    """{word: row} for a table of 1-6 unique words of dimension 1-5 with finite
+    values. Words hold no whitespace or control characters, which would split a
+    row or end a line, and no lone surrogates, which UTF-8 cannot encode."""
+    dim = draw(st.integers(1, 5))
+    word = st.text(st.characters(blacklist_categories=("Zs", "Zl", "Zp", "Cc", "Cs")), min_size=1, max_size=8)
+    words = draw(st.lists(word, min_size=1, max_size=6, unique=True))
+    row = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=dim, max_size=dim)
+    return dict(zip(words, draw(st.lists(row, min_size=len(words), max_size=len(words)))))
 
 
 def corpus_from_token_lists(token_lists):
@@ -110,6 +142,63 @@ class TestVectorFile:
         loaded = load_vectors(str(path))
         assert loaded.vocab == table.vocab
         assert np.max(np.abs(loaded.vectors - table.vectors)) <= 1e-6
+
+    def test_save_matches_per_float_formatting_on_edge_values(self, tmp_path):
+        edge = [-0.0, float("nan"), float("inf"), -float("inf"), 1e300, -1e-9, 0.0078125, 0.5]
+        table = make_table({"a": edge, "b%s%d": edge[::-1], "%": [1.0] * 8, "c": np.full(8, 2.5e-7)})
+        assert_same_bytes_as_reference(table, tmp_path)
+        with open(tmp_path / "fast.txt", encoding="utf-8") as fh:
+            assert fh.readline() == "4 8\n"
+            row = fh.readline()
+            assert row.startswith("a -0.000000 nan inf -inf 1000000000000000052504760255204420248704468581108")
+            assert row.endswith(".000000 -0.000000 0.007812 0.500000\n")
+            assert fh.readline().startswith("b%s%d 0.500000 0.007812 ")
+
+    def test_save_matches_per_float_formatting_on_float32(self, tmp_path):
+        rng = np.random.default_rng(4)
+        table = make_table({f"w{i}": rng.normal(scale=10.0 ** (i - 4), size=5) for i in range(9)})
+        table = EmbeddingTable(dim=5, vocab=table.vocab, vectors=table.vectors.astype(np.float32))
+        assert_same_bytes_as_reference(table, tmp_path)
+
+    @settings(max_examples=50, deadline=None)
+    @given(word_rows())
+    def test_save_matches_per_float_formatting_on_random_tables(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            assert_same_bytes_as_reference(make_table(rows), pathlib.Path(tmp))
+
+    @settings(max_examples=50, deadline=None)
+    @given(word_rows())
+    @example({"2019": [1.0], "1999": [-2.5]})  # a 1-dim first row that looks like a "V D" header
+    def test_round_trip_keeps_vocab_and_six_decimals(self, rows):
+        table = make_table(rows)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "v.txt")
+            save_vectors(table, path)
+            loaded = load_vectors(path)
+        assert loaded.vocab == table.vocab
+        expected = np.array([[float(f"{x:.6f}") for x in row] for row in table.vectors])
+        assert np.array_equal(loaded.vectors, expected)
+
+    def test_header_row_count_mismatch_names_path_and_counts(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("3 2\na 1 0\nb 0 1\n")
+        with pytest.raises(EmbeddingError) as exc:
+            load_vectors(str(path))
+        assert str(exc.value) == f"{path}: header says 3 rows of dimension 2, read 2 rows of dimension 2"
+
+    def test_header_dimension_mismatch_names_path_and_counts(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("2 4\na 1 0 0\nb 0 1 0\n")
+        with pytest.raises(EmbeddingError) as exc:
+            load_vectors(str(path))
+        assert str(exc.value) == f"{path}: header says 2 rows of dimension 4, read 2 rows of dimension 3"
+
+    def test_header_counts_duplicate_rows(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("3 2\na 1 0\nb 0 1\na 1 1\n")
+        with pytest.warns(UserWarning, match="duplicate"):
+            table = load_vectors(str(path))
+        assert len(table) == 2 and table.get("a").tolist() == [1.0, 1.0]
 
 
 class TestSgnsGradients:

@@ -305,6 +305,13 @@ class TestRankSeries:
                     expected[word][year] = ordered.index(word) + 1
         assert results == expected
 
+    @pytest.mark.parametrize("cohort", [None, "popular"])
+    def test_year_filter_ranks_only_that_year(self, mini_corpus, cohort):
+        every_year = year_rankings(mini_corpus, cohort=cohort)
+        for year in every_year:
+            assert year_rankings(mini_corpus, cohort=cohort, year=year) == {year: every_year[year]}
+        assert year_rankings(mini_corpus, cohort=cohort, year=1777) == {}
+
     def test_empty_word_list_rejected(self, mini_corpus):
         with pytest.raises(StyleError):
             rank_series(year_rankings(mini_corpus), [])
