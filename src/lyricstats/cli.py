@@ -92,6 +92,21 @@ def _config_defaults(parser: argparse.ArgumentParser, args: argparse.Namespace) 
     return config
 
 
+def _out_dir_usable(path: str) -> bool:
+    """Whether `path` is, or can be made, a directory to write outputs in: the
+    path or its nearest existing ancestor is a writable directory. Commands
+    check this before any work, and make the directory only when they write
+    to it; otherwise this prints a one-line error."""
+    existing = os.path.abspath(path)
+    while not os.path.lexists(existing):
+        existing = os.path.dirname(existing)
+    if os.path.isdir(existing) and os.access(existing, os.W_OK | os.X_OK):
+        return True
+    print(f"error: cannot use {path} as the output directory: {existing} is not a writable directory",
+          file=sys.stderr)
+    return False
+
+
 class _Parser(argparse.ArgumentParser):
     """An argparse parser whose usage errors exit with EXIT_IO: exit code 2 is
     reserved for data-quality failures."""
@@ -105,6 +120,8 @@ def cmd_ingest(args) -> int:
     fmt = args.format or ("csv" if args.input.endswith(".csv") else "jsonl")
     config = IngestConfig(max_reject_fraction=args.max_reject_fraction)
     tok_config = TokenizeConfig(drop_annotations=not args.keep_annotations)
+    if not _out_dir_usable(args.out):
+        return EXIT_IO
     try:
         result = ingest(args.input, format=fmt, config=config, tokenize_config=tok_config)
     except (IngestError, OSError) as exc:
@@ -137,6 +154,8 @@ def cmd_style(args) -> int:
     words = [w.strip() for w in (args.words or "").split(",") if w.strip()]
     if args.words and not words:
         print(f"error: --words {args.words!r} names no word", file=sys.stderr)
+        return EXIT_IO
+    if not _out_dir_usable(args.out):
         return EXIT_IO
     try:
         corpus = load_cache(args.cache)
@@ -263,8 +282,18 @@ def cmd_train(args) -> int:
             subsample_threshold=args.subsample,
             seed=args.seed,
         )
+    except EmbeddingError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    out_dir = os.path.dirname(os.path.abspath(args.out))
+    if os.path.isdir(args.out):
+        print(f"error: --out {args.out} is a directory; it names the vector file", file=sys.stderr)
+        return EXIT_IO
+    if not _out_dir_usable(out_dir):
+        return EXIT_IO
+    try:
         corpus = load_cache(args.cache)
-    except (EmbeddingError, IngestError, OSError) as exc:
+    except (IngestError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
@@ -272,7 +301,6 @@ def cmd_train(args) -> int:
     except EmbeddingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_QUALITY
-    out_dir = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(out_dir, exist_ok=True)
     save_vectors(table, args.out)
     _write_config_digest(
@@ -295,19 +323,28 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _print_summary(results) -> None:
+def _print_summary(results, n_samples: int) -> None:
     print(f"{'test':<55} {'effect':>8} {'p':>10}  method")
     for r in results:
         effect = "-" if r.effect_size is None else f"{r.effect_size:.3f}"
         if r.error:
             print(f"{r.test_name:<55} {effect:>8} {'-':>10}  error: {r.error}")
-        else:
-            print(f"{r.test_name:<55} {effect:>8} {r.p_value:>10.4g}  {r.p_method}")
+            continue
+        p = f"{r.p_value:.4g}"
+        if r.p_value == 0 and r.p_method != "exact":
+            # no sampled subset beat the observed statistic: p is below one sample's share
+            p = f"< {1 / n_samples:.4g}"
+        print(f"{r.test_name:<55} {effect:>8} {p:>10}  {r.p_method}")
 
 
 def cmd_weat(args) -> int:
     if args.mc_samples < 1:
         print("error: --mc-samples must be >= 1", file=sys.stderr)
+        return EXIT_IO
+    if args.seed < 0:
+        print("error: --seed must be >= 0", file=sys.stderr)
+        return EXIT_IO
+    if not _out_dir_usable(args.out):
         return EXIT_IO
     try:
         table = load_vectors(args.vectors)
@@ -338,7 +375,7 @@ def cmd_weat(args) -> int:
             "inclusive": args.inclusive,
         },
     )
-    _print_summary(results)
+    _print_summary(results, args.mc_samples)
     return EXIT_OK
 
 

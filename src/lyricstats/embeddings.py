@@ -3,8 +3,10 @@ negative-sampling trainer over a tokenized corpus."""
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -52,6 +54,8 @@ class SgnsConfig:
                 raise EmbeddingError(f"{name} must be positive")
         if self.initial_learning_rate <= 0 or self.subsample_threshold <= 0:
             raise EmbeddingError("learning rate and subsample threshold must be positive")
+        if self.seed < 0:
+            raise EmbeddingError(f"seed must be >= 0, got {self.seed}")
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -66,59 +70,140 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.dot(u, v) / (nu * nv))
 
 
+# rows whose numbers one np.loadtxt call parses: this bounds the text and the
+# parsed block held besides the table
+_BLOCK_ROWS = 1024
+_PRINTABLE_ASCII = bytes(range(0x20, 0x7F))
+
+
+def _header(line: str) -> Optional[tuple[int, int]]:
+    """(V, D) when the line is a "V D" header: two integer fields."""
+    parts = line.rstrip("\n").split(" ")
+    if len(parts) == 2:
+        try:
+            return int(parts[0]), int(parts[1])
+        except ValueError:
+            pass
+    return None
+
+
+def _row_blocks(lines):
+    """(line_nos, words, rests) blocks of at most _BLOCK_ROWS rows from
+    (line_no, line) pairs, blank lines skipped. A row's word runs to its first
+    space; its rest is the text after that space."""
+    block: tuple[list, list, list] = ([], [], [])
+    try:
+        for line_no, line in lines:
+            if not line.strip():
+                continue
+            word, _, rest = line.rstrip("\n").partition(" ")
+            block[0].append(line_no)
+            block[1].append(word)
+            block[2].append(rest)
+            if len(block[0]) == _BLOCK_ROWS:
+                yield block
+                block = ([], [], [])
+    except UnicodeDecodeError:
+        # the rows read before the undecodable text are checked first
+        if block[0]:
+            yield block
+        raise
+    if block[0]:
+        yield block
+
+
+def _parse_block(path: str, line_nos: list, rests: list, dim: Optional[int]) -> np.ndarray:
+    """The numbers of a block of rows as a (rows, dim) float64 array; with dim
+    None the first row sets it. The numbers of a row are the non-empty fields
+    of its rest split at single spaces, each read by float().
+
+    A block of printable ASCII text goes to one np.loadtxt call, which reads
+    such a field as float() does. Any other block (tabs, "_" in numbers,
+    non-ASCII digits), or one that loadtxt refuses or reads as another shape
+    (it skips rows without numbers), is parsed row by row with float(). That
+    gives the values float() reads, or the error and line of the first bad
+    row."""
+    text = "".join(rests)
+    # a block without any number never reaches loadtxt, which would warn
+    if text.strip(" ") and text.isascii() and not text.encode("ascii").translate(None, _PRINTABLE_ASCII):
+        try:
+            values = np.loadtxt(rests, comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if len(values) == len(rests) and dim in (None, values.shape[1]):
+                return values
+    rows = []
+    for line_no, rest in zip(line_nos, rests):
+        try:
+            row = [float(x) for x in rest.split(" ") if x != ""]
+        except ValueError as exc:
+            raise EmbeddingError(f"{path}:{line_no}: unparsable number: {exc}") from exc
+        if dim is None:
+            dim = len(row)
+            if dim == 0:
+                raise EmbeddingError(f"{path}:{line_no}: row has no vector values")
+        elif len(row) != dim:
+            raise EmbeddingError(f"{path}:{line_no}: dimension mismatch, expected {dim} got {len(row)}")
+        rows.append(row)
+    return np.array(rows, dtype=float)
+
+
 def load_vectors(path: str) -> EmbeddingTable:
     """Parse the text vector format: optional "V D" header, then one word and
     D space-separated reals per line. A header must match the V rows of
-    dimension D that follow it. Duplicate words: last occurrence wins."""
-    words: list[str] = []
-    rows: list[np.ndarray] = []
-    index: dict = {}
+    dimension D that follow it. Duplicate words: the word keeps the row of its
+    first occurrence and takes the values of its last.
+
+    Every row is parsed and checked, in blocks of rows (see `_parse_block`).
+    With a header that the file's size allows, the table is filled in place,
+    so parsing holds one table and one block."""
+    index: dict = {}  # word -> table row
+    source: list[int] = []  # table row -> the file row its values come from
+    blocks: list[np.ndarray] = []
+    filled: Optional[np.ndarray] = None
     dim: Optional[int] = None
-    header: Optional[tuple[int, int]] = None
-    duplicates = 0
+    n_rows = 0
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                parts = line.rstrip("\n").split(" ")
-                if not line.strip():
-                    continue
-                if line_no == 1 and len(parts) == 2:
-                    try:
-                        header = int(parts[0]), int(parts[1])
-                        continue
-                    except ValueError:
-                        pass
-                word = parts[0]
-                try:
-                    vec = np.array([float(x) for x in parts[1:] if x != ""], dtype=float)
-                except ValueError as exc:
-                    raise EmbeddingError(f"{path}:{line_no}: unparsable number: {exc}") from exc
-                if dim is None:
-                    dim = len(vec)
-                    if dim == 0:
-                        raise EmbeddingError(f"{path}:{line_no}: row has no vector values")
-                elif len(vec) != dim:
-                    raise EmbeddingError(
-                        f"{path}:{line_no}: dimension mismatch, expected {dim} got {len(vec)}"
-                    )
-                if word in index:
-                    rows[index[word]] = vec
-                    duplicates += 1
-                else:
-                    index[word] = len(words)
-                    words.append(word)
-                    rows.append(vec)
+            first = fh.readline()
+            header = _header(first)
+            # each row of a V x D table takes at least 2*D bytes, so a header
+            # that promises more than the file holds is wrong and gets no table
+            size = os.fstat(fh.fileno()).st_size
+            if header is not None and min(header) > 0 and 2 * header[0] * header[1] <= size:
+                filled = np.empty(header)
+            lines = enumerate(chain([] if header else [first], fh), start=2 if header else 1)
+            for line_nos, words, rests in _row_blocks(lines):
+                values = _parse_block(path, line_nos, rests, dim)
+                dim = values.shape[1]
+                if filled is None:
+                    blocks.append(values)
+                elif dim == filled.shape[1] and n_rows + len(values) <= len(filled):
+                    filled[n_rows : n_rows + len(values)] = values
+                # else the header is wrong, which the check below reports
+                for row, word in enumerate(words, start=n_rows):
+                    i = index.setdefault(word, len(source))
+                    if i == len(source):
+                        source.append(row)
+                    else:
+                        source[i] = row
+                n_rows += len(values)
     except UnicodeDecodeError as exc:
         raise EmbeddingError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if dim is None:
         raise EmbeddingError(f"{path}: empty vector file")
-    if header is not None and header != (len(words) + duplicates, dim):
+    if header is not None and header != (n_rows, dim):
         raise EmbeddingError(
             f"{path}: header says {header[0]} rows of dimension {header[1]}, "
-            f"read {len(words) + duplicates} rows of dimension {dim}"
+            f"read {n_rows} rows of dimension {dim}"
         )
-    vectors = np.vstack(rows)
-    zero = frozenset(w for w, i in index.items() if not np.any(vectors[i]))
+    vectors = np.concatenate(blocks) if filled is None else filled
+    duplicates = n_rows - len(index)
+    if duplicates:
+        vectors = vectors[source]
+    vocab_words = list(index)
+    zero = frozenset(vocab_words[i] for i in np.flatnonzero(~vectors.any(axis=1)))
     table = EmbeddingTable(dim=dim, vocab=index, vectors=vectors, zero_words=zero)
     if duplicates:
         import warnings

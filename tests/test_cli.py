@@ -328,6 +328,109 @@ class TestWeatCommand:
         assert err == f"error: {tests}: entry 0 (t): targets_x is not a non-empty list of words\n"
 
 
+class TestOutputDirectory:
+    """An --out that cannot be a directory ends the command before any work
+    with exit 1 and one line naming the path."""
+
+    def _command(self, name, tmp_path, mini_cache, out):
+        vecs = TestWeatCommand()._vector_file(tmp_path, ["a", "b"])
+        return {
+            "ingest": ["ingest", "--input", mini_corpus_path(), "--format", "csv", "--out", out],
+            "style": ["style", "--cache", str(mini_cache), "--out", out],
+            "train": ["train", "--cache", str(mini_cache), "--out", f"{out}/v.txt", "--seed", "1"],
+            "weat": ["weat", "--vectors", str(vecs), "--out", out],
+        }[name]
+
+    @pytest.mark.parametrize("command, work", [
+        ("ingest", "ingest"), ("style", "corpus_style_metrics"), ("train", "train_sgns"), ("weat", "run_battery"),
+    ])
+    @pytest.mark.parametrize("under", ["", "/sub"])
+    def test_file_in_the_way_exit_1_before_work(
+        self, tmp_path, mini_cache, capsys, monkeypatch, command, work, under
+    ):
+        import lyricstats.cli as cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{work} ran")
+
+        monkeypatch.setattr(cli, work, no_work)
+        blocker = tmp_path / "a_file"
+        blocker.write_text("x")
+        capsys.readouterr()
+        assert main(self._command(command, tmp_path, mini_cache, f"{blocker}{under}")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot use ") and f"{blocker} is not a writable directory" in err
+        assert err.count("\n") == 1
+        assert blocker.read_text() == "x"
+
+    def test_train_out_naming_a_directory_exit_1(self, tmp_path, mini_cache, capsys):
+        assert main(["train", "--cache", str(mini_cache), "--out", str(tmp_path), "--seed", "1"]) == 1
+        assert capsys.readouterr().err == f"error: --out {tmp_path} is a directory; it names the vector file\n"
+
+    def test_missing_parents_are_made(self, tmp_path):
+        vecs = TestWeatCommand()._vector_file(tmp_path, ["a", "b"])
+        out = tmp_path / "new" / "deeper"
+        assert main(["weat", "--vectors", str(vecs), "--out", str(out), "--mc-samples", "10"]) == 0
+        assert (out / "weat_results.csv").exists()
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_weat_exit_1(self, tmp_path, capsys, via_config):
+        vecs = TestWeatCommand()._vector_file(tmp_path, ["a", "b"])
+        out = tmp_path / "weat"
+        args = ["weat", "--vectors", str(vecs), "--out", str(out)]
+        if via_config:
+            config = tmp_path / "c.json"
+            config.write_text(json.dumps({"seed": -1}))
+            args = ["--config", str(config), *args]
+        else:
+            args += ["--seed", "-1"]
+        assert main(args) == 1
+        assert capsys.readouterr().err == "error: --seed must be >= 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_train_exit_1(self, tmp_path, mini_cache, capsys, via_config):
+        out = tmp_path / "v" / "v.txt"
+        args = ["train", "--cache", str(mini_cache), "--out", str(out)]
+        if via_config:
+            config = tmp_path / "c.json"
+            config.write_text(json.dumps({"seed": -3}))
+            args = ["--config", str(config), *args]
+        else:
+            args += ["--seed", "-3"]
+        assert main(args) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -3\n"
+        assert not out.parent.exists()
+
+
+class TestWeatSummary:
+    def _separated(self, tmp_path):
+        # X words point at A and Y words at B: no other partition reaches the observed statistic
+        lines = ["a1 1 0", "a2 1 0.01", "b1 0 1", "b2 0.01 1"]
+        lines += [f"x{i} 1 {i / 100}" for i in range(4)] + [f"y{i} {i / 100} 1" for i in range(4)]
+        vecs = tmp_path / "v.txt"
+        vecs.write_text("\n".join(lines) + "\n")
+        tests = tmp_path / "t.json"
+        tests.write_text(json.dumps([{
+            "name": "sep", "targets_x": [f"x{i}" for i in range(4)], "targets_y": [f"y{i}" for i in range(4)],
+            "attributes_a": ["a1", "a2"], "attributes_b": ["b1", "b2"],
+        }]))
+        return ["weat", "--vectors", str(vecs), "--tests", str(tests), "--out", str(tmp_path / "w")]
+
+    @pytest.mark.parametrize("flags, shown", [
+        ([], "< 1e-05"), (["--mc-samples", "2000"], "< 0.0005"), (["--exact"], "0"),
+    ])
+    def test_zero_hits_shown_as_a_bound(self, tmp_path, capsys, flags, shown):
+        assert main(self._separated(tmp_path) + flags) == 0
+        row = capsys.readouterr().out.splitlines()[1]
+        assert row[55 + 1 + 8 + 1 : 55 + 1 + 8 + 1 + 10].strip() == shown
+        with open(tmp_path / "w" / "weat_results.csv") as fh:
+            (result,) = csv.DictReader(fh)
+        assert result["p_value"] == "0"
+
+
 class TestNotUtf8:
     """A file that is not UTF-8 text ends the command with exit 1 and one line
     naming the file."""

@@ -1,12 +1,15 @@
 import os
 import pathlib
 import tempfile
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import lyricstats.embeddings as embeddings
 from lyricstats.corpus import Corpus, tokenize
 from lyricstats.embeddings import (
     EmbeddingError,
@@ -40,6 +43,76 @@ def assert_same_bytes_as_reference(table, tmp_path):
     assert (tmp_path / "fast.txt").read_bytes() == (tmp_path / "reference.txt").read_bytes()
 
 
+def load_vectors_per_row(path):
+    """Reference loader: the per-row parser that `load_vectors` replaced. It
+    reads every number with float() and gives the table, or the error, that
+    `load_vectors` must match."""
+    words, rows, index = [], [], {}
+    dim = header = None
+    duplicates = 0
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                parts = line.rstrip("\n").split(" ")
+                if not line.strip():
+                    continue
+                if line_no == 1 and len(parts) == 2:
+                    try:
+                        header = int(parts[0]), int(parts[1])
+                        continue
+                    except ValueError:
+                        pass
+                word = parts[0]
+                try:
+                    vec = np.array([float(x) for x in parts[1:] if x != ""], dtype=float)
+                except ValueError as exc:
+                    raise EmbeddingError(f"{path}:{line_no}: unparsable number: {exc}") from exc
+                if dim is None:
+                    dim = len(vec)
+                    if dim == 0:
+                        raise EmbeddingError(f"{path}:{line_no}: row has no vector values")
+                elif len(vec) != dim:
+                    raise EmbeddingError(f"{path}:{line_no}: dimension mismatch, expected {dim} got {len(vec)}")
+                if word in index:
+                    rows[index[word]] = vec
+                    duplicates += 1
+                else:
+                    index[word] = len(words)
+                    words.append(word)
+                    rows.append(vec)
+    except UnicodeDecodeError as exc:
+        raise EmbeddingError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    if dim is None:
+        raise EmbeddingError(f"{path}: empty vector file")
+    if header is not None and header != (len(words) + duplicates, dim):
+        raise EmbeddingError(
+            f"{path}: header says {header[0]} rows of dimension {header[1]}, "
+            f"read {len(words) + duplicates} rows of dimension {dim}"
+        )
+    vectors = np.vstack(rows)
+    zero = frozenset(w for w, i in index.items() if not np.any(vectors[i]))
+    if duplicates:
+        warnings.warn(f"{path}: {duplicates} duplicate words, last occurrence kept")
+    return EmbeddingTable(dim=dim, vocab=index, vectors=vectors, zero_words=zero)
+
+
+def load_outcome(loader, path):
+    """What a loader makes of a file: the table's vocabulary, the bits of its
+    vectors, its zero words and its warnings, or the error message."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            table = loader(path)
+        except EmbeddingError as exc:
+            return ("error", str(exc), [str(w.message) for w in caught])
+    bits = np.ascontiguousarray(table.vectors, dtype=np.float64).view(np.uint64)
+    return (table.dim, table.vocab, bits.shape, bits.tolist(), table.zero_words, [str(w.message) for w in caught])
+
+
+def assert_loads_as_per_row(path):
+    assert load_outcome(load_vectors, path) == load_outcome(load_vectors_per_row, path)
+
+
 @st.composite
 def word_rows(draw):
     """{word: row} for a table of 1-6 unique words of dimension 1-5 with finite
@@ -50,6 +123,62 @@ def word_rows(draw):
     words = draw(st.lists(word, min_size=1, max_size=6, unique=True))
     row = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=dim, max_size=dim)
     return dict(zip(words, draw(st.lists(row, min_size=len(words), max_size=len(words)))))
+
+
+# numbers as save_vectors and other writers spell them, and spellings that
+# float() reads or refuses and that a bulk parser might read otherwise
+GOOD_NUMBERS = st.one_of(
+    st.floats().map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: f"{x:.6f}"),
+    st.sampled_from(["0", "-0", "nan", "-nan", "+NaN", "inf", "-Infinity", "1e999", "-1e-400", ".5", "5.", "+2E3"]),
+)
+ODD_NUMBERS = st.sampled_from(
+    ["1_000", "\u0661\u0662", "\uff11", "1.0\t", "\t1", "1.0\t2.0", "1\x0c", "1\x00", "1\u3000", "\u00a01",
+     "abc", "1.2.3", "0x10", "--1", "1e", "#1", "1d5", "nanx", "", " ", "1 2"]
+)
+
+
+@st.composite
+def vector_files(draw):
+    """The text of a vector file: an optional header (right, wrong, or none),
+    rows of a word and numbers with single or double spaces, then up to three
+    defects: blank lines, word-only rows, odd numbers, missing or extra
+    values, and tabs. Words may repeat, be numbers, hold "%" or non-ASCII
+    letters. Lines end in "\n" or "\r\n"."""
+    dim = draw(st.integers(1, 4))
+    word = st.sampled_from(["a", "b", "\u00e9t\u00e9", "2019", "%s", "x_1", "w\tx"])
+    word |= st.text("ab1", min_size=1, max_size=3)
+    words = draw(st.lists(word, max_size=12))
+    rows = [[w, *(draw(GOOD_NUMBERS) for _ in range(dim))] for w in words]
+    lines = [draw(st.sampled_from([" ", "  "])).join(row) + draw(st.sampled_from(["", " "])) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        kind = draw(st.sampled_from(["blank", "word_only", "odd_number", "short", "long", "tab"]))
+        if kind == "blank":
+            lines.insert(at, draw(st.sampled_from(["", "  ", "\t"])))
+        elif at < len(lines) and kind == "word_only":
+            lines[at] = lines[at].split(" ")[0] + draw(st.sampled_from(["", " "]))
+        elif at < len(lines) and kind == "odd_number":
+            parts = lines[at].split(" ")
+            parts[draw(st.integers(1, len(parts) - 1)) if len(parts) > 1 else 0] = draw(ODD_NUMBERS)
+            lines[at] = " ".join(parts)
+        elif at < len(lines) and kind == "short":
+            lines[at] = lines[at].rstrip(" ").rsplit(" ", 1)[0]
+        elif at < len(lines) and kind == "long":
+            lines[at] += " " + draw(GOOD_NUMBERS)
+        elif at < len(lines):
+            lines[at] = lines[at].replace(" ", "\t", 1) if draw(st.booleans()) else lines[at] + "\t"
+    header = draw(st.sampled_from([None, "right", "rows+1", "dim+1", "2019 1"]))
+    if header == "right":
+        lines.insert(0, f"{len(rows)} {dim}")
+    elif header == "rows+1":
+        lines.insert(0, f"{len(rows) + 1} {dim}")
+    elif header == "dim+1":
+        lines.insert(0, f"{len(rows)} {dim + 1}")
+    elif header:
+        lines.insert(0, header)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
 
 
 def corpus_from_token_lists(token_lists):
@@ -201,6 +330,106 @@ class TestVectorFile:
         assert len(table) == 2 and table.get("a").tolist() == [1.0, 1.0]
 
 
+class TestLoaderAgainstPerRowParser:
+    """`load_vectors` parses blocks of rows with np.loadtxt and falls back to
+    float() row by row; the per-row reference parser is the specification.
+    Every file gives the same vocabulary, bitwise the same vectors, the same
+    zero words and warnings, or the same error message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(vector_files(), st.sampled_from([1, 2, 3, 1024]))
+    def test_same_table_or_error_as_per_row_parser(self, text, block_rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "v.txt")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            with mock.patch.object(embeddings, "_BLOCK_ROWS", block_rows):
+                assert_loads_as_per_row(path)
+
+    @settings(max_examples=50, deadline=None)
+    @given(word_rows())
+    @example({"2019": [1.0], "1999": [-2.5]})
+    @example({"a": [-0.0, float("nan"), float("inf")], "b": [0.0] * 3, "\u00e9": [-float("inf"), 1e300, -1e-9]})
+    def test_same_table_as_per_row_parser_on_saved_tables(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "v.txt")
+            save_vectors(make_table(rows), path)
+            with mock.patch.object(embeddings, "_BLOCK_ROWS", 2):
+                assert_loads_as_per_row(path)
+
+    @pytest.mark.parametrize(
+        "row, values",
+        [
+            ("w 1_000 2", [1000.0, 2.0]),  # float() reads "_" between digits; loadtxt does not
+            ("w \u0661\u0662 \uff13", [12.0, 3.0]),  # and non-ASCII decimal digits
+            ("w 1.0\t 2.0\t", [1.0, 2.0]),  # and whitespace around a number
+            ("w 1.0\t2.0", None),  # but a tab does not separate numbers
+            ("w 1.0\x002.0", None),  # nor does a NUL
+        ],
+    )
+    def test_spellings_float_reads_are_kept(self, tmp_path, row, values):
+        path = tmp_path / "v.txt"
+        path.write_text(f"a 1 1\n{row}\n", encoding="utf-8")
+        assert_loads_as_per_row(str(path))
+        if values is None:
+            with pytest.raises(EmbeddingError, match=":2: unparsable number"):
+                load_vectors(str(path))
+        else:
+            assert load_vectors(str(path)).get("w").tolist() == values
+
+    def test_word_only_row_refused(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("a 1 2\nb\nc 3 4\n", encoding="utf-8")
+        with pytest.raises(EmbeddingError, match=":2: dimension mismatch, expected 2 got 0"):
+            load_vectors(str(path))
+        path.write_text("b \na 1 2\n", encoding="utf-8")
+        with pytest.raises(EmbeddingError, match=":1: row has no vector values"):
+            load_vectors(str(path))
+
+    def test_error_in_a_later_block_names_its_line(self, tmp_path):
+        path = tmp_path / "v.txt"
+        rows = [f"w{i} {i} 1" for i in range(2500)]
+        rows[2100] = "w2100 1 x"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        with pytest.raises(EmbeddingError, match=":2101: unparsable number"):
+            load_vectors(str(path))
+
+    def test_rows_before_undecodable_text_are_checked_first(self, tmp_path):
+        # text is decoded in chunks of a few kB; a row read before the chunk
+        # that cannot be decoded reports its own error, as with the per-row parser
+        path = tmp_path / "v.txt"
+        rows = [f"w{i} 1.000000 2.000000\n".encode() for i in range(1000)]
+        rows[1] = b"b 1 x\n"
+        rows[900] = b"c 3 \xe9\n"
+        path.write_bytes(b"".join(rows))
+        assert_loads_as_per_row(str(path))
+        with pytest.raises(EmbeddingError, match=":2: unparsable number"):
+            load_vectors(str(path))
+        rows[1] = b"b 1 2\n"
+        path.write_bytes(b"".join(rows))
+        assert_loads_as_per_row(str(path))
+        with pytest.raises(EmbeddingError, match="not UTF-8"):
+            load_vectors(str(path))
+
+    @pytest.mark.parametrize("header", ["100000000000 300", "-1 2", "0 2", "3 0"])
+    def test_impossible_header_allocates_nothing_and_is_reported(self, tmp_path, header):
+        path = tmp_path / "v.txt"
+        path.write_text(f"{header}\na 1 2\nb 3 4\n", encoding="utf-8")
+        h = header.split()
+        with pytest.raises(EmbeddingError, match=f"header says {h[0]} rows of dimension {h[1]}, read 2 rows"):
+            load_vectors(str(path))
+
+    def test_header_file_filled_in_place(self, tmp_path, monkeypatch):
+        # with a right header, the blocks go into one preallocated table
+        rng = np.random.default_rng(6)
+        table = make_table({f"w{i}": rng.normal(size=3) for i in range(10)})
+        path = tmp_path / "v.txt"
+        save_vectors(table, str(path))
+        monkeypatch.setattr(embeddings, "_BLOCK_ROWS", 3)
+        monkeypatch.setattr(np, "concatenate", None)
+        assert load_vectors(str(path)).vectors.shape == (10, 3)
+
+
 class TestSgnsGradients:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -328,6 +557,10 @@ class TestTraining:
         corpus = corpus_from_token_lists([["rare", "words", "only"]])
         with pytest.raises(EmbeddingError, match="empty vocabulary"):
             train_sgns(corpus, SgnsConfig(dim=4, min_count=5, seed=0, epochs=1))
+
+    def test_negative_seed_refused(self):
+        with pytest.raises(EmbeddingError, match="seed must be >= 0, got -1"):
+            SgnsConfig(seed=-1)
 
     def test_empty_corpus_empty_vocabulary(self):
         with pytest.raises(EmbeddingError, match="empty vocabulary"):

@@ -235,7 +235,7 @@ class TestPermutationP:
                 assert permutation_p(test, table, mode="exact") == brute_force_p(pooled, n)
 
     def test_exact_over_several_chunks_matches_combinations(self):
-        # C(18, 9) = 48,620 partitions: more than one 20,000-subset chunk
+        # C(18, 9) = 48,620 partitions: more than one chunk of subsets
         rng = np.random.default_rng(21)
         test, table = random_weat(rng, n_targets=9, n_attrs=3)
         from lyricstats.weat import _association_scores
@@ -460,3 +460,101 @@ class TestProperties:
         assert permutation_p(test, scaled, mode="exact") == pytest.approx(
             permutation_p(test, table, mode="exact"), abs=1e-12
         )
+
+
+def mixed_battery(rng, sizes, dim=6):
+    """One table and a battery with a test per entry of `sizes`: (n_targets,
+    missing) makes n_targets words per target list, of which the last
+    `missing` X words are out of vocabulary, so the test runs at size
+    n_targets - missing, or fails when fewer than two are left."""
+    vocab, tests = [], []
+    for t, (n, missing) in enumerate(sizes):
+        x = [f"t{t}x{i}" for i in range(n)]
+        y = [f"t{t}y{i}" for i in range(n)]
+        a = [f"t{t}a{i}" for i in range(3)]
+        b = [f"t{t}b{i}" for i in range(3)]
+        vocab += x[: n - missing] + y + a + b
+        tests.append(WeatTest(f"t{t}", tuple(x), tuple(y), tuple(a), tuple(b)))
+    return tests, random_table(vocab, dim, rng)
+
+
+class TestSharedDraw:
+    """run_battery draws each chunk of subsets once per target-list size and
+    counts every test of that size against it; each p-value must be the one
+    the test gets alone."""
+
+    SIZES = [(4, 0), (3, 0), (5, 1), (4, 0), (6, 0), (3, 0), (3, 2), (4, 3), (6, 0)]
+
+    @pytest.mark.parametrize("mode", ["exact", "monte_carlo"])
+    @pytest.mark.parametrize("inclusive", [False, True])
+    def test_battery_p_values_equal_each_test_alone(self, mode, inclusive):
+        tests, table = mixed_battery(np.random.default_rng(31), self.SIZES)
+        kwargs = dict(p_mode=mode, n_samples=45_000, seed=8, inclusive=inclusive)
+        results = run_battery(tests, table, **kwargs)
+        assert [r.error is not None for r in results] == [False] * 6 + [True, True, False]
+        for test, r in zip(tests, results):
+            assert r == run_test(test, table, **kwargs)
+            if r.error is None:
+                assert r.p_value == permutation_p(
+                    test, table, mode=mode, n_samples=45_000, seed=8, inclusive=inclusive
+                )
+                assert r.effect_size == effect_size(test, table).effect_size
+        assert 0.0 < min(r.p_value for r in results if r.p_value is not None)
+
+    @pytest.mark.parametrize("mode", ["exact", "monte_carlo"])
+    def test_one_draw_per_chunk_per_list_size(self, monkeypatch, mode):
+        import lyricstats.weat as weat
+
+        chunks: dict[int, int] = {}
+        original = weat._subset_chunks
+
+        def counted(n, *args):
+            size, draws = original(n, *args)
+
+            def counting():
+                for subsets in draws:
+                    chunks[n] = chunks.get(n, 0) + 1
+                    yield subsets
+
+            return size, counting()
+
+        monkeypatch.setattr(weat, "_subset_chunks", counted)
+        monkeypatch.setattr(weat, "_SUBSET_CHUNK", 100)
+        tests, table = mixed_battery(np.random.default_rng(32), self.SIZES)
+        results = run_battery(tests, table, p_mode=mode, n_samples=450, seed=2)
+        # list sizes 3, 4 and 6 (the third test runs at 4, two tests fail)
+        expected = {3: 20, 4: 70, 6: 924} if mode == "exact" else {3: 450, 4: 450, 6: 450}
+        assert chunks == {n: -(-size // 100) for n, size in expected.items()}
+        assert sum(r.p_value is not None for r in results) == 7
+
+    @pytest.mark.parametrize("mode", ["exact", "monte_carlo"])
+    def test_p_values_do_not_depend_on_the_chunk_size(self, monkeypatch, mode):
+        import lyricstats.weat as weat
+
+        tests, table = mixed_battery(np.random.default_rng(35), self.SIZES)
+        runs = []
+        for chunk in (7, 1000, 20_000):
+            monkeypatch.setattr(weat, "_SUBSET_CHUNK", chunk)
+            runs.append([r.p_value for r in run_battery(tests, table, p_mode=mode, n_samples=3001, seed=3)])
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_group_over_exact_budget_keeps_each_effect_size(self):
+        # two tests of 11 targets per list: C(22, 11) partitions exceed the budget
+        tests, table = mixed_battery(np.random.default_rng(33), [(11, 0), (3, 0), (11, 0)])
+        results = run_battery(tests, table, p_mode="exact")
+        for test, r in zip(tests, results):
+            if test.name == "t1":
+                assert r.error is None and r.p_method == "exact"
+                continue
+            assert "exact budget" in r.error and r.p_value is None and r.p_method == "none"
+            assert r.effect_size == effect_size(test, table).effect_size
+            assert r.test_statistic == weat_statistic(test, table)
+            assert r.coverage["targets_x"] == (11, 11)
+        assert results[0].effect_size != results[2].effect_size
+
+    def test_negative_seed_refused(self):
+        test, table = random_weat(np.random.default_rng(34))
+        with pytest.raises(WeatError, match="seed >= 0"):
+            permutation_p(test, table, mode="monte_carlo", seed=-1)
+        r = run_test(test, table, p_mode="monte_carlo", seed=-1)
+        assert "seed >= 0" in r.error and r.effect_size is not None
