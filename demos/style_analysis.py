@@ -62,5 +62,5 @@ for series in rank_series(rankings, ["rock", "blues"]):
     print(f"  {series.word}: {entries or 'never seen'}")
 
 # sanity: counts really are exact multiset counts
-counts_1965 = token_counts(corpus, year=1965, cohort="popular")
+counts_1965 = token_counts(s for s in corpus if s.year == 1965 and s.cohort == "popular")
 print(f"\n1965 popular vocabulary: {len(counts_1965)} distinct words")

@@ -42,13 +42,8 @@ records = []
 for i in range(400):
     biased = (MALE, CAREER) if i % 2 == 0 else (FEMALE, FAMILY)
     lyrics = "\n".join(sentence(*biased) for _ in range(6))
-    records.append(
-        SongRecord(
-            id=f"d{i}", title=f"demo {i}", artist="synthetic", year=2000,
-            duration_seconds=None, cohort="other", lyrics=lyrics,
-        )
-    )
-corpus = Corpus(records=tuple(records), tokenized=tuple(tokenize(r) for r in records))
+    records.append(SongRecord(id=f"d{i}", year=2000, cohort="other", duration_seconds=None, lines=tokenize(lyrics)))
+corpus = Corpus(records=tuple(records))
 
 # --- train ------------------------------------------------------------------
 config = SgnsConfig(dim=32, window=5, negatives=5, epochs=5, min_count=5, seed=42)

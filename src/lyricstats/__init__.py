@@ -6,7 +6,6 @@ from lyricstats.corpus import (
     IngestResult,
     SongRecord,
     TokenizeConfig,
-    TokenizedLyric,
     ingest,
     token_counts,
     tokenize,
@@ -16,6 +15,7 @@ from lyricstats.style import (
     StyleMetrics,
     aggregate,
     compute_style_metrics,
+    corpus_style_metrics,
     fk_grade,
     rank_series,
     repetitiveness,

@@ -30,29 +30,16 @@ class RecordError(CorpusError):
     """Record-level validation failure; collected into the reject report."""
 
 
-class EmptySelectionError(CorpusError):
-    """A cohort/year filter matched no songs."""
-
-
 @dataclass(frozen=True)
 class SongRecord:
+    """One song as the pipeline keeps it after ingest: the raw lyrics, title
+    and artist are dropped once the lyrics are tokenized."""
+
     id: str
-    title: str
-    artist: str
     year: int
-    duration_seconds: Optional[float]
     cohort: str
-    lyrics: str
-
-
-@dataclass(frozen=True)
-class TokenizedLyric:
-    song_id: str
+    duration_seconds: Optional[float]
     lines: tuple[tuple[str, ...], ...]
-
-    @property
-    def tokens(self) -> tuple[str, ...]:
-        return tuple(t for line in self.lines for t in line)
 
 
 @dataclass(frozen=True)
@@ -80,21 +67,13 @@ class Reject:
 @dataclass(frozen=True)
 class Corpus:
     records: tuple[SongRecord, ...]
-    tokenized: tuple[TokenizedLyric, ...]
     provenance: dict = field(default_factory=dict, compare=False)
-
-    def __post_init__(self) -> None:
-        if len(self.records) != len(self.tokenized):
-            raise CorpusError("records and tokenized collections are misaligned")
-        for rec, tok in zip(self.records, self.tokenized):
-            if rec.id != tok.song_id:
-                raise CorpusError(f"tokenized lyric {tok.song_id!r} does not match record {rec.id!r}")
 
     def __len__(self) -> int:
         return len(self.records)
 
-    def __iter__(self) -> Iterator[tuple[SongRecord, TokenizedLyric]]:
-        return iter(zip(self.records, self.tokenized))
+    def __iter__(self) -> Iterator[SongRecord]:
+        return iter(self.records)
 
 
 @dataclass(frozen=True)
@@ -112,14 +91,15 @@ class IngestResult:
         return frac <= self.corpus.provenance.get("max_reject_fraction", 0.5)
 
 
-def tokenize(record: SongRecord, config: TokenizeConfig = TokenizeConfig()) -> TokenizedLyric:
+def tokenize(lyrics: str, config: TokenizeConfig = TokenizeConfig()) -> tuple[tuple[str, ...], ...]:
     """Normalize and split lyrics into lines of lowercase word tokens.
 
     NFC-normalizes, lowercases, splits on newlines then whitespace, strips
     edge punctuation (interior apostrophes and hyphens kept), drops empty
-    lines and, by default, section-annotation lines like "[Chorus]".
+    lines and, by default, section-annotation lines like "[Chorus]". Lyrics
+    without a token give no lines.
     """
-    text = unicodedata.normalize("NFC", record.lyrics).lower()
+    text = unicodedata.normalize("NFC", lyrics).lower()
     annotation = re.compile(config.annotation_pattern) if config.drop_annotations else None
     lines: list[tuple[str, ...]] = []
     for raw_line in text.split("\n"):
@@ -137,12 +117,12 @@ def tokenize(record: SongRecord, config: TokenizeConfig = TokenizeConfig()) -> T
         )
         if toks:
             lines.append(toks)
-    if not lines:
-        raise RecordError(f"record {record.id!r}: lyrics tokenize to zero tokens")
-    return TokenizedLyric(song_id=record.id, lines=tuple(lines))
+    return tuple(lines)
 
 
-def _validate_record(raw: dict, config: IngestConfig, where: str) -> SongRecord:
+def _validate_record(
+    raw: dict, config: IngestConfig, tokenize_config: TokenizeConfig, seen_ids: set[str], where: str
+) -> SongRecord:
     for key in ("id", "title", "artist", "year", "cohort", "lyrics"):
         if key not in raw or raw[key] is None:
             raise RecordError(f"{where}: missing required field {key!r}")
@@ -169,15 +149,12 @@ def _validate_record(raw: dict, config: IngestConfig, where: str) -> SongRecord:
     lyrics = str(raw["lyrics"])
     if not lyrics.strip():
         raise RecordError(f"{where}: lyrics empty after trimming")
-    return SongRecord(
-        id=rid,
-        title=str(raw["title"]),
-        artist=str(raw["artist"]),
-        year=year,
-        duration_seconds=duration,
-        cohort=cohort,
-        lyrics=lyrics,
-    )
+    if rid in seen_ids:
+        raise RecordError(f"{where}: duplicate id {rid!r}")
+    lines = tokenize(lyrics, tokenize_config)
+    if not lines:
+        raise RecordError(f"record {rid!r}: lyrics tokenize to zero tokens")
+    return SongRecord(id=rid, year=year, cohort=cohort, duration_seconds=duration, lines=lines)
 
 
 def _iter_jsonl(path: str) -> Iterator[tuple[str, dict]]:
@@ -230,7 +207,6 @@ def ingest(
         raise IngestError(f"unknown format {format!r}")
 
     records: list[SongRecord] = []
-    tokenized: list[TokenizedLyric] = []
     rejects: list[Reject] = []
     seen_ids: set[str] = set()
     total = 0
@@ -241,16 +217,12 @@ def ingest(
                 rejects.append(Reject(where, raw["__parse_error__"]))
                 continue
             try:
-                rec = _validate_record(raw, config, where)
-                if rec.id in seen_ids:
-                    raise RecordError(f"{where}: duplicate id {rec.id!r}")
-                tok = tokenize(rec, tokenize_config)
+                rec = _validate_record(raw, config, tokenize_config, seen_ids, where)
             except RecordError as exc:
                 rejects.append(Reject(str(raw.get("id", where)), str(exc)))
                 continue
             seen_ids.add(rec.id)
             records.append(rec)
-            tokenized.append(tok)
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -271,35 +243,24 @@ def ingest(
         "config_digest": hashlib.sha256(digest_src.encode()).hexdigest()[:16],
         "max_reject_fraction": config.max_reject_fraction,
     }
-    corpus = Corpus(records=tuple(records), tokenized=tuple(tokenized), provenance=provenance)
+    corpus = Corpus(records=tuple(records), provenance=provenance)
     return IngestResult(corpus=corpus, rejects=tuple(rejects), total_rows=total)
 
 
-def token_counts(
-    corpus: Corpus,
-    year: Optional[int] = None,
-    cohort: Optional[str] = None,
-) -> Counter:
-    """Exact token multiset counts over the filtered songs."""
+def token_counts(songs: Iterable[SongRecord]) -> Counter:
+    """Exact token multiset counts over the songs (a corpus, or any selection
+    of its records); empty for no songs."""
     counts: Counter = Counter()
-    matched = False
-    for rec, tok in corpus:
-        if year is not None and rec.year != year:
-            continue
-        if cohort is not None and rec.cohort != cohort:
-            continue
-        matched = True
-        for line in tok.lines:
+    for song in songs:
+        for line in song.lines:
             counts.update(line)
-    if not matched:
-        raise EmptySelectionError(f"no songs match year={year} cohort={cohort}")
     return counts
 
 
 # ---------------------------------------------------------------------------
 # cache serialization (versioned JSONL: one header line, then one song per line)
 
-CACHE_VERSION = 2  # 2: the header stores the song count
+CACHE_VERSION = 3  # 2: the header stores the song count; 3: rows hold only the fields below
 
 
 def save_cache(result_or_corpus, path: str) -> None:
@@ -307,23 +268,47 @@ def save_cache(result_or_corpus, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         header = {"cache_version": CACHE_VERSION, "provenance": corpus.provenance, "songs": len(corpus)}
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for rec, tok in corpus:
+        for song in corpus:
             row = {
-                "id": rec.id,
-                "title": rec.title,
-                "artist": rec.artist,
-                "year": rec.year,
-                "duration_seconds": rec.duration_seconds,
-                "cohort": rec.cohort,
-                "lyrics": rec.lyrics,
-                "lines": [list(line) for line in tok.lines],
+                "id": song.id,
+                "year": song.year,
+                "cohort": song.cohort,
+                "duration_seconds": song.duration_seconds,
+                "lines": song.lines,
             }
             fh.write(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n")
 
 
+def _cache_song(row: dict) -> SongRecord:
+    """The record of one cache row. Raises KeyError or TypeError for a row
+    that is not an object holding the record's fields, ValueError for a field
+    of the wrong type, and TypeError for a token that is not a string."""
+    rid, year, cohort, duration, raw_lines = (
+        row["id"], row["year"], row["cohort"], row["duration_seconds"], row["lines"]
+    )
+    if type(rid) is not str:
+        raise ValueError(f"id {rid!r} is not a string")
+    if type(year) is not int:
+        raise ValueError(f"year {year!r} is not an integer")
+    if cohort not in COHORTS:
+        raise ValueError(f"cohort {cohort!r} not in {COHORTS}")
+    if duration is not None:
+        if type(duration) not in (int, float) or not duration > 0:
+            raise ValueError(f"duration_seconds {duration!r} is not a positive number")
+        duration = float(duration)
+    if type(raw_lines) is not list or not raw_lines:
+        raise ValueError("lines is not a non-empty list")
+    lines = []
+    for line in raw_lines:
+        if type(line) is not list or not line:
+            raise ValueError(f"line {line!r} is not a non-empty list of tokens")
+        "".join(line)  # a token that is not a string raises TypeError, at C speed
+        lines.append(tuple(line))
+    return SongRecord(id=rid, year=year, cohort=cohort, duration_seconds=duration, lines=tuple(lines))
+
+
 def load_cache(path: str) -> Corpus:
     records: list[SongRecord] = []
-    tokenized: list[TokenizedLyric] = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             header_line = fh.readline()
@@ -333,26 +318,16 @@ def load_cache(path: str) -> Corpus:
                 raise IngestError(f"{path}: not a corpus cache: {exc}") from exc
             version = header.get("cache_version") if isinstance(header, dict) else None
             if version != CACHE_VERSION:
-                raise IngestError(f"{path}: unsupported cache version {version!r}")
+                raise IngestError(
+                    f"{path}: unsupported cache version {version!r} (this version reads {CACHE_VERSION}); "
+                    "re-run `lyricstats ingest` to rebuild it"
+                )
             for line_no, line in enumerate(fh, start=2):
                 try:
-                    row = json.loads(line)
-                    records.append(
-                        SongRecord(
-                            id=row["id"],
-                            title=row["title"],
-                            artist=row["artist"],
-                            year=row["year"],
-                            duration_seconds=row["duration_seconds"],
-                            cohort=row["cohort"],
-                            lyrics=row["lyrics"],
-                        )
-                    )
-                    tokenized.append(
-                        TokenizedLyric(song_id=row["id"], lines=tuple(tuple(line) for line in row["lines"]))
-                    )
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                    # a truncated or hand-edited cache: a bad row, or one missing a key
+                    records.append(_cache_song(json.loads(line)))
+                except (ValueError, KeyError, TypeError) as exc:
+                    # a truncated or hand-edited cache: a bad row, one missing a
+                    # key, or a field of the wrong type
                     reason = f"{type(exc).__name__}: {exc}"
                     raise IngestError(f"{path}:{line_no}: malformed cache row ({reason})") from exc
     except UnicodeDecodeError as exc:
@@ -361,7 +336,7 @@ def load_cache(path: str) -> Corpus:
     expected = header.get("songs")
     if expected != len(records):
         raise IngestError(f"{path}: header says {expected!r} songs but the cache holds {len(records)}")
-    return Corpus(records=tuple(records), tokenized=tuple(tokenized), provenance=header.get("provenance", {}))
+    return Corpus(records=tuple(records), provenance=header.get("provenance", {}))
 
 
 def write_reject_report(rejects: Iterable[Reject], path: str) -> None:

@@ -4,7 +4,6 @@ negative-sampling trainer over a tokenized corpus."""
 from __future__ import annotations
 
 import os
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import Optional, Sequence
@@ -149,39 +148,49 @@ def _parse_block(path: str, line_nos: list, rests: list, dim: Optional[int]) -> 
     return np.array(rows, dtype=float)
 
 
+def _count_rows(path: str) -> int:
+    """The file's non-blank lines, split and judged blank as `load_vectors`
+    reads them. Bytes that are not UTF-8 count as text here; the parse that
+    follows reports them."""
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        return sum(1 for line in fh if line.strip())
+
+
 def load_vectors(path: str) -> EmbeddingTable:
     """Parse the text vector format: optional "V D" header, then one word and
     D space-separated reals per line. A header must match the V rows of
     dimension D that follow it. Duplicate words: the word keeps the row of its
     first occurrence and takes the values of its last.
 
-    Every row is parsed and checked, in blocks of rows (see `_parse_block`).
-    With a header that the file's size allows, the table is filled in place,
-    so parsing holds one table and one block."""
+    Every row is parsed and checked, in blocks of rows (see `_parse_block`),
+    into one table filled in place. The header gives the table's rows, or,
+    without one, a first pass that counts them. So parsing holds one table and
+    one block."""
     index: dict = {}  # word -> table row
     source: list[int] = []  # table row -> the file row its values come from
-    blocks: list[np.ndarray] = []
-    filled: Optional[np.ndarray] = None
     dim: Optional[int] = None
     n_rows = 0
     try:
         with open(path, "r", encoding="utf-8") as fh:
             first = fh.readline()
             header = _header(first)
-            # each row of a V x D table takes at least 2*D bytes, so a header
-            # that promises more than the file holds is wrong and gets no table
-            size = os.fstat(fh.fileno()).st_size
-            if header is not None and min(header) > 0 and 2 * header[0] * header[1] <= size:
-                filled = np.empty(header)
+            if header is None:
+                rows = _count_rows(path)
+            else:
+                # each row of a V x D table takes at least 2*D bytes, so a header
+                # that promises more than the file holds is wrong and gets no table
+                size = os.fstat(fh.fileno()).st_size
+                rows = header[0] if min(header) > 0 and 2 * header[0] * header[1] <= size else 0
             lines = enumerate(chain([] if header else [first], fh), start=2 if header else 1)
             for line_nos, words, rests in _row_blocks(lines):
                 values = _parse_block(path, line_nos, rests, dim)
-                dim = values.shape[1]
-                if filled is None:
-                    blocks.append(values)
-                elif dim == filled.shape[1] and n_rows + len(values) <= len(filled):
-                    filled[n_rows : n_rows + len(values)] = values
-                # else the header is wrong, which the check below reports
+                if dim is None:
+                    dim = values.shape[1]
+                    # a header of another dimension is wrong too and gets no table
+                    vectors = np.empty((rows if header is None or header[1] == dim else 0, dim))
+                if n_rows + len(values) <= len(vectors):
+                    vectors[n_rows : n_rows + len(values)] = values
+                # else the header is wrong, or the file grew, which the checks below report
                 for row, word in enumerate(words, start=n_rows):
                     i = index.setdefault(word, len(source))
                     if i == len(source):
@@ -198,7 +207,8 @@ def load_vectors(path: str) -> EmbeddingTable:
             f"{path}: header says {header[0]} rows of dimension {header[1]}, "
             f"read {n_rows} rows of dimension {dim}"
         )
-    vectors = np.concatenate(blocks) if filled is None else filled
+    if n_rows != len(vectors):  # only without a header: the file changed between the passes
+        raise EmbeddingError(f"{path}: changed while it was read")
     duplicates = n_rows - len(index)
     if duplicates:
         vectors = vectors[source]
@@ -313,8 +323,7 @@ class _TrainState:
     """Vocabulary, noise table, and vector arrays during training."""
 
     def __init__(self, corpus: Corpus, config: SgnsConfig):
-        # token_counts refuses a corpus without songs; that ends below as an empty vocabulary
-        counts = token_counts(corpus) if len(corpus) else Counter()
+        counts = token_counts(corpus)
         kept = sorted(
             ((w, c) for w, c in counts.items() if c >= config.min_count),
             key=lambda kv: (-kv[1], kv[0]),
@@ -329,8 +338,8 @@ class _TrainState:
         freq = self.counts / total
         self.keep_prob = np.minimum(1.0, np.sqrt(config.subsample_threshold / freq))
         self.sentences = [
-            np.array([self.vocab[t] for t in tok.tokens if t in self.vocab], dtype=np.int64)
-            for tok in corpus.tokenized
+            np.array([self.vocab[t] for line in song.lines for t in line if t in self.vocab], dtype=np.int64)
+            for song in corpus
         ]
         self.n_positions = int(sum(len(s) for s in self.sentences))
         rng = np.random.default_rng(config.seed)

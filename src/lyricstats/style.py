@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import re
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 from typing import Iterable, Optional, Sequence
 
-from lyricstats.corpus import Corpus, SongRecord, TokenizedLyric
+from lyricstats.corpus import Corpus, SongRecord, token_counts
 
 _VOWEL_GROUPS = re.compile(r"[aeiouy]+")
 
@@ -61,8 +61,8 @@ class SwearLexicon:
     source: str
 
 
-def length_words(lyric: TokenizedLyric) -> int:
-    return sum(len(line) for line in lyric.lines)
+def length_words(song: SongRecord) -> int:
+    return sum(len(line) for line in song.lines)
 
 
 def speed(length: int, duration_seconds: float) -> float:
@@ -72,16 +72,16 @@ def speed(length: int, duration_seconds: float) -> float:
     return length / duration_seconds
 
 
-def repetitiveness(lyric: TokenizedLyric) -> float:
+def repetitiveness(song: SongRecord) -> float:
     """Percentage of lines that repeat an earlier line.
 
     Line equality is judged on the normalized token join, so trailing
     punctuation or case differences in the raw text do not count as new lines.
     """
-    total = len(lyric.lines)
+    total = len(song.lines)
     if total == 0:
         raise StyleError("repetitiveness needs at least one line")
-    unique = len({" ".join(line) for line in lyric.lines})
+    unique = len({" ".join(line) for line in song.lines})
     return (1.0 - unique / total) * 100.0
 
 
@@ -96,13 +96,13 @@ def count_syllables(word: str) -> int:
     return max(groups, 1)
 
 
-def fk_grade(lyric: TokenizedLyric) -> float:
+def fk_grade(song: SongRecord) -> float:
     """Flesch-Kincaid grade level with each lyric line treated as one sentence."""
-    words = length_words(lyric)
-    sentences = len(lyric.lines)
+    words = length_words(song)
+    sentences = len(song.lines)
     if words == 0 or sentences == 0:
         raise StyleError("fk_grade needs at least one line and one token")
-    syllables = sum(count_syllables(t) for line in lyric.lines for t in line)
+    syllables = sum(count_syllables(t) for line in song.lines for t in line)
     return 0.39 * (words / sentences) + 11.8 * (syllables / words) - 15.59
 
 
@@ -132,35 +132,33 @@ def load_swear_lexicon(path: str) -> SwearLexicon:
     return SwearLexicon(entries=entries, source=path)
 
 
-def swear_stats(lyric: TokenizedLyric, lexicon: SwearLexicon) -> tuple[int, float]:
+def swear_stats(song: SongRecord, lexicon: SwearLexicon) -> tuple[int, float]:
     """Exact-token swear matches: (count, count/length)."""
     if not lexicon.entries:
         raise LexiconError("empty swear lexicon")
-    n = length_words(lyric)
-    count = sum(1 for line in lyric.lines for t in line if t in lexicon.entries)
+    n = length_words(song)
+    count = sum(1 for line in song.lines for t in line if t in lexicon.entries)
     return count, count / n
 
 
-def compute_style_metrics(
-    record: SongRecord, lyric: TokenizedLyric, lexicon: SwearLexicon
-) -> StyleMetrics:
-    n = length_words(lyric)
-    duration = record.duration_seconds
-    swears, rate = swear_stats(lyric, lexicon)
+def compute_style_metrics(song: SongRecord, lexicon: SwearLexicon) -> StyleMetrics:
+    n = length_words(song)
+    duration = song.duration_seconds
+    swears, rate = swear_stats(song, lexicon)
     return StyleMetrics(
-        song_id=record.id,
+        song_id=song.id,
         length_words=n,
         duration_seconds=duration,
         speed_wps=None if duration is None else speed(n, duration),
-        repetitiveness_pct=repetitiveness(lyric),
-        fk_grade=fk_grade(lyric),
+        repetitiveness_pct=repetitiveness(song),
+        fk_grade=fk_grade(song),
         swear_count=swears,
         swear_rate=rate,
     )
 
 
 def corpus_style_metrics(corpus: Corpus, lexicon: SwearLexicon) -> list[StyleMetrics]:
-    return [compute_style_metrics(rec, tok, lexicon) for rec, tok in corpus]
+    return [compute_style_metrics(song, lexicon) for song in corpus]
 
 
 def aggregate(corpus: Corpus, metrics: Sequence[StyleMetrics]) -> list[YearCohortAggregate]:
@@ -207,16 +205,13 @@ def year_rankings(
     position i + 1 of a list is that word's rank in that year."""
     # one pass groups the songs by year; each year is then counted and sorted
     # on its own, so only one year's counts are held at a time
-    by_year: dict[int, list[TokenizedLyric]] = defaultdict(list)
-    for rec, tok in corpus:
-        if (cohort is None or rec.cohort == cohort) and (year is None or rec.year == year):
-            by_year[rec.year].append(tok)
+    by_year: dict[int, list[SongRecord]] = defaultdict(list)
+    for song in corpus:
+        if (cohort is None or song.cohort == cohort) and (year is None or song.year == year):
+            by_year[song.year].append(song)
     rankings: dict[int, list[str]] = {}
     for y in sorted(by_year):
-        counts: Counter = Counter()
-        for tok in by_year[y]:
-            for line in tok.lines:
-                counts.update(line)
+        counts = token_counts(by_year[y])
         rankings[y] = sorted(counts, key=lambda w: (-counts[w], w))
     return rankings
 

@@ -9,15 +9,7 @@ from lyricstats.resources import mini_corpus_path
 
 
 def make_record(song_id="s1", lyrics="la la\nla la", year=1990, cohort="other", duration=None):
-    return SongRecord(
-        id=song_id,
-        title=f"title {song_id}",
-        artist="artist",
-        year=year,
-        duration_seconds=duration,
-        cohort=cohort,
-        lyrics=lyrics,
-    )
+    return SongRecord(id=song_id, year=year, cohort=cohort, duration_seconds=duration, lines=tokenize(lyrics))
 
 
 def make_table(word_vectors: dict) -> EmbeddingTable:

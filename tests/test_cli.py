@@ -1,5 +1,6 @@
 import csv
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -97,6 +98,33 @@ class TestStyleCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cut}:") and "malformed cache row" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["style", "train"])
+    @pytest.mark.parametrize(
+        "field, value",
+        [("year", "1990"), ("duration_seconds", "200"), ("lines", []), ("lines", ["hello world"])],
+        ids=["year_string", "duration_string", "no_lines", "line_not_a_list"],
+    )
+    def test_mistyped_cache_row_exit_1(self, tmp_path, mini_cache, capsys, command, field, value):
+        rows = mini_cache.read_text(encoding="utf-8").splitlines()
+        rows[3] = json.dumps(dict(json.loads(rows[3]), **{field: value}))
+        bad = tmp_path / "bad.cache"
+        bad.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "o"
+        flags = ["--out", str(out)] if command == "style" else ["--out", str(out / "v.txt"), "--seed", "1"]
+        assert main([command, "--cache", str(bad), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:4: malformed cache row (") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_version_2_cache_exit_1(self, tmp_path, mini_cache, capsys):
+        rows = mini_cache.read_text(encoding="utf-8").splitlines(keepends=True)
+        old = tmp_path / "v2.cache"
+        old.write_text(json.dumps(dict(json.loads(rows[0]), cache_version=2)) + "\n" + "".join(rows[1:]))
+        assert main(["style", "--cache", str(old), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {old}: unsupported cache version 2") and err.count("\n") == 1
+        assert "re-run `lyricstats ingest`" in err
+
     def test_top_k_not_an_int_exit_1(self, tmp_path, mini_cache, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["style", "--cache", str(mini_cache), "--out", str(tmp_path / "o"), "--top-k", "x"])
@@ -114,7 +142,7 @@ class TestStyleCommand:
 
     @pytest.mark.parametrize("cohort", [None, "popular"])
     def test_top_words_match_recount(self, tmp_path, mini_cache, cohort):
-        from lyricstats.corpus import load_cache, token_counts
+        from lyricstats.corpus import load_cache
         from lyricstats.resources import default_stopwords_path
         from lyricstats.style import load_wordlist
 
@@ -125,7 +153,10 @@ class TestStyleCommand:
         stopwords = load_wordlist(default_stopwords_path())
         expected = []
         for year in sorted({r.year for r in corpus.records if cohort is None or r.cohort == cohort}):
-            counts = token_counts(corpus, year=year, cohort=cohort)
+            counts = Counter(
+                t for song in corpus if song.year == year and cohort in (None, song.cohort)
+                for line in song.lines for t in line
+            )
             ranked = sorted((w for w in counts if w not in stopwords), key=lambda w: (-counts[w], w))
             expected += [[str(year), str(rank), w] for rank, w in enumerate(ranked[:7], start=1)]
         with open(out / "top_words.csv", newline="") as fh:

@@ -1,4 +1,6 @@
 import json
+import os
+import tempfile
 import unicodedata
 from collections import Counter
 
@@ -8,9 +10,11 @@ from hypothesis import strategies as st
 
 from lyricstats.corpus import (
     _EDGE,
-    EmptySelectionError,
+    CACHE_VERSION,
+    Corpus,
     IngestError,
-    RecordError,
+    Reject,
+    SongRecord,
     TokenizeConfig,
     ingest,
     load_cache,
@@ -19,51 +23,49 @@ from lyricstats.corpus import (
     tokenize,
     write_reject_report,
 )
-from tests.conftest import jsonl_row, make_record, write_jsonl
+from tests.conftest import jsonl_row, write_jsonl
+
+
+def retyped(row: str, **fields) -> str:
+    """A cache row with the given fields replaced."""
+    return json.dumps(dict(json.loads(row), **fields))
 
 
 class TestTokenize:
     def test_basic_lines(self):
-        tok = tokenize(make_record(lyrics="Hello, hello!\nWorld"))
-        assert tok.lines == (("hello", "hello"), ("world",))
+        assert tokenize("Hello, hello!\nWorld") == (("hello", "hello"), ("world",))
 
     def test_apostrophe_kept(self):
-        tok = tokenize(make_record(lyrics="Don't stop"))
-        assert tok.lines == (("don't", "stop"),)
+        assert tokenize("Don't stop") == (("don't", "stop"),)
 
     def test_annotation_dropped(self):
-        tok = tokenize(make_record(lyrics="[Chorus]\nla la"))
-        assert tok.lines == (("la", "la"),)
+        assert tokenize("[Chorus]\nla la") == (("la", "la"),)
 
     def test_annotation_kept_when_disabled(self):
-        tok = tokenize(make_record(lyrics="[Chorus]\nla la"), TokenizeConfig(drop_annotations=False))
-        assert tok.lines == (("chorus",), ("la", "la"))
+        assert tokenize("[Chorus]\nla la", TokenizeConfig(drop_annotations=False)) == (("chorus",), ("la", "la"))
 
     def test_empty_lines_removed(self):
-        tok = tokenize(make_record(lyrics="one\n\n\ntwo"))
-        assert tok.lines == (("one",), ("two",))
+        assert tokenize("one\n\n\ntwo") == (("one",), ("two",))
 
     def test_edge_punctuation_stripped_hyphen_kept(self):
-        tok = tokenize(make_record(lyrics='"rock-n-roll"... (yeah!)'))
-        assert tok.lines == (("rock-n-roll", "yeah"),)
+        assert tokenize('"rock-n-roll"... (yeah!)') == (("rock-n-roll", "yeah"),)
 
-    def test_zero_tokens_is_record_error(self):
-        with pytest.raises(RecordError):
-            tokenize(make_record(lyrics="!!! ???"))
-
-    def test_tokens_flattens_lines(self):
-        tok = tokenize(make_record(lyrics="a b\nc"))
-        assert tok.tokens == ("a", "b", "c")
+    def test_zero_tokens_is_record_error(self, tmp_path):
+        assert tokenize("!!! ???") == ()
+        path = tmp_path / "songs.jsonl"
+        write_jsonl(path, [jsonl_row("x", lyrics="!!! ???")])
+        result = ingest(str(path), format="jsonl")
+        assert len(result.corpus) == 0
+        assert result.rejects == (Reject("x", "record 'x': lyrics tokenize to zero tokens"),)
 
     def test_deterministic(self):
-        rec = make_record(lyrics="Sómé Ünicode tëxt\nAnd More")
-        assert tokenize(rec) == tokenize(rec)
+        text = "Sómé Ünicode tëxt\nAnd More"
+        assert tokenize(text) == tokenize(text)
 
     def test_idempotent_on_rendered_output(self):
-        rec = make_record(lyrics="Hello, WORLD!\nDon't stop -- now")
-        tok = tokenize(rec)
-        rendered = "\n".join(" ".join(line) for line in tok.lines)
-        assert tokenize(make_record(lyrics=rendered)).tokens == tok.tokens
+        lines = tokenize("Hello, WORLD!\nDon't stop -- now")
+        rendered = "\n".join(" ".join(line) for line in lines)
+        assert tokenize(rendered) == lines
 
 
 # letters with and without accents, combining marks, Arabic-Indic and other
@@ -79,12 +81,7 @@ class TestEdgeStripFastPath:
         line = " ".join(words)
         text = unicodedata.normalize("NFC", line).lower()
         expected = tuple(t for t in (_EDGE.sub("", w) for w in text.split()) if t)
-        record = make_record(lyrics=line)
-        if not expected:
-            with pytest.raises(RecordError):
-                tokenize(record, TokenizeConfig(drop_annotations=False))
-        else:
-            assert tokenize(record, TokenizeConfig(drop_annotations=False)).lines == (expected,)
+        assert tokenize(line, TokenizeConfig(drop_annotations=False)) == ((expected,) if expected else ())
 
 
 class TestIngest:
@@ -168,9 +165,7 @@ class TestIngest:
     def test_cache_round_trip(self, tmp_path, mini_corpus):
         cache = tmp_path / "c.cache"
         save_cache(mini_corpus, str(cache))
-        loaded = load_cache(str(cache))
-        assert loaded.records == mini_corpus.records
-        assert loaded.tokenized == mini_corpus.tokenized
+        assert load_cache(str(cache)).records == mini_corpus.records
 
     @pytest.mark.parametrize(
         "edit",
@@ -178,8 +173,15 @@ class TestIngest:
             lambda rows: rows[:3] + [rows[3][: len(rows[3]) // 2]],  # cut mid-row
             lambda rows: rows[:3] + [json.dumps({k: v for k, v in json.loads(rows[3]).items() if k != "lines"})],
             lambda rows: rows[:3] + ["[1, 2]"],  # a row that is not an object
+            # fields of the wrong type, which would fail or mislead the stages that read them
+            lambda rows: rows[:3] + [retyped(rows[3], year="1990")],
+            lambda rows: rows[:3] + [retyped(rows[3], duration_seconds="200")],
+            lambda rows: rows[:3] + [retyped(rows[3], lines=[])],
+            lambda rows: rows[:3] + [retyped(rows[3], lines=["hello world"])],
+            lambda rows: rows[:3] + [retyped(rows[3], lines=[["la", 1]])],
         ],
-        ids=["truncated", "missing_key", "not_an_object"],
+        ids=["truncated", "missing_key", "not_an_object", "year_string", "duration_string", "no_lines",
+             "line_not_a_list", "token_not_a_string"],
     )
     def test_malformed_cache_row_names_path_and_line(self, tmp_path, mini_corpus, edit):
         cache = tmp_path / "c.cache"
@@ -208,6 +210,18 @@ class TestIngest:
         with pytest.raises(IngestError, match="unsupported cache version 1"):
             load_cache(str(cache))
 
+    def test_version_2_cache_refused_with_rerun_hint(self, tmp_path, mini_corpus):
+        cache = tmp_path / "c.cache"
+        save_cache(mini_corpus, str(cache))
+        rows = cache.read_text(encoding="utf-8").splitlines(keepends=True)
+        header = dict(json.loads(rows[0]), cache_version=2)
+        cache.write_text(json.dumps(header) + "\n" + "".join(rows[1:]), encoding="utf-8")
+        with pytest.raises(IngestError) as err:
+            load_cache(str(cache))
+        message = str(err.value)
+        assert message.startswith(f"{cache}: unsupported cache version 2")
+        assert "re-run `lyricstats ingest`" in message and "\n" not in message
+
     def test_reject_report_schema(self, tmp_path):
         src = tmp_path / "songs.jsonl"
         write_jsonl(src, [jsonl_row("s1"), dict(jsonl_row("s2"), lyrics="   ")])
@@ -225,16 +239,15 @@ class TestTokenCounts:
         corpus = ingest(str(src), format="jsonl").corpus
         assert token_counts(corpus) == Counter({"a": 2, "b": 2, "c": 1})
 
-    def test_empty_selection_raises(self, mini_corpus):
-        with pytest.raises(EmptySelectionError):
-            token_counts(mini_corpus, year=1777)
+    def test_no_songs_count_nothing(self, mini_corpus):
+        assert token_counts(s for s in mini_corpus if s.year == 1777) == Counter()
 
     def test_year_filter_matches_recount(self, mini_corpus):
-        got = token_counts(mini_corpus, year=1965)
+        got = token_counts(s for s in mini_corpus if s.year == 1965)
         expected = Counter()
-        for rec, tok in mini_corpus:
-            if rec.year == 1965:
-                for line in tok.lines:
+        for song in mini_corpus:
+            if song.year == 1965:
+                for line in song.lines:
                     for t in line:
                         expected[t] += 1
         assert got == expected
@@ -243,5 +256,32 @@ class TestTokenCounts:
         whole = token_counts(mini_corpus)
         by_year = Counter()
         for year in {r.year for r in mini_corpus.records}:
-            by_year.update(token_counts(mini_corpus, year=year))
+            by_year.update(token_counts(s for s in mini_corpus if s.year == year))
         assert by_year == whole
+
+
+# ids and tokens with non-ASCII text, quotes and backslashes, which JSON escapes
+CACHE_TEXT = st.text(st.sampled_from("az\u00e9\u4e2d\"\\'-\u2014\U0001f3b5"), min_size=1, max_size=6)
+CACHE_SONGS = st.builds(
+    SongRecord,
+    id=CACHE_TEXT,
+    year=st.integers(1900, 2100),
+    cohort=st.sampled_from(("popular", "other")),
+    duration_seconds=st.none() | st.floats(min_value=0, exclude_min=True, allow_infinity=False),
+    lines=st.lists(st.lists(CACHE_TEXT, min_size=1, max_size=4).map(tuple), min_size=1, max_size=4).map(tuple),
+)
+
+
+class TestCacheRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(CACHE_SONGS, max_size=5, unique_by=lambda song: song.id))
+    def test_load_inverts_save(self, songs):
+        corpus = Corpus(records=tuple(songs), provenance={"source": "songs.jsonl", "config_digest": "0" * 16})
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "corpus.cache")
+            save_cache(corpus, path)
+            with open(path, encoding="utf-8") as fh:
+                assert json.loads(fh.readline())["cache_version"] == CACHE_VERSION == 3
+            loaded = load_cache(path)
+        assert loaded == corpus
+        assert loaded.provenance == corpus.provenance

@@ -1,6 +1,7 @@
 import os
 import pathlib
 import tempfile
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lyricstats.embeddings as embeddings
-from lyricstats.corpus import Corpus, tokenize
+from lyricstats.corpus import Corpus
 from lyricstats.embeddings import (
     EmbeddingError,
     EmbeddingTable,
@@ -182,12 +183,8 @@ def vector_files(draw):
 
 
 def corpus_from_token_lists(token_lists):
-    recs, toks = [], []
-    for i, tokens in enumerate(token_lists):
-        rec = make_record(f"s{i}", lyrics=" ".join(tokens), year=2000)
-        recs.append(rec)
-        toks.append(tokenize(rec))
-    return Corpus(records=tuple(recs), tokenized=tuple(toks))
+    records = (make_record(f"s{i}", lyrics=" ".join(tokens), year=2000) for i, tokens in enumerate(token_lists))
+    return Corpus(records=tuple(records))
 
 
 class TestCosine:
@@ -429,6 +426,24 @@ class TestLoaderAgainstPerRowParser:
         monkeypatch.setattr(np, "concatenate", None)
         assert load_vectors(str(path)).vectors.shape == (10, 3)
 
+    def test_headerless_file_holds_one_table(self, tmp_path):
+        # without a header, a first pass counts the rows, so the parse fills one
+        # table as it does with a header, rather than keeping every block and
+        # then joining them into a second table
+        rows, dim = 20_000, 100
+        values = np.random.default_rng(8).integers(-99, 100, size=(rows, dim)) / 10
+        path = tmp_path / "v.txt"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(f"w{i} " + " ".join(map(str, row)) + "\n" for i, row in enumerate(values.tolist()))
+        tracemalloc.start()
+        try:
+            table = load_vectors(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(table.vectors, values)
+        assert peak < 1.6 * values.nbytes
+
 
 class TestSgnsGradients:
     def test_gradient_matches_finite_differences(self):
@@ -564,7 +579,7 @@ class TestTraining:
 
     def test_empty_corpus_empty_vocabulary(self):
         with pytest.raises(EmbeddingError, match="empty vocabulary"):
-            train_sgns(Corpus(records=(), tokenized=()), SgnsConfig(dim=4, min_count=1, seed=0, epochs=1))
+            train_sgns(Corpus(records=()), SgnsConfig(dim=4, min_count=1, seed=0, epochs=1))
 
     def test_deterministic_mode_reproduces_vector_file(self, tmp_path):
         rng = np.random.default_rng(0)

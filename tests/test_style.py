@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from lyricstats.corpus import token_counts, tokenize
+from lyricstats.corpus import Corpus
 from lyricstats.resources import default_swear_lexicon_path
 from lyricstats.style import (
     LexiconError,
@@ -52,7 +52,19 @@ SYLLABLE_REFERENCE = [
 
 
 def lyric(text):
-    return tokenize(make_record(lyrics=text))
+    return make_record(lyrics=text)
+
+
+def recount(corpus, year, cohort=None) -> Counter:
+    """Token counts of the songs of `year` (of `cohort` when given), counted
+    inline: the rankings under test count with `token_counts`."""
+    return Counter(
+        t
+        for song in corpus
+        if song.year == year and (cohort is None or song.cohort == cohort)
+        for line in song.lines
+        for t in line
+    )
 
 
 @pytest.fixture(scope="module")
@@ -174,17 +186,15 @@ class TestSwearStats:
     def test_mini_corpus_rate_series_matches_recount(self, mini_corpus, lexicon):
         for cohort in ("popular", "other"):
             for year in sorted({r.year for r in mini_corpus.records}):
-                songs = [
-                    (rec, tok) for rec, tok in mini_corpus if rec.year == year and rec.cohort == cohort
-                ]
+                songs = [song for song in mini_corpus if song.year == year and song.cohort == cohort]
                 if not songs:
                     continue
                 expected = []
-                for rec, tok in songs:
-                    toks = [t for line in tok.lines for t in line]
+                for song in songs:
+                    toks = [t for line in song.lines for t in line]
                     n_swears = sum(1 for t in toks if t in lexicon.entries)
                     expected.append(n_swears / len(toks))
-                got = [swear_stats(tok, lexicon)[1] for _, tok in songs]
+                got = [swear_stats(song, lexicon)[1] for song in songs]
                 assert got == pytest.approx(expected)
 
 
@@ -194,9 +204,7 @@ class TestAggregate:
             make_record("a", lyrics=" ".join(["la"] * 100), year=1990, cohort="other"),
             make_record("b", lyrics=" ".join(["la"] * 200), year=1990, cohort="other"),
         ]
-        from lyricstats.corpus import Corpus
-
-        corpus = Corpus(records=tuple(recs), tokenized=tuple(tokenize(r) for r in recs))
+        corpus = Corpus(records=tuple(recs))
         metrics = corpus_style_metrics(corpus, lexicon)
         aggs = aggregate(corpus, metrics)
         assert len(aggs) == 1
@@ -207,9 +215,7 @@ class TestAggregate:
             make_record("a", year=1990, duration=200.0),
             make_record("b", year=1990, duration=None),
         ]
-        from lyricstats.corpus import Corpus
-
-        corpus = Corpus(records=tuple(recs), tokenized=tuple(tokenize(r) for r in recs))
+        corpus = Corpus(records=tuple(recs))
         aggs = aggregate(corpus, corpus_style_metrics(corpus, lexicon))
         assert aggs[0].song_count == 2
         assert aggs[0].duration_coverage == 1
@@ -239,15 +245,11 @@ class TestAggregate:
 class TestRankSeries:
     def _corpus(self, counts_by_year):
         # one synthetic song per year whose tokens realize the given counts
-        from lyricstats.corpus import Corpus
-
-        recs, toks = [], []
+        recs = []
         for year, counts in counts_by_year.items():
             words = [w for w, c in counts.items() for _ in range(c)]
-            rec = make_record(f"y{year}", lyrics=" ".join(words), year=year, cohort="popular")
-            recs.append(rec)
-            toks.append(tokenize(rec))
-        return Corpus(records=tuple(recs), tokenized=tuple(toks))
+            recs.append(make_record(f"y{year}", lyrics=" ".join(words), year=year, cohort="popular"))
+        return Corpus(records=tuple(recs))
 
     def test_tie_break_lexicographic(self):
         corpus = self._corpus({2000: {"love": 10, "rock": 5, "blues": 5}})
@@ -264,7 +266,7 @@ class TestRankSeries:
 
     def test_ranks_form_permutation(self, mini_corpus):
         for year, ranked in year_rankings(mini_corpus).items():
-            counts = token_counts(mini_corpus, year=year)
+            counts = recount(mini_corpus, year)
             assert len(set(ranked)) == len(ranked) and set(ranked) == set(counts)
 
     def test_year_without_songs_absent(self, mini_corpus):
@@ -276,7 +278,7 @@ class TestRankSeries:
     def test_rankings_match_per_year_recount(self, mini_corpus, cohort):
         expected = {}
         for year in sorted({r.year for r in mini_corpus.records if cohort is None or r.cohort == cohort}):
-            counts = token_counts(mini_corpus, year=year, cohort=cohort)
+            counts = recount(mini_corpus, year, cohort)
             expected[year] = sorted(counts, key=lambda w: (-counts[w], w))
         assert year_rankings(mini_corpus, cohort=cohort) == expected
 
@@ -284,7 +286,7 @@ class TestRankSeries:
         rankings = year_rankings(mini_corpus, cohort="popular")
         results = {s.word: s.entries for s in rank_series(rankings, ["rock", "blues"])}
         for year in sorted({r.year for r in mini_corpus.records if r.cohort == "popular"}):
-            counts = token_counts(mini_corpus, year=year, cohort="popular")
+            counts = recount(mini_corpus, year, "popular")
             ordered = sorted(counts, key=lambda w: (-counts[w], w))
             for word in ("rock", "blues"):
                 if word in counts:
@@ -298,7 +300,7 @@ class TestRankSeries:
         results = {s.word: s.entries for s in rank_series(year_rankings(mini_corpus, cohort=cohort), words)}
         expected = {w: {} for w in words}
         for year in {r.year for r in mini_corpus.records if cohort is None or r.cohort == cohort}:
-            counts = token_counts(mini_corpus, year=year, cohort=cohort)
+            counts = recount(mini_corpus, year, cohort)
             ordered = sorted(counts, key=lambda w: (-counts[w], w))
             for word in words:
                 if word in counts:
@@ -338,16 +340,16 @@ class TestTopWords:
         assert top_words(rankings.get(1777, []), 10) == []
 
     def test_mini_corpus_top10_matches_recount(self, mini_corpus):
-        counts = token_counts(mini_corpus, year=1965, cohort="popular")
+        counts = recount(mini_corpus, 1965, "popular")
         expected = sorted(counts, key=lambda w: (-counts[w], w))[:10]
         assert top_words(year_rankings(mini_corpus, cohort="popular")[1965], 10) == expected
 
 
 class TestPerSongMetrics:
     def test_song7_length_matches_recount(self, mini_corpus, lexicon):
-        rec, tok = list(mini_corpus)[7]
-        expected = sum(len(line) for line in tok.lines)
-        m = compute_style_metrics(rec, tok, lexicon)
+        song = list(mini_corpus)[7]
+        expected = sum(len(line) for line in song.lines)
+        m = compute_style_metrics(song, lexicon)
         assert m.length_words == expected
 
     def test_speed_absent_iff_duration_absent(self, mini_corpus, lexicon):
