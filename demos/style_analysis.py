@@ -5,7 +5,9 @@ and the year-wise rank comparison.
 Run from the repo root:  python3 demos/style_analysis.py
 """
 
-from lyricstats.corpus import ingest, token_counts
+import numpy as np
+
+from lyricstats.corpus import COHORTS, ingest, token_counts
 from lyricstats.resources import default_stopwords_path, default_swear_lexicon_path, mini_corpus_path
 from lyricstats.style import (
     aggregate,
@@ -61,6 +63,7 @@ for series in rank_series(rankings, ["rock", "blues"]):
     entries = ", ".join(f"{y}:{r}" for y, r in sorted(series.entries.items()))
     print(f"  {series.word}: {entries or 'never seen'}")
 
-# sanity: counts really are exact multiset counts
-counts_1965 = token_counts(s for s in corpus if s.year == 1965 and s.cohort == "popular")
-print(f"\n1965 popular vocabulary: {len(counts_1965)} distinct words")
+# sanity: counts really are exact multiset counts, one per vocabulary id
+popular_1965 = np.flatnonzero((corpus.years == 1965) & (corpus.cohorts == COHORTS.index("popular")))
+counts_1965 = token_counts(corpus, popular_1965)
+print(f"\n1965 popular vocabulary: {np.count_nonzero(counts_1965)} distinct words")

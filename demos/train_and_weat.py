@@ -43,7 +43,7 @@ for i in range(400):
     biased = (MALE, CAREER) if i % 2 == 0 else (FEMALE, FAMILY)
     lyrics = "\n".join(sentence(*biased) for _ in range(6))
     records.append(SongRecord(id=f"d{i}", year=2000, cohort="other", duration_seconds=None, lines=tokenize(lyrics)))
-corpus = Corpus(records=tuple(records))
+corpus = Corpus.from_records(records)
 
 # --- train ------------------------------------------------------------------
 config = SgnsConfig(dim=32, window=5, negatives=5, epochs=5, min_count=5, seed=42)

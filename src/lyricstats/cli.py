@@ -14,6 +14,7 @@ import sys
 
 from lyricstats import __version__
 from lyricstats.corpus import (
+    COHORTS,
     IngestConfig,
     IngestError,
     TokenizeConfig,
@@ -183,12 +184,12 @@ def cmd_style(args) -> int:
                 "swear_rate",
             ]
         )
-        for rec, m in zip(corpus.records, metrics):
+        for year, cohort, m in zip(corpus.years.tolist(), corpus.cohorts.tolist(), metrics):
             writer.writerow(
                 [
                     m.song_id,
-                    rec.year,
-                    rec.cohort,
+                    year,
+                    COHORTS[cohort],
                     m.length_words,
                     _fmt(m.duration_seconds),
                     _fmt(m.speed_wps),

@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from lyricstats.corpus import Corpus, token_counts
+from lyricstats.corpus import Corpus, ranked_ids, token_counts
 
 
 class EmbeddingError(Exception):
@@ -324,24 +324,27 @@ class _TrainState:
 
     def __init__(self, corpus: Corpus, config: SgnsConfig):
         counts = token_counts(corpus)
-        kept = sorted(
-            ((w, c) for w, c in counts.items() if c >= config.min_count),
-            key=lambda kv: (-kv[1], kv[0]),
-        )
-        if not kept:
+        kept = ranked_ids(counts)  # descending count, ties in word order
+        kept = kept[counts[kept] >= config.min_count]
+        if not len(kept):
             raise EmbeddingError(f"empty vocabulary after min_count={config.min_count}")
-        self.vocab = {w: i for i, (w, _) in enumerate(kept)}
-        self.counts = np.array([c for _, c in kept], dtype=np.int64)
+        self.vocab = {corpus.vocab[i]: row for row, i in enumerate(kept.tolist())}
+        self.counts = counts[kept]
         self.noise_cdf = np.cumsum(unigram_noise_probs(self.counts))
         total = float(self.counts.sum())
         # keep probability per vocab word under frequent-word subsampling
         freq = self.counts / total
         self.keep_prob = np.minimum(1.0, np.sqrt(config.subsample_threshold / freq))
-        self.sentences = [
-            np.array([self.vocab[t] for line in song.lines for t in line if t in self.vocab], dtype=np.int64)
-            for song in corpus
-        ]
-        self.n_positions = int(sum(len(s) for s in self.sentences))
+        # a song's sentence is its in-vocabulary tokens as table rows: views
+        # of one array that holds them all
+        row_of = np.full(len(corpus.vocab), -1, dtype=np.int64)
+        row_of[kept] = np.arange(len(kept))
+        rows = row_of[corpus.tokens]
+        inside = rows >= 0
+        kept_before = np.concatenate(([0], np.cumsum(inside)))
+        in_vocab = rows[inside]
+        self.sentences = np.split(in_vocab, kept_before[corpus.song_bounds[1:-1]])
+        self.n_positions = len(in_vocab)
         rng = np.random.default_rng(config.seed)
         self.w_in = (rng.random((len(kept), config.dim)) - 0.5) / config.dim
         self.w_out = np.zeros((len(kept), config.dim))

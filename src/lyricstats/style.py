@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
-import re
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from lyricstats.corpus import Corpus, SongRecord, token_counts
+import numpy as np
 
-_VOWEL_GROUPS = re.compile(r"[aeiouy]+")
+from lyricstats.corpus import COHORTS, Corpus, CorpusError, SongRecord, ranked_ids, token_counts
+
+_VOWELS = np.array([ord(c) for c in "aeiouy"], dtype=np.uint32)
+# songs that `_song_sums` and `_repetitiveness` take at once: bounds the
+# per-token values and the line objects held (4096 songs of 30 lines of 10
+# words: 1.2M values, 123k lines)
+_SONGS_PER_BLOCK = 4096
 
 
 class StyleError(Exception):
@@ -61,49 +66,123 @@ class SwearLexicon:
     source: str
 
 
+def _one_song(song: SongRecord) -> Corpus:
+    """The corpus of one song: the per-song functions below run the corpus
+    code on it, so that there is one implementation of each metric."""
+    try:
+        return Corpus.from_records((song,))
+    except CorpusError as exc:
+        raise StyleError(str(exc)) from exc
+
+
+def _speeds(lengths: np.ndarray, durations: np.ndarray) -> np.ndarray:
+    """Words per second of each song; NaN where the duration is NaN."""
+    return lengths / durations
+
+
+def _repetitiveness(corpus: Corpus) -> np.ndarray:
+    """Per song, the percentage of its lines that repeat an earlier line of it.
+
+    Lines are equal when their tokens are, so trailing punctuation or case
+    differences in the raw text do not count as new lines. Each line is the
+    bytes of its slice of token ids, and a song's distinct lines are a set of
+    those, built for a block of songs at a time."""
+    unique = np.empty(len(corpus), dtype=np.int64)
+    line_at, song_at = corpus.line_offsets, corpus.song_offsets
+    for lo in range(0, len(corpus), _SONGS_PER_BLOCK):
+        hi = min(lo + _SONGS_PER_BLOCK, len(corpus))
+        first, last = song_at[lo], song_at[hi]
+        ids = corpus.tokens[line_at[first] : line_at[last]]
+        ends = ((line_at[first : last + 1] - line_at[first]) * ids.itemsize).tolist()
+        text = ids.tobytes()
+        lines = [text[a:b] for a, b in zip(ends, ends[1:])]
+        songs = (song_at[lo : hi + 1] - first).tolist()
+        unique[lo:hi] = [len(set(lines[a:b])) for a, b in zip(songs, songs[1:])]
+    return (1.0 - unique / np.diff(song_at)) * 100.0
+
+
+def _song_sums(corpus: Corpus, per_id: np.ndarray) -> np.ndarray:
+    """Per song, the sum of `per_id` (one value per vocabulary id) over its
+    tokens, a block of songs at a time: the per-token values held at once are
+    one block's."""
+    sums = np.empty(len(corpus), dtype=np.int64)
+    bounds = corpus.song_bounds
+    for lo in range(0, len(corpus), _SONGS_PER_BLOCK):
+        hi = min(lo + _SONGS_PER_BLOCK, len(corpus))
+        values = per_id[corpus.tokens[bounds[lo] : bounds[hi]]]
+        sums[lo:hi] = np.add.reduceat(values, bounds[lo:hi] - bounds[lo], dtype=np.int64)
+    return sums
+
+
+def syllable_table(words: Sequence[str]) -> np.ndarray:
+    """The heuristic syllable count of each word, as an int64 array: its
+    maximal vowel groups (a, e, i, o, u, y), minus one for a terminal silent
+    "e" (kept when preceded by "l", as in "table"), floored at 1."""
+    lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+    # one code point per element, word after word
+    codes = np.frombuffer("".join(words).encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    vowel = np.isin(codes, _VOWELS)
+    starts = np.cumsum(lengths) - lengths
+    group_start = vowel.copy()
+    group_start[1:] &= ~vowel[:-1]
+    # a vowel that begins a word begins a group, whatever ends the word before
+    has_chars = lengths > 0
+    group_start[starts[has_chars]] = vowel[starts[has_chars]]
+    running = np.concatenate(([0], np.cumsum(group_start)))
+    groups = running[starts + lengths] - running[starts]
+    last = starts + lengths - 1
+    silent_e = np.zeros(len(words), dtype=bool)
+    silent_e[has_chars] = codes[last[has_chars]] == ord("e")
+    after_l = lengths >= 2
+    silent_e[after_l] &= codes[last[after_l] - 1] != ord("l")
+    return np.maximum(groups - silent_e, 1)
+
+
+def _fk_grades(corpus: Corpus) -> np.ndarray:
+    """Per song, the Flesch-Kincaid grade level with each line one sentence."""
+    words = np.diff(corpus.song_bounds)
+    sentences = np.diff(corpus.song_offsets)
+    syllables = _song_sums(corpus, syllable_table(corpus.vocab))
+    return 0.39 * (words / sentences) + 11.8 * (syllables / words) - 15.59
+
+
+def _swear_counts(corpus: Corpus, lexicon: SwearLexicon) -> np.ndarray:
+    """Per song, how many of its tokens are entries of the lexicon."""
+    if not lexicon.entries:
+        raise LexiconError("empty swear lexicon")
+    entries = lexicon.entries
+    swears = np.fromiter((w in entries for w in corpus.vocab), dtype=bool, count=len(corpus.vocab))
+    return _song_sums(corpus, swears)
+
+
 def length_words(song: SongRecord) -> int:
-    return sum(len(line) for line in song.lines)
+    return len(_one_song(song).tokens)
 
 
 def speed(length: int, duration_seconds: float) -> float:
     """Words per second."""
     if duration_seconds <= 0:
         raise StyleError("duration_seconds must be > 0")
-    return length / duration_seconds
+    return float(_speeds(np.array([length]), np.array([duration_seconds], dtype=np.float64))[0])
 
 
 def repetitiveness(song: SongRecord) -> float:
-    """Percentage of lines that repeat an earlier line.
-
-    Line equality is judged on the normalized token join, so trailing
-    punctuation or case differences in the raw text do not count as new lines.
-    """
-    total = len(song.lines)
-    if total == 0:
-        raise StyleError("repetitiveness needs at least one line")
-    unique = len({" ".join(line) for line in song.lines})
-    return (1.0 - unique / total) * 100.0
+    """Percentage of lines that repeat an earlier line (see `_repetitiveness`)."""
+    return float(_repetitiveness(_one_song(song))[0])
 
 
 @lru_cache(maxsize=200_000)
 def count_syllables(word: str) -> int:
-    """Heuristic syllable count: maximal vowel groups (a,e,i,o,u,y), minus one
-    for a terminal silent "e" (kept when preceded by "l", as in "table"),
-    floored at 1."""
-    groups = len(_VOWEL_GROUPS.findall(word))
-    if word.endswith("e") and not word.endswith("le"):
-        groups -= 1
-    return max(groups, 1)
+    """Heuristic syllable count of one word (see `syllable_table`). The corpus
+    code counts each vocabulary word once, through `syllable_table`; this cache
+    serves callers that ask for single words, and `cache_info()` stays part of
+    the function's interface (perfbench/launch.py reads it)."""
+    return int(syllable_table([word])[0])
 
 
 def fk_grade(song: SongRecord) -> float:
     """Flesch-Kincaid grade level with each lyric line treated as one sentence."""
-    words = length_words(song)
-    sentences = len(song.lines)
-    if words == 0 or sentences == 0:
-        raise StyleError("fk_grade needs at least one line and one token")
-    syllables = sum(count_syllables(t) for line in song.lines for t in line)
-    return 0.39 * (words / sentences) + 11.8 * (syllables / words) - 15.59
+    return float(_fk_grades(_one_song(song))[0])
 
 
 def load_wordlist(path: str) -> frozenset[str]:
@@ -134,41 +213,59 @@ def load_swear_lexicon(path: str) -> SwearLexicon:
 
 def swear_stats(song: SongRecord, lexicon: SwearLexicon) -> tuple[int, float]:
     """Exact-token swear matches: (count, count/length)."""
-    if not lexicon.entries:
-        raise LexiconError("empty swear lexicon")
-    n = length_words(song)
-    count = sum(1 for line in song.lines for t in line if t in lexicon.entries)
-    return count, count / n
+    corpus = _one_song(song)
+    count = int(_swear_counts(corpus, lexicon)[0])
+    return count, count / len(corpus.tokens)
 
 
 def compute_style_metrics(song: SongRecord, lexicon: SwearLexicon) -> StyleMetrics:
-    n = length_words(song)
-    duration = song.duration_seconds
-    swears, rate = swear_stats(song, lexicon)
-    return StyleMetrics(
-        song_id=song.id,
-        length_words=n,
-        duration_seconds=duration,
-        speed_wps=None if duration is None else speed(n, duration),
-        repetitiveness_pct=repetitiveness(song),
-        fk_grade=fk_grade(song),
-        swear_count=swears,
-        swear_rate=rate,
-    )
+    return corpus_style_metrics(_one_song(song), lexicon)[0]
 
 
 def corpus_style_metrics(corpus: Corpus, lexicon: SwearLexicon) -> list[StyleMetrics]:
-    return [compute_style_metrics(song, lexicon) for song in corpus]
+    """Every song's metrics, in corpus order, each column computed for all
+    songs at once from vocabulary-level tables."""
+    swears = _swear_counts(corpus, lexicon)
+    lengths = np.diff(corpus.song_bounds)
+    speeds = _speeds(lengths, corpus.durations)
+    columns = (
+        lengths.tolist(),
+        corpus.durations.tolist(),
+        speeds.tolist(),
+        _repetitiveness(corpus).tolist(),
+        _fk_grades(corpus).tolist(),
+        swears.tolist(),
+        (swears / lengths).tolist(),
+    )
+    return [
+        StyleMetrics(
+            song_id=song_id,
+            length_words=n,
+            duration_seconds=None if duration != duration else duration,  # NaN: no duration
+            speed_wps=None if duration != duration else wps,
+            repetitiveness_pct=rep,
+            fk_grade=fk,
+            swear_count=count,
+            swear_rate=rate,
+        )
+        for song_id, n, duration, wps, rep, fk, count, rate in zip(corpus.ids, *columns)
+    ]
 
 
 def aggregate(corpus: Corpus, metrics: Sequence[StyleMetrics]) -> list[YearCohortAggregate]:
     """Arithmetic means per (year, cohort); duration/speed means cover only the
-    songs that carry a duration, with the coverage count reported."""
-    by_id = {m.song_id: m for m in metrics}
+    songs that carry a duration, with the coverage count reported. `metrics[i]`
+    must be song i's, as `corpus_style_metrics` gives them: metrics for another
+    song, or one metrics entry too many or too few, raise StyleError."""
+    if len(metrics) != len(corpus):
+        raise StyleError(f"{len(metrics)} metrics for {len(corpus)} songs")
     cells: dict[tuple[int, str], list[StyleMetrics]] = defaultdict(list)
-    for rec in corpus.records:
-        if rec.id in by_id:
-            cells[(rec.year, rec.cohort)].append(by_id[rec.id])
+    for i, (song_id, year, cohort, m) in enumerate(
+        zip(corpus.ids, corpus.years.tolist(), corpus.cohorts.tolist(), metrics)
+    ):
+        if m.song_id != song_id:
+            raise StyleError(f"metrics {i} are for song {m.song_id!r}, but song {i} is {song_id!r}")
+        cells[(year, COHORTS[cohort])].append(m)
     out: list[YearCohortAggregate] = []
     for (year, cohort) in sorted(cells):
         ms = cells[(year, cohort)]
@@ -203,17 +300,21 @@ def year_rankings(
     song when None) in `year` (every year when None): descending count, ties in
     lexicographic order. Keys are the years that have songs, ascending;
     position i + 1 of a list is that word's rank in that year."""
-    # one pass groups the songs by year; each year is then counted and sorted
-    # on its own, so only one year's counts are held at a time
-    by_year: dict[int, list[SongRecord]] = defaultdict(list)
-    for song in corpus:
-        if (cohort is None or song.cohort == cohort) and (year is None or song.year == year):
-            by_year[song.year].append(song)
-    rankings: dict[int, list[str]] = {}
-    for y in sorted(by_year):
-        counts = token_counts(by_year[y])
-        rankings[y] = sorted(counts, key=lambda w: (-counts[w], w))
-    return rankings
+    keep = np.ones(len(corpus), dtype=bool)
+    if cohort is not None:
+        keep &= corpus.cohorts == (COHORTS.index(cohort) if cohort in COHORTS else -1)
+    if year is not None:
+        keep &= corpus.years == year
+    songs = np.flatnonzero(keep)
+    songs = songs[np.argsort(corpus.years[songs], kind="stable")]
+    years, firsts = np.unique(corpus.years[songs], return_index=True)
+    vocab = corpus.vocab
+    # each year is counted and ranked on its own, so only one year's counts
+    # are held at a time; ids are in string order, so ties by id are ties by word
+    return {
+        y: [vocab[i] for i in ranked_ids(token_counts(corpus, group)).tolist()]
+        for y, group in zip(years.tolist(), np.split(songs, firsts[1:]))
+    }
 
 
 def rank_series(rankings: dict[int, Sequence[str]], words: Sequence[str]) -> list[RankSeries]:

@@ -49,3 +49,32 @@ def mini_corpus():
     result = ingest(mini_corpus_path(), format="csv")
     assert not result.rejects
     return result.corpus
+
+
+def read_cache(path):
+    """The members of a corpus cache: its arrays by name, and its meta object."""
+    with np.load(path, allow_pickle=False) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    return arrays, json.loads(arrays.pop("meta").tobytes().decode("utf-8"))
+
+
+def write_cache(path, arrays, meta):
+    """A corpus cache holding the given members, as a hand-edited cache would."""
+    meta_bytes = meta if isinstance(meta, bytes) else json.dumps(meta).encode("utf-8")
+    with open(path, "wb") as fh:
+        np.savez(fh, meta=np.frombuffer(meta_bytes, dtype=np.uint8), **arrays)
+
+
+def edit_cache(path, meta_edit=None, **arrays):
+    """Rewrite the cache at `path` with some arrays replaced (None drops one)
+    and its meta object passed through `meta_edit`."""
+    old_arrays, meta = read_cache(path)
+    new_arrays = {k: v for k, v in {**old_arrays, **arrays}.items() if v is not None}
+    write_cache(path, new_arrays, meta_edit(meta) if meta_edit else meta)
+
+
+def without_lines(song_offsets, song):
+    """Song offsets under which `song` has no lines: the next song takes them."""
+    edited = song_offsets.copy()
+    edited[song + 1] = edited[song]
+    return edited

@@ -1,13 +1,23 @@
 import csv
 import json
+import random
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from lyricstats.cli import main
+from lyricstats.corpus import Corpus, load_cache, save_cache
 from lyricstats.resources import mini_corpus_path
-from tests.conftest import jsonl_row, random_table, write_jsonl
+from tests.conftest import (
+    edit_cache,
+    jsonl_row,
+    random_table,
+    read_cache,
+    without_lines,
+    write_cache,
+    write_jsonl,
+)
 
 
 @pytest.fixture()
@@ -93,33 +103,36 @@ class TestStyleCommand:
     def test_truncated_cache_exit_1(self, tmp_path, mini_cache, capsys):
         data = mini_cache.read_bytes()
         cut = tmp_path / "cut.cache"
-        cut.write_bytes(data[: data.index(b"\n", len(data) // 2) - 10])  # ends mid-row
+        cut.write_bytes(data[: len(data) // 2])  # ends inside a member
         assert main(["style", "--cache", str(cut), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {cut}:") and "malformed cache row" in err and err.count("\n") == 1
+        assert err.startswith(f"error: {cut}: malformed cache (") and err.count("\n") == 1
 
+    # the v4 counterparts of the version-3 row checks, under the same ids
     @pytest.mark.parametrize("command", ["style", "train"])
     @pytest.mark.parametrize(
-        "field, value",
-        [("year", "1990"), ("duration_seconds", "200"), ("lines", []), ("lines", ["hello world"])],
+        "edit",
+        [
+            lambda arrays, meta: (dict(arrays, years=arrays["years"].astype(str)), meta),
+            lambda arrays, meta: (dict(arrays, durations=arrays["durations"].astype(str)), meta),
+            lambda arrays, meta: (dict(arrays, song_offsets=without_lines(arrays["song_offsets"], 3)), meta),
+            lambda arrays, meta: (arrays, dict(meta, vocab=sorted(["hello world", *meta["vocab"]]))),
+        ],
         ids=["year_string", "duration_string", "no_lines", "line_not_a_list"],
     )
-    def test_mistyped_cache_row_exit_1(self, tmp_path, mini_cache, capsys, command, field, value):
-        rows = mini_cache.read_text(encoding="utf-8").splitlines()
-        rows[3] = json.dumps(dict(json.loads(rows[3]), **{field: value}))
+    def test_mistyped_cache_row_exit_1(self, tmp_path, mini_cache, capsys, command, edit):
         bad = tmp_path / "bad.cache"
-        bad.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        write_cache(bad, *edit(*read_cache(mini_cache)))
         out = tmp_path / "o"
         flags = ["--out", str(out)] if command == "style" else ["--out", str(out / "v.txt"), "--seed", "1"]
         assert main([command, "--cache", str(bad), *flags]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {bad}:4: malformed cache row (") and err.count("\n") == 1
+        assert err.startswith(f"error: {bad}: malformed cache (") and err.count("\n") == 1
         assert not out.exists()
 
-    def test_version_2_cache_exit_1(self, tmp_path, mini_cache, capsys):
-        rows = mini_cache.read_text(encoding="utf-8").splitlines(keepends=True)
+    def test_version_2_cache_exit_1(self, tmp_path, capsys):
         old = tmp_path / "v2.cache"
-        old.write_text(json.dumps(dict(json.loads(rows[0]), cache_version=2)) + "\n" + "".join(rows[1:]))
+        old.write_text(json.dumps({"cache_version": 2, "provenance": {}, "songs": 0}) + "\n")
         assert main(["style", "--cache", str(old), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {old}: unsupported cache version 2") and err.count("\n") == 1
@@ -142,7 +155,6 @@ class TestStyleCommand:
 
     @pytest.mark.parametrize("cohort", [None, "popular"])
     def test_top_words_match_recount(self, tmp_path, mini_cache, cohort):
-        from lyricstats.corpus import load_cache
         from lyricstats.resources import default_stopwords_path
         from lyricstats.style import load_wordlist
 
@@ -188,9 +200,10 @@ class TestStyleCommand:
         assert (out / "top_words.csv").read_bytes() == b"year,rank,word\r\n"
 
     def test_cache_cut_at_row_boundary_exit_1(self, tmp_path, mini_cache, capsys):
+        # members that agree with each other on 20 songs, and a meta that says 50
         cut = tmp_path / "cut.cache"
-        rows = mini_cache.read_text(encoding="utf-8").splitlines(keepends=True)
-        cut.write_text("".join(rows[:21]), encoding="utf-8")  # the header and 20 of the 50 songs
+        save_cache(Corpus.from_records(load_cache(str(mini_cache)).records[:20]), str(cut))
+        edit_cache(cut, meta_edit=lambda meta: dict(meta, songs=50))
         assert main(["style", "--cache", str(cut), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"error: {cut}: header says 50 songs but the cache holds 20\n"
 
@@ -201,6 +214,79 @@ class TestStyleCommand:
         assert main(["style", "--cache", str(mini_cache), "--out", str(out), "--lexicon", str(lexicon)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {lexicon}: entry 'fuck you'") and err.count("\n") == 1
+
+
+def _cache_command(command, cache, out):
+    if command == "style":
+        return ["style", "--cache", str(cache), "--out", str(out)]
+    return ["train", "--cache", str(cache), "--out", str(out / "v.txt"), "--seed", "1"]
+
+
+class TestDamagedCache:
+    """A cache that is cut, damaged, of another version or not a cache at all
+    ends `style` and `train` with exit 1 and one line naming it, before any
+    output is written."""
+
+    @pytest.mark.parametrize("command", ["style", "train"])
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda path, good: path.write_bytes(b""), "not a corpus cache"),
+            (lambda path, good: path.write_bytes(good[:-10]), "malformed cache (BadZipFile: "),  # end record
+            (lambda path, good: path.write_bytes(good[:-200]), "malformed cache (BadZipFile: "),  # directory
+            (lambda path, good: path.write_bytes(good[:200]), "malformed cache ("),  # first member
+            (lambda path, good: path.write_bytes(good[: len(good) // 3]), "malformed cache ("),
+            (lambda path, good: path.write_bytes(bytes(random.Random(1).randrange(256) for _ in range(4096))),
+             "not a corpus cache"),
+            (lambda path, good: path.write_bytes(b"PK\x03\x04" + random.Random(2).randbytes(4096)),
+             "malformed cache ("),
+            # np.savez pickles an object array
+            (lambda path, good: (path.write_bytes(good), edit_cache(path, years=np.array([1990], dtype=object))),
+             "malformed cache (ValueError: Object arrays cannot be loaded when allow_pickle=False)"),
+            (lambda path, good: path.write_text(
+                json.dumps({"cache_version": 3, "provenance": {}, "songs": 1}) + "\n"
+                + json.dumps({"id": "s1", "year": 1990, "cohort": "other", "duration_seconds": None,
+                              "lines": [["la"]]}) + "\n"),
+             "unsupported cache version 3 (this version reads 4); re-run `lyricstats ingest` to rebuild it"),
+        ],
+        ids=["empty", "cut_in_end_record", "cut_in_directory", "cut_in_first_member", "cut_in_a_later_member",
+             "random_bytes", "random_bytes_after_zip_magic", "object_array_member", "version_3_jsonl"],
+    )
+    def test_exit_1_one_line(self, tmp_path, mini_cache, capsys, command, damage, message):
+        cache = tmp_path / "damaged.cache"
+        damage(cache, mini_cache.read_bytes())
+        out = tmp_path / "o"
+        assert main(_cache_command(command, cache, out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cache}: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["style", "train"])
+    def test_repeated_song_id_exit_1(self, tmp_path, mini_cache, capsys, command):
+        cache = tmp_path / "repeated.cache"
+        cache.write_bytes(mini_cache.read_bytes())
+        edit_cache(cache, meta_edit=lambda meta: dict(meta, ids=[meta["ids"][0], *meta["ids"][:-1]]))
+        out = tmp_path / "o"
+        assert main(_cache_command(command, cache, out)) == 1
+        first = read_cache(mini_cache)[1]["ids"][0]
+        assert capsys.readouterr().err == f"error: {cache}: malformed cache (song id {first!r} is repeated)\n"
+        assert not out.exists()
+
+    def test_aggregate_pairs_songs_by_position(self, tmp_path, mini_cache):
+        # each cell's means in aggregate.csv are the means of its per_song.csv rows
+        out = tmp_path / "style"
+        assert main(["style", "--cache", str(mini_cache), "--out", str(out)]) == 0
+        with open(out / "per_song.csv", newline="") as fh:
+            songs = list(csv.DictReader(fh))
+        with open(out / "aggregate.csv", newline="") as fh:
+            cells = list(csv.DictReader(fh))
+        assert sum(int(c["song_count"]) for c in cells) == len(songs) == 50
+        for cell in cells:
+            rows = [r for r in songs if (r["year"], r["cohort"]) == (cell["year"], cell["cohort"])]
+            assert len(rows) == int(cell["song_count"])
+            for metric in ("length_words", "repetitiveness_pct", "fk_grade", "swear_rate"):
+                mean = sum(float(r[metric]) for r in rows) / len(rows)
+                assert float(cell[f"mean_{metric}"]) == pytest.approx(mean, abs=1e-8)
 
 
 class TestTrainCommand:
@@ -478,7 +564,10 @@ class TestNotUtf8:
         assert err.startswith(f"error: {src}: not UTF-8 text") and err.count("\n") == 1
 
     def test_style_cache(self, tmp_path, mini_cache, capsys):
-        cache = self._bad_bytes(tmp_path / "corpus.cache", mini_cache.read_bytes())
+        # the cache's text is its meta member: a JSON object in UTF-8
+        arrays, meta = read_cache(mini_cache)
+        cache = tmp_path / "corpus.cache"
+        write_cache(cache, arrays, self._bad_bytes(tmp_path / "meta", json.dumps(meta).encode()).read_bytes())
         assert main(["style", "--cache", str(cache), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cache}: not UTF-8 text") and err.count("\n") == 1

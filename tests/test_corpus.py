@@ -1,9 +1,13 @@
 import json
 import os
+import re
+import subprocess
+import sys
 import tempfile
 import unicodedata
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +15,7 @@ from hypothesis import strategies as st
 from lyricstats.corpus import (
     _EDGE,
     CACHE_VERSION,
+    COHORTS,
     Corpus,
     IngestError,
     Reject,
@@ -23,12 +28,7 @@ from lyricstats.corpus import (
     tokenize,
     write_reject_report,
 )
-from tests.conftest import jsonl_row, write_jsonl
-
-
-def retyped(row: str, **fields) -> str:
-    """A cache row with the given fields replaced."""
-    return json.dumps(dict(json.loads(row), **fields))
+from tests.conftest import edit_cache, jsonl_row, read_cache, without_lines, write_jsonl
 
 
 class TestTokenize:
@@ -167,60 +167,119 @@ class TestIngest:
         save_cache(mini_corpus, str(cache))
         assert load_cache(str(cache)).records == mini_corpus.records
 
+    # the v4 counterparts of the version-3 row checks: one case per id there
     @pytest.mark.parametrize(
         "edit",
         [
-            lambda rows: rows[:3] + [rows[3][: len(rows[3]) // 2]],  # cut mid-row
-            lambda rows: rows[:3] + [json.dumps({k: v for k, v in json.loads(rows[3]).items() if k != "lines"})],
-            lambda rows: rows[:3] + ["[1, 2]"],  # a row that is not an object
-            # fields of the wrong type, which would fail or mislead the stages that read them
-            lambda rows: rows[:3] + [retyped(rows[3], year="1990")],
-            lambda rows: rows[:3] + [retyped(rows[3], duration_seconds="200")],
-            lambda rows: rows[:3] + [retyped(rows[3], lines=[])],
-            lambda rows: rows[:3] + [retyped(rows[3], lines=["hello world"])],
-            lambda rows: rows[:3] + [retyped(rows[3], lines=[["la", 1]])],
+            lambda path: path.write_bytes(path.read_bytes()[: path.stat().st_size // 2]),  # cut mid-archive
+            lambda path: edit_cache(path, durations=None),  # a member missing
+            lambda path: edit_cache(path, meta_edit=lambda meta: [1, 2]),  # meta not an object
+            # members of the wrong type, which would fail or mislead the stages that read them
+            lambda path: edit_cache(path, years=read_cache(path)[0]["years"].astype(str)),
+            lambda path: edit_cache(path, durations=read_cache(path)[0]["durations"].astype(str)),
+            lambda path: edit_cache(path, song_offsets=without_lines(read_cache(path)[0]["song_offsets"], 3)),
+            lambda path: edit_cache(path, meta_edit=lambda meta: dict(meta, vocab=["hello world", *meta["vocab"][1:]])),
+            lambda path: edit_cache(path, meta_edit=lambda meta: dict(meta, vocab=[1, *meta["vocab"][1:]])),
         ],
         ids=["truncated", "missing_key", "not_an_object", "year_string", "duration_string", "no_lines",
              "line_not_a_list", "token_not_a_string"],
     )
     def test_malformed_cache_row_names_path_and_line(self, tmp_path, mini_corpus, edit):
+        # a version-4 cache has no rows or lines: the one-line message names the path
         cache = tmp_path / "c.cache"
         save_cache(mini_corpus, str(cache))
-        rows = cache.read_text(encoding="utf-8").splitlines()
-        cache.write_text("\n".join(edit(rows)), encoding="utf-8")
-        with pytest.raises(IngestError, match=f"{cache}:4: malformed cache row"):
+        edit(cache)
+        with pytest.raises(IngestError, match=f"^{re.escape(str(cache))}: malformed cache \\([^\n]*\\)$"):
             load_cache(str(cache))
 
     def test_cache_cut_at_row_boundary(self, tmp_path, mini_corpus):
+        # members that agree with each other, but on fewer songs than the meta says
         cache = tmp_path / "c.cache"
-        save_cache(mini_corpus, str(cache))
-        rows = cache.read_text(encoding="utf-8").splitlines(keepends=True)
-        cache.write_text("".join(rows[:21]), encoding="utf-8")
-        with pytest.raises(IngestError, match=f"^{cache}: header says 50 songs but the cache holds 20$"):
+        save_cache(Corpus.from_records(mini_corpus.records[:20]), str(cache))
+        edit_cache(cache, meta_edit=lambda meta: dict(meta, songs=50))
+        with pytest.raises(IngestError, match=f"^{re.escape(str(cache))}: header says 50 songs but the cache holds 20$"):
             load_cache(str(cache))
 
-    def test_cache_without_song_count_refused(self, tmp_path, mini_corpus):
+    def test_cache_without_song_count_refused(self, tmp_path):
         cache = tmp_path / "c.cache"
-        save_cache(mini_corpus, str(cache))
-        rows = cache.read_text(encoding="utf-8").splitlines(keepends=True)
-        header = json.loads(rows[0])
-        del header["songs"]
-        header["cache_version"] = 1
-        cache.write_text(json.dumps(header) + "\n" + "".join(rows[1:]), encoding="utf-8")
+        cache.write_text(json.dumps({"cache_version": 1, "provenance": {}}) + "\n" + json.dumps({"id": "s1"}) + "\n")
         with pytest.raises(IngestError, match="unsupported cache version 1"):
             load_cache(str(cache))
 
-    def test_version_2_cache_refused_with_rerun_hint(self, tmp_path, mini_corpus):
-        cache = tmp_path / "c.cache"
-        save_cache(mini_corpus, str(cache))
-        rows = cache.read_text(encoding="utf-8").splitlines(keepends=True)
-        header = dict(json.loads(rows[0]), cache_version=2)
-        cache.write_text(json.dumps(header) + "\n" + "".join(rows[1:]), encoding="utf-8")
+    def test_version_2_cache_refused_with_rerun_hint(self, tmp_path):
+        # a JSON-lines cache: its header line, then its rows
+        cache, version = tmp_path / "c.cache", 2
+        header = {"cache_version": version, "provenance": {}, "songs": 1}
+        row = {"id": "s1", "year": 1990, "cohort": "other", "duration_seconds": None, "lines": [["la"]]}
+        cache.write_text(json.dumps(header) + "\n" + json.dumps(row) + "\n")
         with pytest.raises(IngestError) as err:
             load_cache(str(cache))
         message = str(err.value)
-        assert message.startswith(f"{cache}: unsupported cache version 2")
+        assert message.startswith(f"{cache}: unsupported cache version {version}")
         assert "re-run `lyricstats ingest`" in message and "\n" not in message
+
+    @pytest.mark.parametrize(
+        "arrays, meta, reason",
+        [
+            ({}, {"vocab": ["", "la"]}, "vocabulary entry '' is empty or holds whitespace"),
+            ({}, {"vocab": ["b", "a"]}, "vocabulary is not strictly ascending at 'b', 'a'"),
+            ({}, {"vocab": ["a", "a"]}, "vocabulary is not strictly ascending at 'a', 'a'"),
+            ({}, {"vocab": ["a\tb", "c"]}, "vocabulary entry 'a\\tb' is empty or holds whitespace"),
+            ({"tokens": [0, 2, 1]}, {}, "token id 2 outside [0, 2)"),
+            ({"tokens": [0, -1, 1]}, {}, "token id -1 outside [0, 2)"),
+            ({"line_offsets": [0, 2, 2, 4]}, {}, "line offsets do not rise strictly from 0 to 4"),
+            ({"line_offsets": [0, 2, 3, 3]}, {}, "line offsets do not rise strictly from 0 to 4"),
+            ({"song_offsets": [0, 1]}, {}, "song_offsets holds 2 entries where 2 songs need 3"),
+            ({"song_offsets": [0, 2, 2]}, {}, "song offsets do not rise strictly from 0 to 3"),
+            ({"song_offsets": [0, 2, 4]}, {}, "song offsets do not rise strictly from 0 to 3"),
+            ({"cohorts": [0, 2]}, {}, "cohort code 2 is not 0 (popular) or 1 (other)"),
+            ({"durations": [np.nan, np.inf]}, {}, "duration inf is neither missing (NaN) nor a positive"),
+            ({"durations": [0.0, 1.0]}, {}, "duration 0.0 is neither missing (NaN) nor a positive"),
+            ({"durations": [-2.0, 1.0]}, {}, "duration -2.0 is neither missing (NaN) nor a positive"),
+            ({}, {"ids": ["s1", "s1"]}, "song id 's1' is repeated"),
+            ({}, {"ids": ["s1"]}, "ids holds 1 entries where 2 songs need 2"),
+            ({"years": 1990}, {}, "years is not a 1-d int64 array"),
+            ({"tokens": [[0, 1], [0, 1]]}, {}, "tokens is not a 1-d int32 array"),
+        ],
+        ids=["empty_word", "unsorted_vocab", "repeated_word", "word_with_tab", "token_id_too_big",
+             "token_id_negative", "empty_line", "line_offsets_short_of_tokens", "song_offsets_too_short",
+             "empty_song", "song_offsets_past_lines", "cohort_2", "duration_inf", "duration_0",
+             "duration_negative", "repeated_song_id", "ids_too_few", "years_0d", "tokens_2d"],
+    )
+    def test_invariant_breach_refused(self, tmp_path, arrays, meta, reason):
+        # two songs: the lines "a b" and "a", then the line "b"
+        cache = tmp_path / "c.cache"
+        records = [SongRecord("s1", 1990, "popular", None, (("a", "b"), ("a",))),
+                   SongRecord("s2", 1991, "other", 200.0, (("b",),))]
+        save_cache(Corpus.from_records(records), str(cache))
+        assert load_cache(str(cache)).records == tuple(records)
+        dtypes = read_cache(cache)[0]
+        edit_cache(cache, meta_edit=lambda m: dict(m, **meta),
+                   **{k: np.array(v, dtype=dtypes[k].dtype) for k, v in arrays.items()})
+        with pytest.raises(IngestError) as err:
+            load_cache(str(cache))
+        assert str(err.value).startswith(f"{cache}: malformed cache ({reason}")
+        assert "\n" not in str(err.value)
+
+    def test_failed_write_keeps_previous_cache(self, tmp_path, mini_corpus, monkeypatch):
+        cache = tmp_path / "corpus.cache"
+        save_cache(mini_corpus, str(cache))
+        before = cache.read_bytes()
+        write_array = np.lib.format.write_array
+        written = []
+
+        def fail_on_third_member(*args, **kwargs):
+            written.append(1)
+            if len(written) == 3:
+                raise OSError("No space left on device")
+            return write_array(*args, **kwargs)
+
+        monkeypatch.setattr(np.lib.format, "write_array", fail_on_third_member)
+        with pytest.raises(OSError, match="No space left"):
+            save_cache(Corpus.from_records(mini_corpus.records[:5]), str(cache))
+        assert len(written) == 3
+        assert cache.read_bytes() == before
+        assert os.listdir(tmp_path) == ["corpus.cache"]
 
     def test_reject_report_schema(self, tmp_path):
         src = tmp_path / "songs.jsonl"
@@ -232,18 +291,30 @@ class TestIngest:
         assert rows and all("reason" in r and ("id" in r or "line_no" in r) for r in rows)
 
 
+def as_counter(corpus, counts) -> Counter:
+    """`token_counts`' array as a Counter of words."""
+    assert counts.dtype == np.int64 and len(counts) == len(corpus.vocab)
+    return Counter({w: c for w, c in zip(corpus.vocab, counts.tolist()) if c})
+
+
+def songs_of(corpus, year):
+    return np.flatnonzero(corpus.years == year)
+
+
 class TestTokenCounts:
     def test_two_songs(self, tmp_path):
         src = tmp_path / "songs.jsonl"
         write_jsonl(src, [jsonl_row("s1", lyrics="a a b"), jsonl_row("s2", lyrics="b c")])
         corpus = ingest(str(src), format="jsonl").corpus
-        assert token_counts(corpus) == Counter({"a": 2, "b": 2, "c": 1})
+        assert corpus.vocab == ("a", "b", "c")
+        assert token_counts(corpus).tolist() == [2, 2, 1]
+        assert token_counts(corpus, np.array([1])).tolist() == [0, 1, 1]
 
     def test_no_songs_count_nothing(self, mini_corpus):
-        assert token_counts(s for s in mini_corpus if s.year == 1777) == Counter()
+        assert not token_counts(mini_corpus, songs_of(mini_corpus, 1777)).any()
 
     def test_year_filter_matches_recount(self, mini_corpus):
-        got = token_counts(s for s in mini_corpus if s.year == 1965)
+        got = as_counter(mini_corpus, token_counts(mini_corpus, songs_of(mini_corpus, 1965)))
         expected = Counter()
         for song in mini_corpus:
             if song.year == 1965:
@@ -254,10 +325,9 @@ class TestTokenCounts:
 
     def test_count_conservation_over_year_partition(self, mini_corpus):
         whole = token_counts(mini_corpus)
-        by_year = Counter()
-        for year in {r.year for r in mini_corpus.records}:
-            by_year.update(token_counts(s for s in mini_corpus if s.year == year))
-        assert by_year == whole
+        by_year = sum(token_counts(mini_corpus, songs_of(mini_corpus, y)) for y in set(mini_corpus.years.tolist()))
+        assert by_year.tolist() == whole.tolist()
+        assert as_counter(mini_corpus, whole) == Counter(t for s in mini_corpus for line in s.lines for t in line)
 
 
 # ids and tokens with non-ASCII text, quotes and backslashes, which JSON escapes
@@ -276,12 +346,44 @@ class TestCacheRoundTrip:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(CACHE_SONGS, max_size=5, unique_by=lambda song: song.id))
     def test_load_inverts_save(self, songs):
-        corpus = Corpus(records=tuple(songs), provenance={"source": "songs.jsonl", "config_digest": "0" * 16})
+        corpus = Corpus.from_records(songs, provenance={"source": "songs.jsonl", "config_digest": "0" * 16})
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "corpus.cache")
             save_cache(corpus, path)
-            with open(path, encoding="utf-8") as fh:
-                assert json.loads(fh.readline())["cache_version"] == CACHE_VERSION == 3
+            assert read_cache(path)[1]["cache_version"] == CACHE_VERSION == 4
             loaded = load_cache(path)
-        assert loaded == corpus
-        assert loaded.provenance == corpus.provenance
+            assert os.listdir(tmp) == ["corpus.cache"]
+        assert loaded.records == corpus.records == tuple(songs)
+        assert loaded.vocab == corpus.vocab == tuple(sorted({t for s in songs for line in s.lines for t in line}))
+        for name in ("tokens", "line_offsets", "song_offsets", "years", "cohorts", "durations"):
+            got, want = getattr(loaded, name), getattr(corpus, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=name == "durations")
+        assert loaded.ids == corpus.ids and loaded.provenance == corpus.provenance
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_cut_cache_refused(self, data):
+        # cut at any byte, a cache is refused with IngestError, never read in part
+        songs = [SongRecord(f"s{i}", 1990 + i, COHORTS[i % 2], None if i % 3 else 150.0 + i, (("la", f"w{i}"), ("la",)))
+                 for i in range(6)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "corpus.cache")
+            save_cache(Corpus.from_records(songs), path)
+            with open(path, "rb") as fh:
+                whole = fh.read()
+            cut = data.draw(st.integers(0, len(whole) - 1))
+            with open(path, "wb") as fh:
+                fh.write(whole[:cut])
+            with pytest.raises(IngestError, match=f"^{re.escape(path)}: "):
+                load_cache(path)
+
+
+def test_dump_cache_prints_the_records(tmp_path, mini_corpus):
+    cache = tmp_path / "c.cache"
+    save_cache(mini_corpus, str(cache))
+    tool = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools", "dump_cache.py")
+    lines = subprocess.run([sys.executable, tool, str(cache)], capture_output=True, text=True, check=True).stdout
+    header, *rows = map(json.loads, lines.splitlines())
+    assert header == {"cache_version": 4, "provenance": mini_corpus.provenance, "songs": 50}
+    assert [SongRecord(r["id"], r["year"], r["cohort"], r["duration_seconds"], tuple(map(tuple, r["lines"])))
+            for r in rows] == list(mini_corpus)

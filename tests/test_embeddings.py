@@ -184,7 +184,7 @@ def vector_files(draw):
 
 def corpus_from_token_lists(token_lists):
     records = (make_record(f"s{i}", lyrics=" ".join(tokens), year=2000) for i, tokens in enumerate(token_lists))
-    return Corpus(records=tuple(records))
+    return Corpus.from_records(records)
 
 
 class TestCosine:
@@ -579,7 +579,7 @@ class TestTraining:
 
     def test_empty_corpus_empty_vocabulary(self):
         with pytest.raises(EmbeddingError, match="empty vocabulary"):
-            train_sgns(Corpus(records=()), SgnsConfig(dim=4, min_count=1, seed=0, epochs=1))
+            train_sgns(Corpus.from_records(()), SgnsConfig(dim=4, min_count=1, seed=0, epochs=1))
 
     def test_deterministic_mode_reproduces_vector_file(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 
@@ -204,7 +205,7 @@ class TestAggregate:
             make_record("a", lyrics=" ".join(["la"] * 100), year=1990, cohort="other"),
             make_record("b", lyrics=" ".join(["la"] * 200), year=1990, cohort="other"),
         ]
-        corpus = Corpus(records=tuple(recs))
+        corpus = Corpus.from_records(recs)
         metrics = corpus_style_metrics(corpus, lexicon)
         aggs = aggregate(corpus, metrics)
         assert len(aggs) == 1
@@ -215,17 +216,35 @@ class TestAggregate:
             make_record("a", year=1990, duration=200.0),
             make_record("b", year=1990, duration=None),
         ]
-        corpus = Corpus(records=tuple(recs))
+        corpus = Corpus.from_records(recs)
         aggs = aggregate(corpus, corpus_style_metrics(corpus, lexicon))
         assert aggs[0].song_count == 2
         assert aggs[0].duration_coverage == 1
         assert aggs[0].mean_duration_seconds == 200.0
 
     def test_order_invariance(self, mini_corpus, lexicon):
+        # metrics pair with songs by position: reordering the songs, with their
+        # metrics, so that each (year, cohort) cell keeps its songs in order
+        # keeps every mean bit for bit; metrics out of song order are refused
         metrics = corpus_style_metrics(mini_corpus, lexicon)
+        order = sorted(range(len(mini_corpus)), key=lambda i: -int(mini_corpus.years[i]))
+        assert order != list(range(len(mini_corpus)))
+        moved = Corpus.from_records([mini_corpus.records[i] for i in order])
+        assert aggregate(moved, [metrics[i] for i in order]) == aggregate(mini_corpus, metrics)
         shuffled = list(metrics)
         random.Random(3).shuffle(shuffled)
-        assert aggregate(mini_corpus, metrics) == aggregate(mini_corpus, shuffled)
+        with pytest.raises(StyleError, match="^metrics 0 are for song "):
+            aggregate(mini_corpus, shuffled)
+        with pytest.raises(StyleError, match="^49 metrics for 50 songs$"):
+            aggregate(mini_corpus, metrics[1:])
+
+    def test_repeated_id_pairs_by_position(self, lexicon):
+        # a corpus that repeats an id (which a cache may not) still averages
+        # each song once: the metrics are joined by position, not by id
+        songs = [make_record("a", lyrics="la la la", year=1990), make_record("b", lyrics="one two three four five", year=1990)]
+        corpus = dataclasses.replace(Corpus.from_records(songs), ids=("a", "a"))
+        (cell,) = aggregate(corpus, corpus_style_metrics(corpus, lexicon))
+        assert cell.song_count == 2 and cell.mean_length_words == 4.0
 
     def test_mini_corpus_against_scripted_means(self, mini_corpus, lexicon):
         metrics = corpus_style_metrics(mini_corpus, lexicon)
@@ -249,7 +268,7 @@ class TestRankSeries:
         for year, counts in counts_by_year.items():
             words = [w for w, c in counts.items() for _ in range(c)]
             recs.append(make_record(f"y{year}", lyrics=" ".join(words), year=year, cohort="popular"))
-        return Corpus(records=tuple(recs))
+        return Corpus.from_records(recs)
 
     def test_tie_break_lexicographic(self):
         corpus = self._corpus({2000: {"love": 10, "rock": 5, "blues": 5}})
