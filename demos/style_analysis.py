@@ -29,24 +29,25 @@ lexicon = load_swear_lexicon(default_swear_lexicon_path())
 metrics = corpus_style_metrics(corpus, lexicon)
 
 print("\nfirst three songs:")
-for m in metrics[:3]:
-    spd = f"{m.speed_wps:.2f} w/s" if m.speed_wps is not None else "no duration"
+for i in range(3):
+    spd = "no duration" if np.isnan(metrics.speed_wps[i]) else f"{metrics.speed_wps[i]:.2f} w/s"
     print(
-        f"  {m.song_id}: {m.length_words} words, {spd}, "
-        f"repetitiveness {m.repetitiveness_pct:.0f}%, FK grade {m.fk_grade:.2f}, "
-        f"{m.swear_count} swears"
+        f"  {metrics.song_id[i]}: {metrics.length_words[i]} words, {spd}, "
+        f"repetitiveness {metrics.repetitiveness_pct[i]:.0f}%, FK grade {metrics.fk_grade[i]:.2f}, "
+        f"{metrics.swear_count[i]} swears"
     )
 
 # --- year/cohort averages (the data behind length/duration/speed plots) ----
+# one column per field; NaN stands for a missing duration
+aggs = aggregate(metrics)
 print("\nyear-wise averages:")
 print(f"{'year':>6} {'cohort':>8} {'n':>3} {'len':>6} {'speed':>6} {'rep%':>6} {'FK':>6}")
-for agg in aggregate(corpus, metrics):
-    spd = f"{agg.mean_speed_wps:.2f}" if agg.mean_speed_wps is not None else "-"
-    print(
-        f"{agg.year:>6} {agg.cohort:>8} {agg.song_count:>3} "
-        f"{agg.mean_length_words:>6.1f} {spd:>6} "
-        f"{agg.mean_repetitiveness_pct:>6.1f} {agg.mean_fk_grade:>6.2f}"
-    )
+for year, cohort, n, length, speed, rep, fk in zip(
+    aggs.year, aggs.cohort, aggs.song_count, aggs.mean_length_words,
+    aggs.mean_speed_wps, aggs.mean_repetitiveness_pct, aggs.mean_fk_grade,
+):
+    spd = "-" if np.isnan(speed) else f"{speed:.2f}"
+    print(f"{year:>6} {cohort:>8} {n:>3} {length:>6.1f} {spd:>6} {rep:>6.1f} {fk:>6.2f}")
 
 # --- top words per year ----------------------------------------------------
 # one count and one sort per year serve both the top words and the ranks

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -14,7 +15,6 @@ import sys
 
 from lyricstats import __version__
 from lyricstats.corpus import (
-    COHORTS,
     IngestConfig,
     IngestError,
     TokenizeConfig,
@@ -43,11 +43,24 @@ EXIT_QUALITY = 2
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, float):
-        return f"{value:.9f}"
+        return "" if value != value else f"{value:.9f}"  # NaN: no value
     return str(value)
+
+
+def _write_csv(path: str, header, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_fmt(value) for value in row] for row in rows)
+
+
+def _write_table(path: str, table) -> None:
+    """One CSV row per entry of a column table such as `StyleMetrics`, under
+    a header of its field names."""
+    names = [field.name for field in dataclasses.fields(table)]
+    columns = (getattr(table, name) for name in names)
+    _write_csv(path, names, zip(*(c if isinstance(c, tuple) else c.tolist() for c in columns)))
 
 
 def _write_config_digest(out_dir: str, command: str, options: dict) -> None:
@@ -73,6 +86,8 @@ def _config_defaults(parser: argparse.ArgumentParser, args: argparse.Namespace) 
     unknown = sorted(set(config) - (set(vars(args)) - {"config", "command", "func"}))
     if unknown:
         raise ValueError(f"unknown option(s) for {args.command}: {', '.join(unknown)}")
+    # null keeps the option's built-in default
+    config = {key: value for key, value in config.items() if value is not None}
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     for action in subparsers.choices[args.command]._actions:
         value = config.get(action.dest)
@@ -167,90 +182,29 @@ def cmd_style(args) -> int:
         return EXIT_IO
     os.makedirs(args.out, exist_ok=True)
     metrics = corpus_style_metrics(corpus, lexicon)
-
-    with open(os.path.join(args.out, "per_song.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "song_id",
-                "year",
-                "cohort",
-                "length_words",
-                "duration_seconds",
-                "speed_wps",
-                "repetitiveness_pct",
-                "fk_grade",
-                "swear_count",
-                "swear_rate",
-            ]
-        )
-        for year, cohort, m in zip(corpus.years.tolist(), corpus.cohorts.tolist(), metrics):
-            writer.writerow(
-                [
-                    m.song_id,
-                    year,
-                    COHORTS[cohort],
-                    m.length_words,
-                    _fmt(m.duration_seconds),
-                    _fmt(m.speed_wps),
-                    _fmt(m.repetitiveness_pct),
-                    _fmt(m.fk_grade),
-                    m.swear_count,
-                    _fmt(m.swear_rate),
-                ]
-            )
-
-    with open(os.path.join(args.out, "aggregate.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "year",
-                "cohort",
-                "song_count",
-                "mean_length_words",
-                "mean_duration_seconds",
-                "duration_coverage",
-                "mean_speed_wps",
-                "mean_repetitiveness_pct",
-                "mean_fk_grade",
-                "mean_swear_count",
-                "mean_swear_rate",
-            ]
-        )
-        for agg in aggregate(corpus, metrics):
-            writer.writerow(
-                [
-                    agg.year,
-                    agg.cohort,
-                    agg.song_count,
-                    _fmt(agg.mean_length_words),
-                    _fmt(agg.mean_duration_seconds),
-                    agg.duration_coverage,
-                    _fmt(agg.mean_speed_wps),
-                    _fmt(agg.mean_repetitiveness_pct),
-                    _fmt(agg.mean_fk_grade),
-                    _fmt(agg.mean_swear_count),
-                    _fmt(agg.mean_swear_rate),
-                ]
-            )
+    _write_table(os.path.join(args.out, "per_song.csv"), metrics)
+    _write_table(os.path.join(args.out, "aggregate.csv"), aggregate(metrics))
 
     # rank_series.csv needs every year; top_words.csv alone needs only --year
     rankings = year_rankings(corpus, args.cohort, None if words else args.year)
-    with open(os.path.join(args.out, "top_words.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["year", "rank", "word"])
-        for year in rankings if args.year is None else [args.year]:
-            tops = top_words(rankings.get(year, []), args.top_k, stopwords)
-            for rank, word in enumerate(tops, start=1):
-                writer.writerow([year, rank, word])
-
-    with open(os.path.join(args.out, "rank_series.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["word", "year", "rank"])
-        if words:
-            for series in rank_series(rankings, words):
-                for year in sorted(series.entries):
-                    writer.writerow([series.word, year, series.entries[year]])
+    _write_csv(
+        os.path.join(args.out, "top_words.csv"),
+        ["year", "rank", "word"],
+        (
+            (year, rank, word)
+            for year in (rankings if args.year is None else [args.year])
+            for rank, word in enumerate(top_words(rankings.get(year, []), args.top_k, stopwords), start=1)
+        ),
+    )
+    _write_csv(
+        os.path.join(args.out, "rank_series.csv"),
+        ["word", "year", "rank"],
+        (
+            (series.word, year, series.entries[year])
+            for series in (rank_series(rankings, words) if words else [])
+            for year in sorted(series.entries)
+        ),
+    )
 
     _write_config_digest(
         args.out,

@@ -291,6 +291,16 @@ def tokenize(lyrics: str, config: TokenizeConfig = TokenizeConfig()) -> tuple[tu
     return tuple(lines)
 
 
+def _encodable(text: str) -> bool:
+    """False for text holding a lone surrogate, as a JSON escape such as
+    \\ud800 can give: UTF-8, and so the cache, cannot store it."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _validate_record(
     raw: dict, config: IngestConfig, tokenize_config: TokenizeConfig, seen_ids: set[str], where: str
 ) -> SongRecord:
@@ -298,6 +308,8 @@ def _validate_record(
         if key not in raw or raw[key] is None:
             raise RecordError(f"{where}: missing required field {key!r}")
     rid = str(raw["id"])
+    if not _encodable(rid):
+        raise RecordError(f"{where}: id {rid!r} holds a lone surrogate")
     try:
         year = int(raw["year"])
     except (TypeError, ValueError):
@@ -325,6 +337,8 @@ def _validate_record(
     lines = tokenize(lyrics, tokenize_config)
     if not lines:
         raise RecordError(f"record {rid!r}: lyrics tokenize to zero tokens")
+    if not _encodable(lyrics) and not _encodable(" ".join(t for line in lines for t in line)):
+        raise RecordError(f"record {rid!r}: lyrics hold a lone surrogate inside a word")
     return SongRecord(id=rid, year=year, cohort=cohort, duration_seconds=duration, lines=lines)
 
 

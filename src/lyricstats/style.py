@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
@@ -27,31 +26,41 @@ class LexiconError(StyleError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StyleMetrics:
-    song_id: str
-    length_words: int
-    duration_seconds: Optional[float]
-    speed_wps: Optional[float]
-    repetitiveness_pct: float
-    fk_grade: float
-    swear_count: int
-    swear_rate: float
+    """Per-song style metrics as columns: each field holds one entry per
+    song, in corpus order, and the field names are per_song.csv's header.
+    Int columns are int64; a missing duration, and its speed, are NaN."""
+
+    song_id: tuple[str, ...]
+    year: np.ndarray
+    cohort: np.ndarray
+    length_words: np.ndarray
+    duration_seconds: np.ndarray
+    speed_wps: np.ndarray
+    repetitiveness_pct: np.ndarray
+    fk_grade: np.ndarray
+    swear_count: np.ndarray
+    swear_rate: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class YearCohortAggregate:
-    year: int
-    cohort: str
-    song_count: int
-    mean_length_words: float
-    mean_duration_seconds: Optional[float]
-    duration_coverage: int  # songs contributing to the duration/speed means
-    mean_speed_wps: Optional[float]
-    mean_repetitiveness_pct: float
-    mean_fk_grade: float
-    mean_swear_count: float
-    mean_swear_rate: float
+    """Per (year, cohort) means as columns, one entry per cell, and the field
+    names are aggregate.csv's header. `duration_coverage` counts the songs in
+    the duration and speed means; with none, those means are NaN."""
+
+    year: np.ndarray
+    cohort: np.ndarray
+    song_count: np.ndarray
+    mean_length_words: np.ndarray
+    mean_duration_seconds: np.ndarray
+    duration_coverage: np.ndarray
+    mean_speed_wps: np.ndarray
+    mean_repetitiveness_pct: np.ndarray
+    mean_fk_grade: np.ndarray
+    mean_swear_count: np.ndarray
+    mean_swear_rate: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -219,78 +228,57 @@ def swear_stats(song: SongRecord, lexicon: SwearLexicon) -> tuple[int, float]:
 
 
 def compute_style_metrics(song: SongRecord, lexicon: SwearLexicon) -> StyleMetrics:
-    return corpus_style_metrics(_one_song(song), lexicon)[0]
+    """The metrics of one song: a one-entry `StyleMetrics`."""
+    return corpus_style_metrics(_one_song(song), lexicon)
 
 
-def corpus_style_metrics(corpus: Corpus, lexicon: SwearLexicon) -> list[StyleMetrics]:
+def corpus_style_metrics(corpus: Corpus, lexicon: SwearLexicon) -> StyleMetrics:
     """Every song's metrics, in corpus order, each column computed for all
     songs at once from vocabulary-level tables."""
     swears = _swear_counts(corpus, lexicon)
     lengths = np.diff(corpus.song_bounds)
-    speeds = _speeds(lengths, corpus.durations)
-    columns = (
-        lengths.tolist(),
-        corpus.durations.tolist(),
-        speeds.tolist(),
-        _repetitiveness(corpus).tolist(),
-        _fk_grades(corpus).tolist(),
-        swears.tolist(),
-        (swears / lengths).tolist(),
+    return StyleMetrics(
+        song_id=corpus.ids,
+        year=corpus.years,
+        cohort=np.array(COHORTS)[corpus.cohorts],
+        length_words=lengths,
+        duration_seconds=corpus.durations,
+        speed_wps=_speeds(lengths, corpus.durations),
+        repetitiveness_pct=_repetitiveness(corpus),
+        fk_grade=_fk_grades(corpus),
+        swear_count=swears,
+        swear_rate=swears / lengths,
     )
-    return [
-        StyleMetrics(
-            song_id=song_id,
-            length_words=n,
-            duration_seconds=None if duration != duration else duration,  # NaN: no duration
-            speed_wps=None if duration != duration else wps,
-            repetitiveness_pct=rep,
-            fk_grade=fk,
-            swear_count=count,
-            swear_rate=rate,
-        )
-        for song_id, n, duration, wps, rep, fk, count, rate in zip(corpus.ids, *columns)
-    ]
 
 
-def aggregate(corpus: Corpus, metrics: Sequence[StyleMetrics]) -> list[YearCohortAggregate]:
-    """Arithmetic means per (year, cohort); duration/speed means cover only the
-    songs that carry a duration, with the coverage count reported. `metrics[i]`
-    must be song i's, as `corpus_style_metrics` gives them: metrics for another
-    song, or one metrics entry too many or too few, raise StyleError."""
-    if len(metrics) != len(corpus):
-        raise StyleError(f"{len(metrics)} metrics for {len(corpus)} songs")
-    cells: dict[tuple[int, str], list[StyleMetrics]] = defaultdict(list)
-    for i, (song_id, year, cohort, m) in enumerate(
-        zip(corpus.ids, corpus.years.tolist(), corpus.cohorts.tolist(), metrics)
-    ):
-        if m.song_id != song_id:
-            raise StyleError(f"metrics {i} are for song {m.song_id!r}, but song {i} is {song_id!r}")
-        cells[(year, COHORTS[cohort])].append(m)
-    out: list[YearCohortAggregate] = []
-    for (year, cohort) in sorted(cells):
-        ms = cells[(year, cohort)]
-        n = len(ms)
-        with_dur = [m for m in ms if m.duration_seconds is not None]
-        out.append(
-            YearCohortAggregate(
-                year=year,
-                cohort=cohort,
-                song_count=n,
-                mean_length_words=sum(m.length_words for m in ms) / n,
-                mean_duration_seconds=(
-                    sum(m.duration_seconds for m in with_dur) / len(with_dur) if with_dur else None
-                ),
-                duration_coverage=len(with_dur),
-                mean_speed_wps=(
-                    sum(m.speed_wps for m in with_dur) / len(with_dur) if with_dur else None
-                ),
-                mean_repetitiveness_pct=sum(m.repetitiveness_pct for m in ms) / n,
-                mean_fk_grade=sum(m.fk_grade for m in ms) / n,
-                mean_swear_count=sum(m.swear_count for m in ms) / n,
-                mean_swear_rate=sum(m.swear_rate for m in ms) / n,
-            )
-        )
-    return out
+def aggregate(metrics: StyleMetrics) -> YearCohortAggregate:
+    """Arithmetic means per (year, cohort) cell, by ascending year and then
+    cohort name. Duration and speed means cover only the songs that carry a
+    duration, with the coverage count reported. Each cell's sums add its
+    songs in corpus order, as a left-to-right Python `sum` would."""
+    names, cohort_index = np.unique(metrics.cohort, return_inverse=True)
+    keys, cell = np.unique(metrics.year * len(names) + cohort_index, return_inverse=True)
+    timed = ~np.isnan(metrics.duration_seconds)
+    song_count = np.bincount(cell, minlength=len(keys))
+    duration_coverage = np.bincount(cell[timed], minlength=len(keys))
+
+    def mean(column: np.ndarray, songs=slice(None), count: np.ndarray = song_count) -> np.ndarray:
+        with np.errstate(invalid="ignore"):  # 0 / 0: a cell without a duration
+            return np.bincount(cell[songs], weights=column[songs], minlength=len(keys)) / count
+
+    return YearCohortAggregate(
+        year=keys // len(names),
+        cohort=names[keys % len(names)],
+        song_count=song_count,
+        mean_length_words=mean(metrics.length_words),
+        mean_duration_seconds=mean(metrics.duration_seconds, timed, duration_coverage),
+        duration_coverage=duration_coverage,
+        mean_speed_wps=mean(metrics.speed_wps, timed, duration_coverage),
+        mean_repetitiveness_pct=mean(metrics.repetitiveness_pct),
+        mean_fk_grade=mean(metrics.fk_grade),
+        mean_swear_count=mean(metrics.swear_count),
+        mean_swear_rate=mean(metrics.swear_rate),
+    )
 
 
 def year_rankings(

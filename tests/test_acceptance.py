@@ -255,7 +255,7 @@ def test_criterion_7_throughput_half_million_songs(tmp_path):
         result = ingest(str(chunk_path), format="jsonl")
         metrics = corpus_style_metrics(result.corpus, lexicon)
         elapsed += time.perf_counter() - t0
-        total_metrics += len(metrics)
+        total_metrics += len(metrics.song_id)
         os.remove(chunk_path)
     assert total_metrics == n_songs
     assert elapsed < 600.0, f"styled {total_metrics} songs in {elapsed:.1f}s"

@@ -2,16 +2,20 @@
 
 The references below compute each result the way the code did while a corpus
 held its songs as lines of strings: a regex per word for syllables, a set of
-joined lines per song, a Counter and a sort of the words per year. On corpora
-drawn by hypothesis the two must agree bit for bit.
+joined lines per song, a Counter and a sort of the words per year, and Python
+sums over each (year, cohort) cell's songs. On corpora drawn by hypothesis the
+two must agree bit for bit.
 """
 
+import dataclasses
+import math
 import re
 from collections import Counter
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lyricstats.style
@@ -20,6 +24,7 @@ from lyricstats.embeddings import EmbeddingError, SgnsConfig, _TrainState
 from lyricstats.style import (
     StyleMetrics,
     SwearLexicon,
+    aggregate,
     corpus_style_metrics,
     count_syllables,
     syllable_table,
@@ -61,20 +66,71 @@ def reference_syllables(word):
 
 
 def reference_metrics(song, lexicon):
+    """The song's per_song.csv row, as a dict; NaN for a missing duration."""
     tokens = [t for line in song.lines for t in line]
     n, lines, duration = len(tokens), len(song.lines), song.duration_seconds
     syllables = sum(reference_syllables(t) for t in tokens)
     swears = sum(1 for t in tokens if t in lexicon.entries)
-    return StyleMetrics(
-        song_id=song.id,
-        length_words=n,
-        duration_seconds=duration,
-        speed_wps=None if duration is None else n / duration,
-        repetitiveness_pct=(1.0 - len({" ".join(line) for line in song.lines}) / lines) * 100.0,
-        fk_grade=0.39 * (n / lines) + 11.8 * (syllables / n) - 15.59,
-        swear_count=swears,
-        swear_rate=swears / n,
-    )
+    return {
+        "song_id": song.id,
+        "year": song.year,
+        "cohort": song.cohort,
+        "length_words": n,
+        "duration_seconds": math.nan if duration is None else duration,
+        "speed_wps": math.nan if duration is None else n / duration,
+        "repetitiveness_pct": (1.0 - len({" ".join(line) for line in song.lines}) / lines) * 100.0,
+        "fk_grade": 0.39 * (n / lines) + 11.8 * (syllables / n) - 15.59,
+        "swear_count": swears,
+        "swear_rate": swears / n,
+    }
+
+
+def reference_aggregate(rows):
+    """aggregate.csv's rows, as dicts, from per_song.csv rows: per (year,
+    cohort) cell, left-to-right Python sums over its songs in order."""
+    cells = {}
+    for row in rows:
+        cells.setdefault((row["year"], row["cohort"]), []).append(row)
+    out = []
+    for (year, cohort), songs in sorted(cells.items()):
+        n = len(songs)
+        timed = [r for r in songs if not math.isnan(r["duration_seconds"])]
+
+        def mean(name, songs=songs):
+            return sum(r[name] for r in songs) / len(songs) if songs else math.nan
+
+        out.append({
+            "year": year,
+            "cohort": cohort,
+            "song_count": n,
+            "mean_length_words": mean("length_words"),
+            "mean_duration_seconds": mean("duration_seconds", timed),
+            "duration_coverage": len(timed),
+            "mean_speed_wps": mean("speed_wps", timed),
+            "mean_repetitiveness_pct": mean("repetitiveness_pct"),
+            "mean_fk_grade": mean("fk_grade"),
+            "mean_swear_count": mean("swear_count"),
+            "mean_swear_rate": mean("swear_rate"),
+        })
+    return out
+
+
+def bits(values):
+    """Values compared bit for bit: a float by its hex form, so NaN equals NaN."""
+    return [v.hex() if isinstance(v, float) else v for v in values]
+
+
+def assert_columns_match(table, rows):
+    """Each column of `table` equals the rows' values of that field, in
+    order and bit for bit, with each int column stored as int64."""
+    names = [f.name for f in dataclasses.fields(table)]
+    assert all(list(row) == names for row in rows)
+    for name in names:
+        column = getattr(table, name)
+        values = list(column) if isinstance(column, tuple) else column.tolist()
+        assert bits(values) == bits([row[name] for row in rows]), name
+        if values and isinstance(values[0], int):
+            assert column.dtype == "int64", name
 
 
 def reference_rankings(records, cohort=None, year=None):
@@ -101,7 +157,63 @@ def reference_training(records, min_count):
 def test_style_metrics_match_reference(drawn, songs_per_block):
     corpus, records, lexicon = drawn
     with mock.patch.object(lyricstats.style, "_SONGS_PER_BLOCK", songs_per_block):
-        assert corpus_style_metrics(corpus, lexicon) == [reference_metrics(s, lexicon) for s in records]
+        metrics = corpus_style_metrics(corpus, lexicon)
+    assert_columns_match(metrics, [reference_metrics(s, lexicon) for s in records])
+
+
+# per_song.csv rows: a year holding both cohorts, a cell without a duration,
+# one-song cells, and a cell whose songs are not next to each other
+MIXED_ROWS = [
+    (1990, "popular", 10, 200.0, 12.5, 3.25, 1, 0.1),
+    (1990, "other", 20, None, 50.0, -1.5, 0, 0.0),
+    (1990, "popular", 7, 180.5, 0.0, 7.75, 3, 3 / 7),
+    (1991, "other", 31, None, 25.0, 0.1, 2, 2 / 31),
+    (1992, "popular", 5, 0.3, 100 / 3, -15.59, 5, 1.0),
+]
+ROWS = st.lists(
+    st.tuples(
+        st.sampled_from(YEARS),
+        st.sampled_from(COHORTS),
+        st.integers(1, 10**6),
+        st.none() | st.floats(1e-3, 1e4),
+        st.floats(0.0, 100.0),
+        st.floats(-1e6, 1e6),
+        st.integers(0, 10**6),
+        st.floats(0.0, 1.0),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ROWS)
+@example(MIXED_ROWS)
+@example([])
+def test_aggregate_matches_per_cell_sums(drawn):
+    rows = [
+        {
+            "song_id": f"s{i}",
+            "year": year,
+            "cohort": cohort,
+            "length_words": n,
+            "duration_seconds": math.nan if duration is None else duration,
+            "speed_wps": math.nan if duration is None else n / duration,
+            "repetitiveness_pct": rep,
+            "fk_grade": fk,
+            "swear_count": swears,
+            "swear_rate": rate,
+        }
+        for i, (year, cohort, n, duration, rep, fk, swears, rate) in enumerate(drawn)
+    ]
+    dtypes = {"year": np.int64, "cohort": str, "length_words": np.int64, "swear_count": np.int64}
+    metrics = StyleMetrics(
+        song_id=tuple(r["song_id"] for r in rows),
+        **{
+            f.name: np.array([r[f.name] for r in rows], dtype=dtypes.get(f.name, np.float64))
+            for f in dataclasses.fields(StyleMetrics)[1:]
+        },
+    )
+    assert_columns_match(aggregate(metrics), reference_aggregate(rows))
 
 
 @settings(max_examples=200, deadline=None)

@@ -51,6 +51,27 @@ class TestIngestCommand:
         assert len((out / "rejects.jsonl").read_text().splitlines()) == 3
 
 
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            ({"id": "s\ud800"}, "id 's\\ud800' holds a lone surrogate"),
+            ({"lyrics": "la l\ud800a la"}, "lyrics hold a lone surrogate inside a word"),
+            ({"id": "s\ud800", "lyrics": "la l\ud800a la"}, "id 's\\ud800' holds a lone surrogate"),
+            ({"lyrics": "la la\ud800 la"}, None),  # the edge strip removes it
+        ],
+        ids=["id", "word", "both", "word_edge"],
+    )
+    def test_lone_surrogate_rejected(self, tmp_path, row, reason):
+        # a JSON \ud800 escape decodes to a lone surrogate, which the cache cannot store
+        src = tmp_path / "songs.jsonl"
+        write_jsonl(src, [jsonl_row("s1"), dict(jsonl_row("s2"), **row)])
+        out = tmp_path / "build"
+        assert main(["ingest", "--input", str(src), "--out", str(out)]) == 0
+        rejects = [json.loads(line) for line in (out / "rejects.jsonl").read_text().splitlines()]
+        assert [r["reason"].split(": ", 1)[1] for r in rejects] == ([reason] if reason else [])
+        assert len(load_cache(str(out / "corpus.cache"))) == (1 if reason else 2)
+
+
 class TestStyleCommand:
     def test_four_csvs(self, tmp_path, mini_cache):
         out = tmp_path / "style"
@@ -666,6 +687,22 @@ class TestMisc:
         assert exc.value.code == 1
         assert "invalid int value: 'x'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, option, default",
+        [("style", "top_k", 100), ("style", "year", None), ("train", "dim", 100), ("weat", "mc_samples", 100_000)],
+    )
+    def test_config_null_keeps_default(self, tmp_path, mini_cache, command, option, default):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({option: None}))
+        out = tmp_path / "out"
+        argv = {
+            "style": ["style", "--cache", str(mini_cache), "--out", str(out)],
+            "train": ["train", "--cache", str(mini_cache), "--out", str(out / "v.txt"), "--seed", "1", "--epochs", "1"],
+            "weat": ["weat", "--vectors", str(TestWeatCommand()._vector_file(tmp_path, ["a", "b"])), "--out", str(out)],
+        }[command]
+        assert main(["--config", str(cfg), *argv]) == 0
+        assert json.loads((out / f"{command}.config.json").read_text())["options"][option] == default
 
     def test_config_int_for_float_option_is_converted(self, tmp_path):
         src = tmp_path / "songs.jsonl"

@@ -2,6 +2,7 @@ import dataclasses
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from lyricstats.corpus import Corpus
@@ -206,58 +207,56 @@ class TestAggregate:
             make_record("b", lyrics=" ".join(["la"] * 200), year=1990, cohort="other"),
         ]
         corpus = Corpus.from_records(recs)
-        metrics = corpus_style_metrics(corpus, lexicon)
-        aggs = aggregate(corpus, metrics)
-        assert len(aggs) == 1
-        assert aggs[0].mean_length_words == 150.0
+        aggs = aggregate(corpus_style_metrics(corpus, lexicon))
+        assert aggs.song_count.tolist() == [2]
+        assert aggs.mean_length_words.tolist() == [150.0]
 
     def test_duration_coverage(self, lexicon):
         recs = [
             make_record("a", year=1990, duration=200.0),
             make_record("b", year=1990, duration=None),
+            make_record("c", year=1991, duration=None),
         ]
         corpus = Corpus.from_records(recs)
-        aggs = aggregate(corpus, corpus_style_metrics(corpus, lexicon))
-        assert aggs[0].song_count == 2
-        assert aggs[0].duration_coverage == 1
-        assert aggs[0].mean_duration_seconds == 200.0
+        aggs = aggregate(corpus_style_metrics(corpus, lexicon))
+        assert aggs.song_count.tolist() == [2, 1]
+        assert aggs.duration_coverage.tolist() == [1, 0]
+        assert aggs.mean_duration_seconds[0] == 200.0
+        # a cell without a duration has NaN duration and speed means
+        assert np.isnan(aggs.mean_duration_seconds[1]) and np.isnan(aggs.mean_speed_wps[1])
 
     def test_order_invariance(self, mini_corpus, lexicon):
-        # metrics pair with songs by position: reordering the songs, with their
-        # metrics, so that each (year, cohort) cell keeps its songs in order
-        # keeps every mean bit for bit; metrics out of song order are refused
-        metrics = corpus_style_metrics(mini_corpus, lexicon)
+        # reordering the songs so that each (year, cohort) cell keeps its
+        # songs in order keeps every mean bit for bit
         order = sorted(range(len(mini_corpus)), key=lambda i: -int(mini_corpus.years[i]))
         assert order != list(range(len(mini_corpus)))
         moved = Corpus.from_records([mini_corpus.records[i] for i in order])
-        assert aggregate(moved, [metrics[i] for i in order]) == aggregate(mini_corpus, metrics)
-        shuffled = list(metrics)
-        random.Random(3).shuffle(shuffled)
-        with pytest.raises(StyleError, match="^metrics 0 are for song "):
-            aggregate(mini_corpus, shuffled)
-        with pytest.raises(StyleError, match="^49 metrics for 50 songs$"):
-            aggregate(mini_corpus, metrics[1:])
+        expected = aggregate(corpus_style_metrics(mini_corpus, lexicon))
+        got = aggregate(corpus_style_metrics(moved, lexicon))
+        for field in dataclasses.fields(expected):
+            np.testing.assert_array_equal(getattr(got, field.name), getattr(expected, field.name))
 
     def test_repeated_id_pairs_by_position(self, lexicon):
         # a corpus that repeats an id (which a cache may not) still averages
-        # each song once: the metrics are joined by position, not by id
+        # each song once: the metrics are rows of the corpus, not keyed by id
         songs = [make_record("a", lyrics="la la la", year=1990), make_record("b", lyrics="one two three four five", year=1990)]
         corpus = dataclasses.replace(Corpus.from_records(songs), ids=("a", "a"))
-        (cell,) = aggregate(corpus, corpus_style_metrics(corpus, lexicon))
-        assert cell.song_count == 2 and cell.mean_length_words == 4.0
+        aggs = aggregate(corpus_style_metrics(corpus, lexicon))
+        assert aggs.song_count.tolist() == [2] and aggs.mean_length_words.tolist() == [4.0]
 
     def test_mini_corpus_against_scripted_means(self, mini_corpus, lexicon):
         metrics = corpus_style_metrics(mini_corpus, lexicon)
-        aggs = {(a.year, a.cohort): a for a in aggregate(mini_corpus, metrics)}
-        by_id = {m.song_id: m for m in metrics}
+        aggs = aggregate(metrics)
         cells = {}
-        for rec in mini_corpus.records:
-            cells.setdefault((rec.year, rec.cohort), []).append(by_id[rec.id])
-        assert set(cells) == set(aggs)
-        for key, ms in cells.items():
-            assert aggs[key].mean_fk_grade == pytest.approx(sum(m.fk_grade for m in ms) / len(ms))
-            assert aggs[key].mean_repetitiveness_pct == pytest.approx(
-                sum(m.repetitiveness_pct for m in ms) / len(ms)
+        for i, rec in enumerate(mini_corpus.records):
+            cells.setdefault((rec.year, rec.cohort), []).append(i)
+        assert list(zip(aggs.year.tolist(), aggs.cohort.tolist())) == sorted(cells)
+        for c, key in enumerate(sorted(cells)):
+            songs = cells[key]
+            assert aggs.song_count[c] == len(songs)
+            assert aggs.mean_fk_grade[c] == pytest.approx(sum(metrics.fk_grade[songs]) / len(songs))
+            assert aggs.mean_repetitiveness_pct[c] == pytest.approx(
+                sum(metrics.repetitiveness_pct[songs]) / len(songs)
             )
 
 
@@ -369,17 +368,18 @@ class TestPerSongMetrics:
         song = list(mini_corpus)[7]
         expected = sum(len(line) for line in song.lines)
         m = compute_style_metrics(song, lexicon)
-        assert m.length_words == expected
+        assert m.song_id == (song.id,)
+        assert m.length_words.tolist() == [expected]
 
     def test_speed_absent_iff_duration_absent(self, mini_corpus, lexicon):
         metrics = corpus_style_metrics(mini_corpus, lexicon)
-        for rec, m in zip(mini_corpus.records, metrics):
+        for i, rec in enumerate(mini_corpus.records):
             if rec.duration_seconds is None:
-                assert m.speed_wps is None
+                assert np.isnan(metrics.duration_seconds[i]) and np.isnan(metrics.speed_wps[i])
             else:
-                assert m.speed_wps == pytest.approx(m.length_words / rec.duration_seconds)
+                assert metrics.speed_wps[i] == pytest.approx(metrics.length_words[i] / rec.duration_seconds)
 
     def test_swear_count_bounded_by_length(self, mini_corpus, lexicon):
-        for m in corpus_style_metrics(mini_corpus, lexicon):
-            assert 0 <= m.swear_count <= m.length_words
-            assert 0.0 <= m.swear_rate <= 1.0
+        metrics = corpus_style_metrics(mini_corpus, lexicon)
+        assert np.all((0 <= metrics.swear_count) & (metrics.swear_count <= metrics.length_words))
+        assert np.all((0.0 <= metrics.swear_rate) & (metrics.swear_rate <= 1.0))
