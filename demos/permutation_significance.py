@@ -1,8 +1,10 @@
 """Exact vs Monte Carlo permutation p-values for a WEAT statistic.
 
-Builds a tiny embedding by hand, enumerates all equal-size partitions of the
-target words exactly, and shows that Monte Carlo sampling converges to the
-same value.
+Builds a tiny embedding by hand and computes the p-value over the equal-size
+partitions of the target words. A p-value counts at most `n_samples`
+partitions: with at least as many samples as partitions it enumerates them
+all (exact), with fewer it samples them (Monte Carlo), and the sampled values
+converge to the exact one.
 
 Run from the repo root:  python3 demos/permutation_significance.py
 """
@@ -33,16 +35,16 @@ test = WeatTest(
 result = effect_size(test, table)
 print(f"effect size d = {result.effect_size:+.3f}, statistic S = {result.test_statistic:+.3f}")
 
-# exact: C(10,5) = 252 partitions enumerated
-p_exact = permutation_p(test, table, mode="exact")
+# exact: the default 100,000 samples exceed C(10,5) = 252 partitions, so all are enumerated
+p_exact = permutation_p(test, table)
 print(f"exact p over {math.comb(10, 5)} partitions: {p_exact:.6f}")
 
-# Monte Carlo converges as the sample count grows
-for n in (1_000, 10_000, 100_000):
-    p_mc = permutation_p(test, table, mode="monte_carlo", n_samples=n, seed=11)
+# Monte Carlo below 252 samples; it converges as the sample count grows
+for n in (25, 100, 250):
+    p_mc = permutation_p(test, table, n_samples=n, seed=11)
     stderr = math.sqrt(max(p_exact * (1 - p_exact), 1e-12) / n)
     print(f"monte carlo n={n:>7}: {p_mc:.6f}  (|diff| = {abs(p_mc - p_exact):.6f}, 3se = {3 * stderr:.6f})")
 
 # the strict ">" convention can give p = 0; the inclusive variant cannot
-p_incl = permutation_p(test, table, mode="exact", inclusive=True)
+p_incl = permutation_p(test, table, inclusive=True)
 print(f"inclusive exact p: {p_incl:.6f} (always >= strict p)")

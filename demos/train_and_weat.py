@@ -56,7 +56,7 @@ print(f"cos(donna, family) = {cosine(table.get('donna'), table.get('family')):+.
 
 # --- run the eight-test battery --------------------------------------------
 tests = load_battery(default_battery_path())
-results = run_battery(tests, table, p_mode="monte_carlo", n_samples=10_000, seed=7)
+results = run_battery(tests, table, n_samples=10_000, seed=7)
 
 print(f"\n{'test':<55} {'effect':>8} {'p':>8}")
 for r in results:

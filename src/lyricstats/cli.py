@@ -63,10 +63,17 @@ def _write_table(path: str, table) -> None:
     _write_csv(path, names, zip(*(c if isinstance(c, tuple) else c.tolist() for c in columns)))
 
 
-def _write_config_digest(out_dir: str, command: str, options: dict) -> None:
-    resolved = json.dumps({"command": command, **options}, sort_keys=True)
+# parsed values that do not change what a command computes
+_NOT_DIGESTED = {"config", "command", "func", "out", "deterministic"}
+
+
+def _write_config_digest(out_dir: str, args: argparse.Namespace) -> None:
+    """`<command>.config.json`: every option of the command as parsed (config
+    file values and flags resolved), and their sha256 digest."""
+    options = {key: value for key, value in vars(args).items() if key not in _NOT_DIGESTED}
+    resolved = json.dumps({"command": args.command, **options}, sort_keys=True)
     digest = hashlib.sha256(resolved.encode()).hexdigest()
-    with open(os.path.join(out_dir, f"{command}.config.json"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(out_dir, f"{args.command}.config.json"), "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"digest": digest, "options": json.loads(resolved)}, indent=2, sort_keys=True) + "\n")
 
 
@@ -133,29 +140,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def cmd_ingest(args) -> int:
-    fmt = args.format or ("csv" if args.input.endswith(".csv") else "jsonl")
-    config = IngestConfig(max_reject_fraction=args.max_reject_fraction)
+    args.format = args.format or ("csv" if args.input.endswith(".csv") else "jsonl")
     tok_config = TokenizeConfig(drop_annotations=not args.keep_annotations)
     if not _out_dir_usable(args.out):
         return EXIT_IO
     try:
-        result = ingest(args.input, format=fmt, config=config, tokenize_config=tok_config)
+        config = IngestConfig(max_reject_fraction=args.max_reject_fraction)  # refuses a fraction outside [0, 1]
+        result = ingest(args.input, format=args.format, config=config, tokenize_config=tok_config)
     except (IngestError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     os.makedirs(args.out, exist_ok=True)
     save_cache(result, os.path.join(args.out, "corpus.cache"))
     write_reject_report(result.rejects, os.path.join(args.out, "rejects.jsonl"))
-    _write_config_digest(
-        args.out,
-        "ingest",
-        {
-            "input": args.input,
-            "format": fmt,
-            "max_reject_fraction": args.max_reject_fraction,
-            "keep_annotations": args.keep_annotations,
-        },
-    )
+    _write_config_digest(args.out, args)
     print(f"ingested {len(result.corpus)} songs, {len(result.rejects)} rejects")
     if not result.quality_ok:
         print("error: reject fraction over threshold", file=sys.stderr)
@@ -206,19 +204,7 @@ def cmd_style(args) -> int:
         ),
     )
 
-    _write_config_digest(
-        args.out,
-        "style",
-        {
-            "cache": args.cache,
-            "lexicon": args.lexicon,
-            "stopwords": args.stopwords,
-            "words": args.words,
-            "top_k": args.top_k,
-            "year": args.year,
-            "cohort": args.cohort,
-        },
-    )
+    _write_config_digest(args.out, args)
     return EXIT_OK
 
 
@@ -258,22 +244,7 @@ def cmd_train(args) -> int:
         return EXIT_QUALITY
     os.makedirs(out_dir, exist_ok=True)
     save_vectors(table, args.out)
-    _write_config_digest(
-        out_dir,
-        "train",
-        {
-            "cache": args.cache,
-            "out": args.out,
-            "dim": args.dim,
-            "window": args.window,
-            "negatives": args.negatives,
-            "epochs": args.epochs,
-            "learning_rate": args.learning_rate,
-            "min_count": args.min_count,
-            "subsample": args.subsample,
-            "seed": args.seed,
-        },
-    )
+    _write_config_digest(out_dir, args)
     print(f"trained {len(table)} vectors of dim {table.dim} -> {args.out}")
     return EXIT_OK
 
@@ -308,28 +279,11 @@ def cmd_weat(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     results = run_battery(
-        tests,
-        table,
-        policy=OovPolicy(),
-        p_mode="exact" if args.exact else "monte_carlo",
-        n_samples=args.mc_samples,
-        seed=args.seed,
-        inclusive=args.inclusive,
+        tests, table, policy=OovPolicy(), n_samples=args.mc_samples, seed=args.seed, inclusive=args.inclusive
     )
     os.makedirs(args.out, exist_ok=True)
     write_results_csv(results, os.path.join(args.out, "weat_results.csv"))
-    _write_config_digest(
-        args.out,
-        "weat",
-        {
-            "vectors": args.vectors,
-            "tests": args.tests,
-            "exact": args.exact,
-            "mc_samples": args.mc_samples,
-            "seed": args.seed,
-            "inclusive": args.inclusive,
-        },
-    )
+    _write_config_digest(args.out, args)
     _print_summary(results, args.mc_samples)
     return EXIT_OK
 
@@ -382,7 +336,6 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--vectors", required=True)
     p.add_argument("--tests")
     p.add_argument("--out", required=True)
-    p.add_argument("--exact", action="store_true")
     p.add_argument("--mc-samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--inclusive", action="store_true")

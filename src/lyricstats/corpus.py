@@ -55,6 +55,10 @@ class IngestConfig:
     year_max: int = 2100
     max_reject_fraction: float = 0.5
 
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.max_reject_fraction <= 1.0:  # NaN fails too
+            raise IngestError(f"max_reject_fraction must be in [0, 1], got {self.max_reject_fraction}")
+
 
 @dataclass(frozen=True)
 class TokenizeConfig:

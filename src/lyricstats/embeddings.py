@@ -3,6 +3,7 @@ negative-sampling trainer over a tokenized corpus."""
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from itertools import chain
@@ -51,8 +52,9 @@ class SgnsConfig:
         for name in ("window", "negatives", "epochs", "min_count"):
             if getattr(self, name) < 1:
                 raise EmbeddingError(f"{name} must be positive")
-        if self.initial_learning_rate <= 0 or self.subsample_threshold <= 0:
-            raise EmbeddingError("learning rate and subsample threshold must be positive")
+        for name in ("initial_learning_rate", "subsample_threshold"):
+            if not 0.0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise EmbeddingError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if self.seed < 0:
             raise EmbeddingError(f"seed must be >= 0, got {self.seed}")
 
@@ -223,6 +225,12 @@ def load_vectors(path: str) -> EmbeddingTable:
 
 
 def save_vectors(table: EmbeddingTable, path: str) -> None:
+    """Write the text vector format that `load_vectors` reads. Raises
+    EmbeddingError, before the file is opened, for a word that is empty or
+    holds whitespace: the format could not give it back."""
+    for word in table.vocab:
+        if word.split() != [word]:
+            raise EmbeddingError(f"cannot save {word!r}: a word in a vector file is non-empty and holds no whitespace")
     # one % call per row; "%.6f" and "{:.6f}" share CPython's float formatter,
     # so the bytes match per-float formatting. The word stays out of the format
     # string because it may contain "%".

@@ -13,10 +13,9 @@ import numpy as np
 
 from lyricstats.embeddings import EmbeddingTable
 
-EXACT_PARTITION_BUDGET = 200_000
 DEFAULT_MC_SAMPLES = 100_000
-# n-subsets scored per numpy call, in exact and Monte Carlo mode alike. Monte
-# Carlo chunks continue one uniform stream, so p-values do not depend on the
+# n-subsets scored per numpy call, enumerated and sampled alike. Sampled
+# chunks continue one uniform stream, so p-values do not depend on the
 # size; it bounds the draw's temporaries. With one draw per list size, 20,000
 # rows took `lyricstats weat` on the bundled battery to a peak RSS of 74 MB,
 # and 10,000 rows to 51 MB, in the same time (SGNS vectors of 546 words at
@@ -36,8 +35,13 @@ class DegenerateStatisticError(WeatError):
     """All association scores equal; the effect-size denominator is zero."""
 
 
-class ExactBudgetError(WeatError):
-    """C(2n, n) partitions exceed the exact-enumeration budget."""
+class NonFiniteScoreError(WeatError):
+    """An association score is NaN or infinite: a vector of the test is not
+    finite. Carries the test's coverage and drops, which stay valid."""
+
+    def __init__(self, message: str, coverage: dict, dropped: tuple[str, ...]):
+        super().__init__(message)
+        self.coverage, self.dropped = coverage, dropped
 
 
 @dataclass(frozen=True)
@@ -167,9 +171,16 @@ def _association_scores(
 
 def _prepare(test: WeatTest, emb: EmbeddingTable, policy: OovPolicy):
     """Filter the word lists once and score both target lists against the
-    attributes: (sx, sy, coverage, dropped)."""
+    attributes: (sx, sy, coverage, dropped). Raises NonFiniteScoreError when a
+    score is NaN or infinite."""
     x, y, a, b, coverage, dropped = apply_oov_policy(test, emb, policy)
-    return _association_scores(x, a, b, emb), _association_scores(y, a, b, emb), coverage, dropped
+    with np.errstate(invalid="ignore"):  # an infinite vector: reported below
+        sx, sy = _association_scores(x, a, b, emb), _association_scores(y, a, b, emb)
+    if not (np.isfinite(sx).all() and np.isfinite(sy).all()):
+        raise NonFiniteScoreError(
+            f"{test.name}: association scores are not all finite (a vector holds nan or inf)", coverage, dropped
+        )
+    return sx, sy, coverage, dropped
 
 
 def test_statistic(test: WeatTest, emb: EmbeddingTable, policy: OovPolicy = OovPolicy()) -> float:
@@ -199,53 +210,51 @@ def effect_size(test: WeatTest, emb: EmbeddingTable, policy: OovPolicy = OovPoli
     )
 
 
-def _subset_chunks(n: int, mode: str, n_samples: int, seed: Optional[int]) -> tuple[int, Iterator[np.ndarray]]:
-    """The n-subsets of range(2n) that a p-value counts over: (their number,
-    an iterator over them in chunks of at most _SUBSET_CHUNK rows). Exact mode
-    enumerates every subset, Monte Carlo mode draws n_samples at the seed; each
-    row's indices are ascending. Raises WeatError for subsets that cannot be had."""
-    if mode == "exact":
-        size = math.comb(2 * n, n)
-        if size > EXACT_PARTITION_BUDGET:
-            raise ExactBudgetError(
-                f"C({2 * n},{n}) = {size} partitions exceed the exact budget "
-                f"of {EXACT_PARTITION_BUDGET}; use monte_carlo"
-            )
+def _check_sampling(n_samples: int, seed: Optional[int]) -> None:
+    """Raises WeatError for a sample count or seed that no p-value can use."""
+    if n_samples < 1:
+        raise WeatError(f"a permutation p-value needs n_samples >= 1, got {n_samples}")
+    if seed is None:
+        raise WeatError("a permutation p-value needs an explicit seed")
+    if seed < 0:
+        raise WeatError(f"a permutation p-value needs a seed >= 0, got {seed}")
+
+
+def _subset_chunks(n: int, n_samples: int, seed: int) -> tuple[str, int, Iterator[np.ndarray]]:
+    """The n-subsets of range(2n) that a p-value counts over: (the p-method,
+    their number, an iterator over them in chunks of at most _SUBSET_CHUNK
+    rows). Every subset when there are C(2n, n) <= n_samples ("exact"), else
+    n_samples subsets drawn at the seed; each row's indices are ascending."""
+    size = math.comb(2 * n, n)
+    if size <= n_samples:
+        method = "exact"
         subsets = combinations(range(2 * n), n)
 
         def draw(rows: int) -> np.ndarray:
             return np.fromiter(chain.from_iterable(islice(subsets, rows)), np.intp, rows * n).reshape(rows, n)
 
-    elif mode == "monte_carlo":
-        if seed is None:
-            raise WeatError("monte_carlo mode requires an explicit seed")
-        if seed < 0:
-            raise WeatError(f"monte_carlo mode needs a seed >= 0, got {seed}")
-        if n_samples < 1:
-            raise WeatError(f"monte_carlo mode needs n_samples >= 1, got {n_samples}")
-        size = n_samples
+    else:
+        method, size = f"monte_carlo(n={n_samples}, seed={seed})", n_samples
         rng = np.random.default_rng(seed)
 
         def draw(rows: int) -> np.ndarray:
             # a uniform random n-subset per row via argsort of iid uniforms;
-            # indices sorted so each subset sums in the same order as exact mode
+            # indices sorted so each subset sums in the same order as enumerated ones
             return np.sort(np.argsort(rng.random((rows, 2 * n)), axis=1)[:, :n], axis=1)
 
-    else:
-        raise WeatError(f"unknown p-value mode {mode!r}")
-    return size, (draw(min(_SUBSET_CHUNK, size - start)) for start in range(0, size, _SUBSET_CHUNK))
+    return method, size, (draw(min(_SUBSET_CHUNK, size - start)) for start in range(0, size, _SUBSET_CHUNK))
 
 
 def _p_values(
-    pairs: Sequence[tuple[np.ndarray, np.ndarray]], mode: str, n_samples: int, seed: Optional[int], inclusive: bool
-) -> list[float]:
-    """One-sided permutation p of each (sx, sy) score pair, all of one list
-    size n: the share of n-subsets of the pooled scores, taken as the X side,
-    whose statistic beats the observed one. Each chunk of subsets is drawn
-    once and counted against every pair with the float operations one pair
-    alone would get, so a p-value does not depend on the other pairs."""
+    pairs: Sequence[tuple[np.ndarray, np.ndarray]], n_samples: int, seed: int, inclusive: bool
+) -> tuple[str, list[float]]:
+    """(p-method, one-sided permutation p of each (sx, sy) score pair), all of
+    one list size n: the share of n-subsets of the pooled scores, taken as the
+    X side, whose statistic beats the observed one. Each chunk of subsets is
+    drawn once and counted against every pair with the float operations one
+    pair alone would get, so a p-value does not depend on the other pairs."""
     n = len(pairs[0][0])
-    size, chunks = _subset_chunks(n, mode, n_samples, seed)
+    method, size, chunks = _subset_chunks(n, n_samples, seed)
     pooled = [np.concatenate([sx, sy]) for sx, sy in pairs]
     totals = [scores.sum() for scores in pooled]
     # observed statistics computed with the same float operations as the
@@ -258,49 +267,52 @@ def _p_values(
             stats = 2.0 * scores[subsets].sum(axis=1) - total
             hits[i] += int(np.count_nonzero(stats >= obs if inclusive else stats > obs))
         del subsets  # freed before the next chunk is drawn
-    return [h / size for h in hits]
+    return method, [h / size for h in hits]
 
 
 def permutation_p(
     test: WeatTest,
     emb: EmbeddingTable,
-    mode: str = "exact",
     n_samples: int = DEFAULT_MC_SAMPLES,
-    seed: Optional[int] = None,
+    seed: int = 0,
     inclusive: bool = False,
     policy: OovPolicy = OovPolicy(),
 ) -> float:
     """One-sided permutation p-value: the proportion of equal-size partitions
-    of X∪Y whose statistic beats the observed one (strict ">" by default)."""
+    of X∪Y whose statistic beats the observed one (strict ">" by default),
+    over every partition when there are at most n_samples of them, else over
+    n_samples drawn at the seed."""
+    _check_sampling(n_samples, seed)
     sx, sy, _, _ = _prepare(test, emb, policy)
-    return _p_values([(sx, sy)], mode, n_samples, seed, inclusive)[0]
+    return _p_values([(sx, sy)], n_samples, seed, inclusive)[1][0]
 
 
 def run_test(
     test: WeatTest,
     emb: EmbeddingTable,
     policy: OovPolicy = OovPolicy(),
-    p_mode: str = "monte_carlo",
     n_samples: int = DEFAULT_MC_SAMPLES,
-    seed: Optional[int] = 0,
+    seed: int = 0,
     inclusive: bool = False,
 ) -> WeatResult:
-    return run_battery([test], emb, policy, p_mode, n_samples, seed, inclusive)[0]
+    return run_battery([test], emb, policy, n_samples, seed, inclusive)[0]
 
 
 def run_battery(
     tests: Sequence[WeatTest],
     emb: EmbeddingTable,
     policy: OovPolicy = OovPolicy(),
-    p_mode: str = "monte_carlo",
     n_samples: int = DEFAULT_MC_SAMPLES,
-    seed: Optional[int] = 0,
+    seed: int = 0,
     inclusive: bool = False,
 ) -> list[WeatResult]:
     """One WeatResult per test, order preserved; per-test failures are
     reported in the result's error field without aborting the battery.
     Tests whose target lists have the same size after filtering share their
-    subsets (see `_p_values`): each p-value is the one the test gets alone."""
+    subsets (see `_p_values`): each p-value is the one the test gets alone.
+    Raises WeatError, before any work, for a sample count or seed that no
+    p-value can use."""
+    _check_sampling(n_samples, seed)
     results: list[Optional[WeatResult]] = [None] * len(tests)
     groups: dict[int, list] = {}
     for i, test in enumerate(tests):
@@ -310,20 +322,15 @@ def run_battery(
             d = _effect_size_from_scores(sx, sy)
         except WeatError as exc:
             # coverage and drops stay once the lists are filtered
+            if isinstance(exc, NonFiniteScoreError):
+                coverage, dropped = exc.coverage, exc.dropped
             results[i] = WeatResult(test.name, None, None, None, "none", coverage, dropped, str(exc))
             continue
         groups.setdefault(len(sx), []).append((i, sx, sy, coverage, dropped, d))
     for members in groups.values():
-        try:
-            p_values = _p_values([(sx, sy) for _, sx, sy, *_ in members], p_mode, n_samples, seed, inclusive)
-            method, error = ("exact" if p_mode == "exact" else f"monte_carlo(n={n_samples}, seed={seed})"), None
-        except WeatError as exc:
-            # the effect size and statistic stay when only the p-value failed
-            # (an exact group over the partition budget)
-            p_values, method, error = [None] * len(members), "none", str(exc)
+        method, p_values = _p_values([(sx, sy) for _, sx, sy, *_ in members], n_samples, seed, inclusive)
         for (i, sx, sy, coverage, dropped, d), p in zip(members, p_values):
-            statistic = float(sx.sum() - sy.sum())
-            results[i] = WeatResult(tests[i].name, d, statistic, p, method, coverage, dropped, error)
+            results[i] = WeatResult(tests[i].name, d, float(sx.sum() - sy.sum()), p, method, coverage, dropped)
     return results
 
 

@@ -40,7 +40,7 @@ from lyricstats.weat import test_statistic as weat_statistic
 from tests.conftest import make_record, make_table, random_table
 from tests.test_embeddings import corpus_from_token_lists, two_cluster_corpus
 from tests.test_style import lyric
-from tests.test_weat import brute_force_p, random_weat
+from tests.test_weat import brute_force_p, combinations_p, random_weat
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -66,7 +66,7 @@ def test_criterion_1_weat_reference_reproduction():
     table = load_vectors(path)
     tests = load_battery(default_battery_path())
     start = time.perf_counter()
-    results = run_battery(tests, table, p_mode="monte_carlo", n_samples=10_000, seed=97)
+    results = run_battery(tests, table, n_samples=10_000, seed=97)
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
     assert len(results) == 8
@@ -85,12 +85,16 @@ def test_criterion_2_exact_permutation_oracle():
             sx = _association_scores(list(test.targets_x), test.attributes_a, test.attributes_b, table)
             sy = _association_scores(list(test.targets_y), test.attributes_a, test.attributes_b, table)
             pooled = list(np.concatenate([sx, sy]))
-            assert permutation_p(test, table, mode="exact") == brute_force_p(pooled, n)
-    # Monte Carlo self-consistency at n = 100,000
-    test, table = random_weat(rng, n_targets=5, n_attrs=3)
-    p_exact = permutation_p(test, table, mode="exact")
+            assert permutation_p(test, table) == brute_force_p(pooled, n)
+    # Monte Carlo at 100,000 samples, fewer than the C(20, 10) = 184,756
+    # partitions of 10 targets a side, against the enumerated p-value
+    test, table = random_weat(rng, n_targets=10, n_attrs=3)
+    sx = _association_scores(list(test.targets_x), test.attributes_a, test.attributes_b, table)
+    sy = _association_scores(list(test.targets_y), test.attributes_a, test.attributes_b, table)
+    p_exact = combinations_p(list(np.concatenate([sx, sy])), 10)
     n_samples = 100_000
-    p_mc = permutation_p(test, table, mode="monte_carlo", n_samples=n_samples, seed=5)
+    assert run_battery([test], table, n_samples=n_samples, seed=5)[0].p_method.startswith("monte_carlo")
+    p_mc = permutation_p(test, table, n_samples=n_samples, seed=5)
     assert abs(p_mc - p_exact) <= 3 * math.sqrt(p_exact * (1 - p_exact) / n_samples)
     report(2, "exact permutation oracle")
 
@@ -101,7 +105,7 @@ def test_criterion_3_weat_property_suite():
         test, table = random_weat(rng, n_targets=3, n_attrs=3)
         d = effect_size(test, table).effect_size
         s = weat_statistic(test, table)
-        p = permutation_p(test, table, mode="exact")
+        p = permutation_p(test, table)
         swap_t = WeatTest("t", test.targets_y, test.targets_x, test.attributes_a, test.attributes_b)
         swap_a = WeatTest("a", test.targets_x, test.targets_y, test.attributes_b, test.attributes_a)
         assert abs(effect_size(swap_t, table).effect_size + d) <= 1e-12
@@ -110,7 +114,7 @@ def test_criterion_3_weat_property_suite():
         scaled = make_table({w: 3.25 * table.get(w) for w in table.vocab})
         assert abs(effect_size(test, scaled).effect_size - d) <= 1e-12
         assert abs(weat_statistic(test, scaled) - s) <= 1e-12
-        assert abs(permutation_p(test, scaled, mode="exact") - p) <= 1e-12
+        assert abs(permutation_p(test, scaled) - p) <= 1e-12
     for _ in range(1000):
         test, table = random_weat(rng, n_targets=int(rng.integers(2, 6)), n_attrs=2, dim=4)
         assert abs(effect_size(test, table).effect_size) <= 2.0 + 1e-12

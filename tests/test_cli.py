@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import random
 from collections import Counter
@@ -36,6 +37,21 @@ class TestIngestCommand:
         assert (out / "corpus.cache").exists()
         assert (out / "rejects.jsonl").exists()
         assert (out / "ingest.config.json").exists()
+
+    @pytest.mark.parametrize("fraction", ["nan", "-0.1", "1.5", "inf"])
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_reject_fraction_outside_unit_interval_exit_1(self, tmp_path, capsys, fraction, via_config):
+        out = tmp_path / "build"
+        args = ["ingest", "--input", mini_corpus_path(), "--format", "csv", "--out", str(out)]
+        if via_config:
+            config = tmp_path / "c.json"
+            config.write_text(json.dumps({"max_reject_fraction": fraction}))
+            args = ["--config", str(config), *args]
+        else:
+            args += ["--max-reject-fraction", fraction]
+        assert main(args) == 1
+        assert capsys.readouterr() == ("", f"error: max_reject_fraction must be in [0, 1], got {float(fraction)}\n")
+        assert not out.exists()
 
     def test_unreadable_path_exit_1(self, tmp_path):
         assert main(["ingest", "--input", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "o")]) == 1
@@ -345,6 +361,24 @@ class TestTrainCommand:
         assert capsys.readouterr().err == "error: dim must be >= 2\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, name", [("learning-rate", "initial_learning_rate"),
+                                            ("subsample", "subsample_threshold")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_non_finite_rate_exit_1(self, tmp_path, mini_cache, capsys, flag, name, value, via_config):
+        out = tmp_path / "v" / "v.txt"
+        args = ["train", "--cache", str(mini_cache), "--out", str(out), "--seed", "1"]
+        if via_config:
+            # a JSON string: argparse reads it as from the command line
+            config = tmp_path / "c.json"
+            config.write_text(json.dumps({flag.replace("-", "_"): value}))
+            args = ["--config", str(config), *args]
+        else:
+            args += [f"--{flag}", value]
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: {name} must be positive and finite, got {value}\n"
+        assert not out.parent.exists()
+
     def test_empty_corpus_exit_2(self, tmp_path, capsys):
         src = tmp_path / "songs.jsonl"
         write_jsonl(src, [dict(jsonl_row("b1"), lyrics="")])
@@ -380,7 +414,8 @@ class TestWeatCommand:
         words = {w for t in tests for k in ("targets_x", "targets_y", "attributes_a", "attributes_b") for w in t[k]}
         vecs = self._vector_file(tmp_path, words)
         out = tmp_path / "weat"
-        assert main(["weat", "--vectors", str(vecs), "--tests", str(test_file), "--out", str(out), "--exact"]) == 0
+        # C(6, 3) = 20 partitions, fewer than the default 100,000 samples
+        assert main(["weat", "--vectors", str(vecs), "--tests", str(test_file), "--out", str(out)]) == 0
         with open(out / "weat_results.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert rows[0]["p_method"] == "exact"
@@ -419,25 +454,32 @@ class TestWeatCommand:
         assert any(r["error"] for r in rows) and sum(1 for r in rows if not r["error"]) == 7
 
 
-    def test_exact_over_budget_keeps_effect_size(self, tmp_path, capsys):
-        # 11 targets per list: C(22, 11) partitions exceed the exact budget
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_vector_gives_an_error_row(self, tmp_path, capsys, value):
         lists = {
-            "targets_x": [f"x{i}" for i in range(11)],
-            "targets_y": [f"y{i}" for i in range(11)],
+            "targets_x": ["x1", "x2", "x3"],
+            "targets_y": ["y1", "y2", "y3"],
             "attributes_a": ["a1", "a2"],
             "attributes_b": ["b1", "b2"],
         }
+        from lyricstats.embeddings import save_vectors
+
         tests = tmp_path / "tests.json"
-        tests.write_text(json.dumps([{"name": "big", **lists}]))
-        vecs = self._vector_file(tmp_path, {w for words in lists.values() for w in words})
+        tests.write_text(json.dumps([{"name": "bad", **lists}]))
+        table = random_table(sorted(w for words in lists.values() for w in words), 6, np.random.default_rng(0))
+        table.vectors[table.vocab["x2"], 0] = float(value)
+        vecs = tmp_path / "vecs.txt"
+        save_vectors(table, str(vecs))
+        assert f"x2 {value} " in vecs.read_text()
         out = tmp_path / "weat"
-        assert main(["weat", "--vectors", str(vecs), "--tests", str(tests), "--out", str(out), "--exact"]) == 0
+        assert main(["weat", "--vectors", str(vecs), "--tests", str(tests), "--out", str(out)]) == 0
         with open(out / "weat_results.csv") as fh:
             (row,) = csv.DictReader(fh)
-        assert row["effect_size"] and row["test_statistic"] and row["p_value"] == "" and row["p_method"] == "none"
-        assert "exact budget" in row["error"]
-        summary = capsys.readouterr().out.splitlines()[1].split()
-        assert summary[:3] == ["big", f"{float(row['effect_size']):.3f}", "-"]
+        assert [row[k] for k in ("effect_size", "test_statistic", "p_value", "p_method")] == ["", "", "", "none"]
+        assert row["error"] == "bad: association scores are not all finite (a vector holds nan or inf)"
+        assert [row[f"coverage_{k}"] for k in "xyab"] == ["3/3", "3/3", "2/2", "2/2"]
+        printed = capsys.readouterr()
+        assert printed.out.splitlines()[1].split()[:4] == ["bad", "-", "-", "error:"] and printed.err == ""
 
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_mc_samples_below_one_exit_1(self, tmp_path, samples, capsys):
@@ -545,20 +587,22 @@ class TestNegativeSeed:
 
 class TestWeatSummary:
     def _separated(self, tmp_path):
-        # X words point at A and Y words at B: no other partition reaches the observed statistic
+        # X words point at A and Y words at B: no other partition reaches the
+        # observed statistic. 10 words a side have C(20, 10) = 184,756
+        # partitions, so fewer samples take the sampled path.
         lines = ["a1 1 0", "a2 1 0.01", "b1 0 1", "b2 0.01 1"]
-        lines += [f"x{i} 1 {i / 100}" for i in range(4)] + [f"y{i} {i / 100} 1" for i in range(4)]
+        lines += [f"x{i} 1 {i / 100}" for i in range(10)] + [f"y{i} {i / 100} 1" for i in range(10)]
         vecs = tmp_path / "v.txt"
         vecs.write_text("\n".join(lines) + "\n")
         tests = tmp_path / "t.json"
         tests.write_text(json.dumps([{
-            "name": "sep", "targets_x": [f"x{i}" for i in range(4)], "targets_y": [f"y{i}" for i in range(4)],
+            "name": "sep", "targets_x": [f"x{i}" for i in range(10)], "targets_y": [f"y{i}" for i in range(10)],
             "attributes_a": ["a1", "a2"], "attributes_b": ["b1", "b2"],
         }]))
         return ["weat", "--vectors", str(vecs), "--tests", str(tests), "--out", str(tmp_path / "w")]
 
     @pytest.mark.parametrize("flags, shown", [
-        ([], "< 1e-05"), (["--mc-samples", "2000"], "< 0.0005"), (["--exact"], "0"),
+        ([], "< 1e-05"), (["--mc-samples", "2000"], "< 0.0005"), (["--mc-samples", "184756"], "0"),
     ])
     def test_zero_hits_shown_as_a_bound(self, tmp_path, capsys, flags, shown):
         assert main(self._separated(tmp_path) + flags) == 0
@@ -703,6 +747,33 @@ class TestMisc:
         }[command]
         assert main(["--config", str(cfg), *argv]) == 0
         assert json.loads((out / f"{command}.config.json").read_text())["options"][option] == default
+
+    def test_config_exact_is_an_unknown_option_exit_1(self, tmp_path, capsys):
+        # exact or sampled p-values follow from --mc-samples alone
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"exact": True}))
+        vecs = TestWeatCommand()._vector_file(tmp_path, ["a", "b"])
+        out = tmp_path / "weat"
+        assert main(["--config", str(cfg), "weat", "--vectors", str(vecs), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: unknown option(s) for weat: exact\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, options", [
+        ("train", ["cache", "dim", "epochs", "learning_rate", "min_count", "negatives", "seed", "subsample", "window"]),
+        ("weat", ["inclusive", "mc_samples", "seed", "tests", "vectors"]),
+    ])
+    def test_config_digest_holds_every_option_but_the_output(self, tmp_path, mini_cache, command, options):
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", "--cache", str(mini_cache), "--out", str(out / "v.txt"), "--seed", "1", "--epochs", "1",
+                      "--deterministic"],
+            "weat": ["weat", "--vectors", str(TestWeatCommand()._vector_file(tmp_path, ["a", "b"])), "--out", str(out)],
+        }[command]
+        assert main(argv) == 0
+        digest = json.loads((out / f"{command}.config.json").read_text())
+        assert sorted(digest["options"]) == sorted(["command", *options])
+        resolved = json.dumps(digest["options"], sort_keys=True)
+        assert digest["digest"] == hashlib.sha256(resolved.encode()).hexdigest()
 
     def test_config_int_for_float_option_is_converted(self, tmp_path):
         src = tmp_path / "songs.jsonl"

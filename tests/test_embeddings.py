@@ -269,6 +269,13 @@ class TestVectorFile:
         assert loaded.vocab == table.vocab
         assert np.max(np.abs(loaded.vectors - table.vectors)) <= 1e-6
 
+    @pytest.mark.parametrize("word", ["new york", "", "tab\there", "line\nend", "nbsp\u00a0"])
+    def test_save_refuses_a_word_the_format_cannot_hold(self, tmp_path, word):
+        path = tmp_path / "v.txt"
+        with pytest.raises(EmbeddingError, match="a word in a vector file is non-empty and holds no whitespace"):
+            save_vectors(make_table({"ok": [1.0, 0.0], word: [0.0, 1.0]}), str(path))
+        assert not path.exists()
+
     def test_save_matches_per_float_formatting_on_edge_values(self, tmp_path):
         edge = [-0.0, float("nan"), float("inf"), -float("inf"), 1e300, -1e-9, 0.0078125, 0.5]
         table = make_table({"a": edge, "b%s%d": edge[::-1], "%": [1.0] * 8, "c": np.full(8, 2.5e-7)})
@@ -576,6 +583,12 @@ class TestTraining:
     def test_negative_seed_refused(self):
         with pytest.raises(EmbeddingError, match="seed must be >= 0, got -1"):
             SgnsConfig(seed=-1)
+
+    @pytest.mark.parametrize("name", ["initial_learning_rate", "subsample_threshold"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rate_and_threshold_positive_and_finite(self, name, value):
+        with pytest.raises(EmbeddingError, match=f"^{name} must be positive and finite, got {value}$"):
+            SgnsConfig(**{name: value})
 
     def test_empty_corpus_empty_vocabulary(self):
         with pytest.raises(EmbeddingError, match="empty vocabulary"):

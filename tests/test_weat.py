@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from itertools import combinations
@@ -9,7 +10,7 @@ from lyricstats.embeddings import cosine
 from lyricstats.resources import default_battery_path
 from lyricstats.weat import (
     DegenerateStatisticError,
-    ExactBudgetError,
+    NonFiniteScoreError,
     OovPolicy,
     UnderfilledListError,
     WeatError,
@@ -201,7 +202,7 @@ class TestStatistic:
 class TestPermutationP:
     def test_maximal_separation_exact_zero(self):
         # observed partition strictly dominates all 6 partitions of 4 targets
-        assert permutation_p(symmetric_test(), symmetric_table(), mode="exact") == 0.0
+        assert permutation_p(symmetric_test(), symmetric_table()) == 0.0
 
     def test_exchangeable_case_matches_enumeration(self):
         rng = np.random.default_rng(9)
@@ -212,7 +213,7 @@ class TestPermutationP:
         sy = _association_scores(list(test.targets_y), test.attributes_a, test.attributes_b, table)
         pooled = list(np.concatenate([sx, sy]))
         expected = brute_force_p(pooled, 3)
-        assert permutation_p(test, table, mode="exact") == expected
+        assert permutation_p(test, table) == expected
 
     def test_exact_matches_oracle_all_sizes_up_to_12(self):
         rng = np.random.default_rng(10)
@@ -221,7 +222,7 @@ class TestPermutationP:
                 test, table = random_weat(rng, n_targets=n, n_attrs=2)
                 if n < 2:
                     with pytest.raises(UnderfilledListError):
-                        permutation_p(test, table, mode="exact")
+                        permutation_p(test, table)
                     continue
                 from lyricstats.weat import _association_scores
 
@@ -232,7 +233,7 @@ class TestPermutationP:
                     list(test.targets_y), test.attributes_a, test.attributes_b, table
                 )
                 pooled = list(np.concatenate([sx, sy]))
-                assert permutation_p(test, table, mode="exact") == brute_force_p(pooled, n)
+                assert permutation_p(test, table) == brute_force_p(pooled, n)
 
     def test_exact_over_several_chunks_matches_combinations(self):
         # C(18, 9) = 48,620 partitions: more than one chunk of subsets
@@ -244,40 +245,54 @@ class TestPermutationP:
         sy = _association_scores(list(test.targets_y), test.attributes_a, test.attributes_b, table)
         pooled = list(np.concatenate([sx, sy]))
         for inclusive in (False, True):
-            assert permutation_p(test, table, mode="exact", inclusive=inclusive) == combinations_p(
+            assert permutation_p(test, table, inclusive=inclusive) == combinations_p(
                 pooled, 9, inclusive
             )
 
     def test_budget_exceeded_directs_to_monte_carlo(self):
+        # n_samples is the budget: up to C(2n, n) samples every partition is counted
         rng = np.random.default_rng(11)
-        test, table = random_weat(rng, n_targets=11, n_attrs=2)
-        with pytest.raises(ExactBudgetError, match="monte_carlo"):
-            permutation_p(test, table, mode="exact")
+        for n in (3, 5, 9):
+            test, table = random_weat(rng, n_targets=n, n_attrs=2)
+            partitions = math.comb(2 * n, n)
+            assert run_test(test, table, n_samples=partitions).p_method == "exact"
+            sampled = run_test(test, table, n_samples=partitions - 1, seed=6)
+            assert sampled.p_method == f"monte_carlo(n={partitions - 1}, seed=6)"
+            assert sampled.p_value == permutation_p(test, table, n_samples=partitions - 1, seed=6)
+            # more samples than partitions change nothing: the p-value is exact
+            assert permutation_p(test, table, n_samples=partitions) == permutation_p(
+                test, table, n_samples=partitions + 1, seed=9
+            )
 
     def test_monte_carlo_agrees_with_exact(self):
+        # C(20, 10) = 184,756 partitions: 100,000 samples take the sampled path
         rng = np.random.default_rng(12)
-        test, table = random_weat(rng, n_targets=5, n_attrs=3)
-        p_exact = permutation_p(test, table, mode="exact")
+        test, table = random_weat(rng, n_targets=10, n_attrs=3)
+        p_exact = permutation_p(test, table, n_samples=math.comb(20, 10))
         n = 100_000
-        p_mc = permutation_p(test, table, mode="monte_carlo", n_samples=n, seed=123)
+        p_mc = permutation_p(test, table, n_samples=n, seed=123)
+        assert run_test(test, table, n_samples=n, seed=123).p_method.startswith("monte_carlo")
         tol = 3 * math.sqrt(max(p_exact * (1 - p_exact), 1e-12) / n)
         assert abs(p_mc - p_exact) <= max(tol, 1e-3)
 
     def test_monte_carlo_requires_seed(self):
+        # refused on the exact path too: C(8, 4) = 70 partitions
         test, table = random_weat(np.random.default_rng(13))
         with pytest.raises(WeatError, match="seed"):
-            permutation_p(test, table, mode="monte_carlo", seed=None)
+            permutation_p(test, table, seed=None)
+        with pytest.raises(WeatError, match="seed"):
+            run_test(test, table, n_samples=10, seed=None)
 
     @pytest.mark.parametrize("n_samples", [0, -5])
     def test_monte_carlo_needs_a_sample(self, n_samples):
         test, table = random_weat(np.random.default_rng(13))
         with pytest.raises(WeatError, match="n_samples >= 1"):
-            permutation_p(test, table, mode="monte_carlo", n_samples=n_samples, seed=1)
+            permutation_p(test, table, n_samples=n_samples, seed=1)
 
     def test_inclusive_at_least_strict(self):
         test, table = random_weat(np.random.default_rng(14), n_targets=3)
-        strict = permutation_p(test, table, mode="exact")
-        inclusive = permutation_p(test, table, mode="exact", inclusive=True)
+        strict = permutation_p(test, table)
+        inclusive = permutation_p(test, table, inclusive=True)
         assert inclusive >= strict
 
 
@@ -328,7 +343,7 @@ class TestBattery:
         tests = load_battery(default_battery_path())
         words = sorted({w for t in tests for w in (*t.targets_x, *t.targets_y, *t.attributes_a, *t.attributes_b)})
         table = random_table(words, 8, rng)
-        results = run_battery(tests, table, p_mode="monte_carlo", n_samples=2000, seed=1)
+        results = run_battery(tests, table, n_samples=2000, seed=1)
         assert len(results) == 8
         assert [r.test_name for r in results] == [t.name for t in tests]
         assert all(r.error is None for r in results)
@@ -374,7 +389,7 @@ class TestBattery:
             - set(name_test.targets_y)
         )
         table = random_table(words, 8, rng)
-        results = run_battery(tests, table, p_mode="monte_carlo", n_samples=1000, seed=2)
+        results = run_battery(tests, table, n_samples=1000, seed=2)
         assert results[2].error is not None and "under-filled" in results[2].error
         assert all(r.error is None for i, r in enumerate(results) if i != 2)
 
@@ -385,14 +400,14 @@ class TestRunTest:
         for _ in range(10):
             test, table = random_weat(rng, n_targets=int(rng.integers(2, 7)), n_attrs=int(rng.integers(2, 5)))
             inclusive = bool(rng.integers(2))
-            for mode in ("exact", "monte_carlo"):
-                r = run_test(test, table, p_mode=mode, n_samples=3000, seed=4, inclusive=inclusive)
-                assert r.error is None
+            # 5 samples are fewer than the C(4, 2) = 6 partitions of the smallest
+            # test, 3000 more than the C(12, 6) = 924 of the largest
+            for n_samples, method in ((5, "monte_carlo(n=5, seed=4)"), (3000, "exact")):
+                r = run_test(test, table, n_samples=n_samples, seed=4, inclusive=inclusive)
+                assert r.error is None and r.p_method == method
                 assert r.effect_size == effect_size(test, table).effect_size
                 assert r.test_statistic == weat_statistic(test, table)
-                assert r.p_value == permutation_p(
-                    test, table, mode=mode, n_samples=3000, seed=4, inclusive=inclusive
-                )
+                assert r.p_value == permutation_p(test, table, n_samples=n_samples, seed=4, inclusive=inclusive)
 
     def test_filters_and_scores_once(self, monkeypatch):
         import lyricstats.weat as weat
@@ -407,28 +422,31 @@ class TestRunTest:
 
             monkeypatch.setattr(weat, name, counted)
         test, table = random_weat(np.random.default_rng(23))
-        assert run_test(test, table, p_mode="monte_carlo", n_samples=500, seed=1).error is None
+        assert run_test(test, table, n_samples=500, seed=1).error is None
         assert calls == {"apply_oov_policy": 1, "_association_scores": 2}
 
     def test_degenerate_result_keeps_coverage(self):
         rng = np.random.default_rng(24)
         table = random_table(["x1", "x2", "y1", "y2", "a1", "a2"], 4, rng)
         test = WeatTest("degen", ("x1", "x2", "x9"), ("y1", "y2"), ("a1", "a2"), ("a1", "a2"))
-        r = run_test(test, table, p_mode="exact")
+        r = run_test(test, table)
         assert r.error is not None and "effect size undefined" in r.error
         assert r.p_value is None and r.p_method == "none"
         assert r.coverage["targets_x"] == (3, 2) and r.coverage["attributes_b"] == (2, 2)
         assert r.dropped_words == ("x9",)
 
-    def test_exact_over_budget_keeps_effect_size(self):
-        # C(22, 11) = 705,432 partitions exceed the exact budget: only the p-value fails
-        test, table = random_weat(np.random.default_rng(26), n_targets=11)
-        r = run_test(test, table, p_mode="exact")
-        assert r.error is not None and "exact budget" in r.error
-        assert r.p_value is None and r.p_method == "none"
-        assert r.effect_size == effect_size(test, table).effect_size
-        assert r.test_statistic == weat_statistic(test, table)
-        assert r.coverage["targets_x"] == (11, 11)
+    @pytest.mark.parametrize("word, value", [("x1", np.nan), ("a0", np.inf), ("y2", -np.inf)])
+    def test_non_finite_scores_keep_coverage(self, word, value):
+        test, table = random_weat(np.random.default_rng(26), n_targets=3)
+        table.vectors[table.vocab[word], 1] = value
+        tests = [dataclasses.replace(test, name="t", targets_x=(*test.targets_x, "x9")), test]
+        first, second = run_battery(tests, table, n_samples=10, seed=1)
+        assert first.error == "t: association scores are not all finite (a vector holds nan or inf)"
+        assert (first.effect_size, first.test_statistic, first.p_value, first.p_method) == (None, None, None, "none")
+        assert first.coverage["targets_x"] == (4, 3) and first.dropped_words == ("x9",)
+        assert second.error == first.error.replace("t:", "random:", 1)
+        with pytest.raises(NonFiniteScoreError):
+            permutation_p(test, table)
 
     def test_underfilled_result_has_no_coverage(self):
         rng = np.random.default_rng(25)
@@ -457,8 +475,8 @@ class TestProperties:
             effect_size(test, table).effect_size, abs=1e-12
         )
         assert weat_statistic(test, scaled) == pytest.approx(weat_statistic(test, table), abs=1e-12)
-        assert permutation_p(test, scaled, mode="exact") == pytest.approx(
-            permutation_p(test, table, mode="exact"), abs=1e-12
+        assert permutation_p(test, scaled) == pytest.approx(
+            permutation_p(test, table), abs=1e-12
         )
 
 
@@ -485,76 +503,87 @@ class TestSharedDraw:
 
     SIZES = [(4, 0), (3, 0), (5, 1), (4, 0), (6, 0), (3, 0), (3, 2), (4, 3), (6, 0)]
 
-    @pytest.mark.parametrize("mode", ["exact", "monte_carlo"])
+    # sizes 3, 4 and 6 have 20, 70 and 924 partitions: 45,000 samples make every
+    # p-value exact, 500 sample the tests of size 6 and enumerate the others
+    @pytest.mark.parametrize("n_samples", [45_000, 500], ids=["exact", "monte_carlo"])
     @pytest.mark.parametrize("inclusive", [False, True])
-    def test_battery_p_values_equal_each_test_alone(self, mode, inclusive):
+    def test_battery_p_values_equal_each_test_alone(self, n_samples, inclusive):
         tests, table = mixed_battery(np.random.default_rng(31), self.SIZES)
-        kwargs = dict(p_mode=mode, n_samples=45_000, seed=8, inclusive=inclusive)
+        kwargs = dict(n_samples=n_samples, seed=8, inclusive=inclusive)
         results = run_battery(tests, table, **kwargs)
         assert [r.error is not None for r in results] == [False] * 6 + [True, True, False]
         for test, r in zip(tests, results):
             assert r == run_test(test, table, **kwargs)
             if r.error is None:
-                assert r.p_value == permutation_p(
-                    test, table, mode=mode, n_samples=45_000, seed=8, inclusive=inclusive
-                )
+                assert r.p_value == permutation_p(test, table, **kwargs)
                 assert r.effect_size == effect_size(test, table).effect_size
+                n = r.coverage["targets_x"][1]
+                exact = math.comb(2 * n, n) <= n_samples
+                assert r.p_method == ("exact" if exact else f"monte_carlo(n={n_samples}, seed=8)")
         assert 0.0 < min(r.p_value for r in results if r.p_value is not None)
 
-    @pytest.mark.parametrize("mode", ["exact", "monte_carlo"])
-    def test_one_draw_per_chunk_per_list_size(self, monkeypatch, mode):
+    # 924 samples reach C(12, 6) = 924, so every size is enumerated; 19 are
+    # fewer than the C(6, 3) = 20 partitions of the smallest size
+    @pytest.mark.parametrize("n_samples", [924, 19], ids=["exact", "monte_carlo"])
+    def test_one_draw_per_chunk_per_list_size(self, monkeypatch, n_samples):
         import lyricstats.weat as weat
 
         chunks: dict[int, int] = {}
+        methods: dict[int, str] = {}
         original = weat._subset_chunks
 
         def counted(n, *args):
-            size, draws = original(n, *args)
+            method, size, draws = original(n, *args)
+            methods[n] = method
 
             def counting():
                 for subsets in draws:
                     chunks[n] = chunks.get(n, 0) + 1
                     yield subsets
 
-            return size, counting()
+            return method, size, counting()
 
         monkeypatch.setattr(weat, "_subset_chunks", counted)
-        monkeypatch.setattr(weat, "_SUBSET_CHUNK", 100)
+        monkeypatch.setattr(weat, "_SUBSET_CHUNK", 7)
         tests, table = mixed_battery(np.random.default_rng(32), self.SIZES)
-        results = run_battery(tests, table, p_mode=mode, n_samples=450, seed=2)
+        results = run_battery(tests, table, n_samples=n_samples, seed=2)
         # list sizes 3, 4 and 6 (the third test runs at 4, two tests fail)
-        expected = {3: 20, 4: 70, 6: 924} if mode == "exact" else {3: 450, 4: 450, 6: 450}
-        assert chunks == {n: -(-size // 100) for n, size in expected.items()}
+        expected = {3: 20, 4: 70, 6: 924} if n_samples == 924 else {3: 19, 4: 19, 6: 19}
+        assert chunks == {n: -(-size // 7) for n, size in expected.items()}
+        assert set(methods.values()) == {"exact" if n_samples == 924 else "monte_carlo(n=19, seed=2)"}
         assert sum(r.p_value is not None for r in results) == 7
 
-    @pytest.mark.parametrize("mode", ["exact", "monte_carlo"])
-    def test_p_values_do_not_depend_on_the_chunk_size(self, monkeypatch, mode):
+    @pytest.mark.parametrize("n_samples", [3001, 19], ids=["exact", "monte_carlo"])
+    def test_p_values_do_not_depend_on_the_chunk_size(self, monkeypatch, n_samples):
         import lyricstats.weat as weat
 
         tests, table = mixed_battery(np.random.default_rng(35), self.SIZES)
         runs = []
         for chunk in (7, 1000, 20_000):
             monkeypatch.setattr(weat, "_SUBSET_CHUNK", chunk)
-            runs.append([r.p_value for r in run_battery(tests, table, p_mode=mode, n_samples=3001, seed=3)])
+            runs.append([r.p_value for r in run_battery(tests, table, n_samples=n_samples, seed=3)])
         assert runs[0] == runs[1] == runs[2]
 
     def test_group_over_exact_budget_keeps_each_effect_size(self):
-        # two tests of 11 targets per list: C(22, 11) partitions exceed the budget
+        # two tests of 11 targets per list: C(22, 11) = 705,432 partitions exceed
+        # the 100,000 default samples and are sampled, C(6, 3) = 20 are not
         tests, table = mixed_battery(np.random.default_rng(33), [(11, 0), (3, 0), (11, 0)])
-        results = run_battery(tests, table, p_mode="exact")
+        results = run_battery(tests, table)
+        sampled = "monte_carlo(n=100000, seed=0)"
+        assert [r.p_method for r in results] == [sampled, "exact", sampled]
         for test, r in zip(tests, results):
-            if test.name == "t1":
-                assert r.error is None and r.p_method == "exact"
-                continue
-            assert "exact budget" in r.error and r.p_value is None and r.p_method == "none"
+            assert r.error is None and r.p_value == permutation_p(test, table)
             assert r.effect_size == effect_size(test, table).effect_size
             assert r.test_statistic == weat_statistic(test, table)
-            assert r.coverage["targets_x"] == (11, 11)
         assert results[0].effect_size != results[2].effect_size
 
-    def test_negative_seed_refused(self):
+    def test_negative_seed_refused(self, monkeypatch):
+        import lyricstats.weat as weat
+
         test, table = random_weat(np.random.default_rng(34))
         with pytest.raises(WeatError, match="seed >= 0"):
-            permutation_p(test, table, mode="monte_carlo", seed=-1)
-        r = run_test(test, table, p_mode="monte_carlo", seed=-1)
-        assert "seed >= 0" in r.error and r.effect_size is not None
+            permutation_p(test, table, seed=-1)
+        # refused before any test is prepared, on the exact path too
+        monkeypatch.setattr(weat, "_prepare", None)
+        with pytest.raises(WeatError, match="seed >= 0"):
+            run_test(test, table, seed=-1)
