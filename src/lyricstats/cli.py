@@ -107,7 +107,10 @@ def _config_defaults(parser: argparse.ArgumentParser, args: argparse.Namespace) 
                 converted = action.type(value)
             except (TypeError, ValueError):
                 converted = None
-            if isinstance(value, bool) or converted != value:
+            # NaN equals nothing, so a JSON NaN that converts to NaN counts as
+            # unchanged and goes on to the option's own check, as "nan" does
+            unchanged = converted == value or (value != value and converted != converted)
+            if isinstance(value, bool) or not unchanged:
                 raise ValueError(f"{action.dest}: {value!r} is not a valid {action.type.__name__}")
             config[action.dest] = value = converted
         if action.choices is not None and value not in action.choices:

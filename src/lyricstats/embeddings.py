@@ -378,12 +378,14 @@ class _TrainState:
                 continue
             lr = max(lr0 * (1.0 - done / total_positions), lr_floor)
             windows = rng.integers(1, cfg.window + 1, size=len(kept))
-            # every (center, context) pair of the sentence, in position order
+            # every (center, context) pair of the sentence, in position order;
+            # the pairs of one center position share its k noise words
             ctx_pos = np.arange(len(kept))[:, None] + self.offsets
             valid = (np.abs(self.offsets) <= windows[:, None]) & (ctx_pos >= 0) & (ctx_pos < len(kept))
-            centers = kept[np.nonzero(valid)[0]]
+            center_pos = np.nonzero(valid)[0]
+            centers = kept[center_pos]
             contexts = kept[ctx_pos[valid]]
-            negatives = self.draw_negatives(rng, (len(centers), cfg.negatives))
+            negatives = self.draw_negatives(rng, (len(kept), cfg.negatives))[center_pos]
             for lo in range(0, len(centers), _BATCH_PAIRS):
                 batch = slice(lo, lo + _BATCH_PAIRS)
                 in_rows, in_grads, out_rows, out_grads = sgns_batch_grads(
@@ -398,11 +400,15 @@ def train_sgns(corpus: Corpus, config: SgnsConfig, epoch_callback=None) -> Embed
 
     Training runs one sentence (one song's in-vocabulary tokens, after
     frequent-word subsampling) per batch: the sentence's (center, context)
-    pairs and their negatives are drawn at once, every gradient is taken at
-    the parameters as they stand at the start of the batch, and the summed
-    row updates are applied together (see `sgns_batch_grads`). A sentence with
-    more than 256 pairs is trained in consecutive batches of 256, which bounds
-    memory and the size of one update. There is one code path, so a fixed seed
+    pairs and their negatives are drawn at once, one row of k noise words per
+    center position, which all of that center's pairs share (Ji et al. 2016,
+    "Parallelizing Word2Vec in Shared and Distributed Memory"). Every
+    gradient is taken at the parameters as they stand at the start of the
+    batch, and the summed row updates are applied together (see
+    `sgns_batch_grads`). Sharing leaves fewer distinct noise rows for a batch
+    to score. A sentence with more than 256 pairs is trained in consecutive
+    batches of 256, which bounds memory and the size of one update. There is
+    one code path, so a fixed seed
     gives bit-identical vectors. `epoch_callback(epoch, w_in, w_out)` runs
     after each epoch.
     """

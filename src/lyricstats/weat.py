@@ -18,9 +18,10 @@ DEFAULT_MC_SAMPLES = 100_000
 # chunks continue one uniform stream, so p-values do not depend on the
 # size; it bounds the draw's temporaries. With one draw per list size, 20,000
 # rows took `lyricstats weat` on the bundled battery to a peak RSS of 74 MB,
-# and 10,000 rows to 51 MB, in the same time (SGNS vectors of 546 words at
-# dim 50, 2 cores).
-_SUBSET_CHUNK = 10_000
+# 10,000 rows to 51 MB and 2,000 rows to 40 MB (SGNS vectors of 546 words at
+# dim 50, 2 cores). At 2,000 rows a fresh process took about 16 ms longer,
+# refaulting the temporaries that the allocator returns after each chunk.
+_SUBSET_CHUNK = 2_000
 
 
 class WeatError(Exception):

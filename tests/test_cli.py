@@ -53,6 +53,18 @@ class TestIngestCommand:
         assert capsys.readouterr() == ("", f"error: max_reject_fraction must be in [0, 1], got {float(fraction)}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("fraction", [float("nan"), float("inf")])
+    def test_json_number_reject_fraction_gets_the_option_check(self, tmp_path, capsys, fraction):
+        # NaN and Infinity as JSON numbers, not strings: they reach the
+        # option's own check, as the strings "nan" and "inf" do
+        out = tmp_path / "build"
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"max_reject_fraction": fraction}))
+        args = ["--config", str(config), "ingest", "--input", mini_corpus_path(), "--format", "csv", "--out", str(out)]
+        assert main(args) == 1
+        assert capsys.readouterr() == ("", f"error: max_reject_fraction must be in [0, 1], got {fraction}\n")
+        assert not out.exists()
+
     def test_unreadable_path_exit_1(self, tmp_path):
         assert main(["ingest", "--input", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "o")]) == 1
 
@@ -377,6 +389,16 @@ class TestTrainCommand:
             args += [f"--{flag}", value]
         assert main(args) == 1
         assert capsys.readouterr().err == f"error: {name} must be positive and finite, got {value}\n"
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_json_number_learning_rate_gets_the_option_check(self, tmp_path, mini_cache, capsys, value):
+        out = tmp_path / "v" / "v.txt"
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"learning_rate": value}))
+        args = ["--config", str(config), "train", "--cache", str(mini_cache), "--out", str(out), "--seed", "1"]
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: initial_learning_rate must be positive and finite, got {value}\n"
         assert not out.parent.exists()
 
     def test_empty_corpus_exit_2(self, tmp_path, capsys):

@@ -1,7 +1,8 @@
-"""The demo scripts run as a reader runs them: from a checkout, with `src` on
-the import path, each as its own process."""
+"""The demo scripts and the throughput tool run as a reader runs them: from a
+checkout, with `src` on the import path, each as its own process."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -10,17 +11,26 @@ import pytest
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def run_script(*args):
+    src = os.path.join(REPO_ROOT, "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else os.pathsep.join([src, path])}
+    done = subprocess.run([sys.executable, *args], cwd=REPO_ROOT, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
 @pytest.mark.parametrize("script, line", [
     ("permutation_significance.py", "exact p over 252 partitions: 0.888889"),
     ("style_analysis.py", "ingested 50 songs (0 rejects)"),
     ("train_and_weat.py", "trained 40 vectors of dim 32"),
 ])
 def test_demo_runs(script, line):
-    src = os.path.join(REPO_ROOT, "src")
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src if not path else os.pathsep.join([src, path])}
-    done = subprocess.run(
-        [sys.executable, os.path.join("demos", script)], cwd=REPO_ROOT, env=env, capture_output=True, text=True
-    )
-    assert done.returncode == 0, done.stderr
-    assert line in done.stdout.splitlines()
+    assert line in run_script(os.path.join("demos", script))
+
+
+def test_sgns_throughput_tool_runs_at_a_tiny_size():
+    lines = run_script(os.path.join("tools", "sgns_throughput.py"), "--songs", "12", "--dims", "4,8")
+    runs = [re.fullmatch(r"(\w+) songs=12 tokens=\d+ dim=(\d+) seconds=[\d.]+ tokens_per_s=\d+", line)
+            for line in lines]
+    assert [m and m.groups() for m in runs] == [("criterion7", "4"), ("criterion7", "8"), ("zipf", "4"), ("zipf", "8")]

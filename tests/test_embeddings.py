@@ -26,6 +26,8 @@ from lyricstats.embeddings import (
     train_sgns,
     unigram_noise_probs,
 )
+from lyricstats.resources import default_battery_path
+from lyricstats.weat import effect_size, load_battery
 from tests.conftest import make_record, make_table
 
 
@@ -645,3 +647,100 @@ class TestTraining:
 
         train_sgns(corpus, config, epoch_callback=record)
         assert losses[1] < losses[0]
+
+
+def distinct_word_corpus(rng, n_songs, inclusion=(0.9, 0.7, 0.5, 0.35, 0.2, 0.1)):
+    """Songs whose words are distinct within each song: word i of
+    len(inclusion) words is in a song with probability inclusion[i], so the
+    words' counts differ; every song holds at least two words."""
+    words = [f"w{i}" for i in range(len(inclusion))]
+    songs = []
+    while len(songs) < n_songs:
+        song = [w for w, p in zip(words, inclusion) if rng.random() < p]
+        if len(song) >= 2:
+            songs.append([song[i] for i in rng.permutation(len(song))])
+    return corpus_from_token_lists(songs)
+
+
+def recorded_batches(monkeypatch, corpus, config):
+    """(centers, contexts, negatives) of every sgns_batch_grads call that
+    training makes, in order."""
+    calls = []
+    original = embeddings.sgns_batch_grads
+
+    def recording(w_in, w_out, centers, contexts, negatives):
+        calls.append((centers.copy(), contexts.copy(), negatives.copy()))
+        return original(w_in, w_out, centers, contexts, negatives)
+
+    monkeypatch.setattr(embeddings, "sgns_batch_grads", recording)
+    train_sgns(corpus, config)
+    return calls
+
+
+class TestNoiseDrawInTraining:
+    """Training draws one row of k noise words per kept center position, and
+    every (center, context) pair of that position takes its row. With words
+    distinct within a song and no subsampling, a center word names one
+    position of its sentence, and a sentence of at most 6 words (60 pairs) is
+    one kernel call."""
+
+    def test_pairs_of_one_center_share_its_noise_row(self, monkeypatch):
+        corpus = distinct_word_corpus(np.random.default_rng(70), 200)
+        config = SgnsConfig(dim=4, min_count=1, epochs=2, seed=71, subsample_threshold=1.0)
+        calls = recorded_batches(monkeypatch, corpus, config)
+        assert len(calls) == 2 * len(corpus)
+        n_centers = n_rows = 0
+        for centers, contexts, negatives in calls:
+            assert negatives.shape == (len(centers), config.negatives)
+            for center in np.unique(centers):
+                rows = negatives[centers == center]
+                assert (rows == rows[0]).all()
+            n_centers += len(np.unique(centers))
+            n_rows += len(np.unique(negatives, axis=0))
+        # each center draws its own row: two rows of 5 words from 6 rarely
+        # coincide, while one row shared by a whole call would give n_rows == len(calls)
+        assert n_rows > 0.9 * n_centers > 2 * len(calls)
+
+    def test_drawn_noise_words_follow_unigram_power(self, monkeypatch):
+        corpus = distinct_word_corpus(np.random.default_rng(72), 3000)
+        config = SgnsConfig(dim=4, min_count=1, epochs=3, seed=73, subsample_threshold=1.0)
+        calls = recorded_batches(monkeypatch, corpus, config)
+        rows = [negatives[np.unique(centers, return_index=True)[1]] for centers, _, negatives in calls]
+        draws = np.concatenate(rows).ravel()
+        probs = unigram_noise_probs(_TrainState(corpus, config).counts)
+        n = len(draws)
+        assert n > 100_000
+        freqs = np.bincount(draws, minlength=len(probs)) / n
+        assert np.all(np.abs(freqs - probs) <= 3 * np.sqrt(probs * (1 - probs) / n))
+
+
+def planted_poles_corpus(test, rng, n_songs=500, n_filler=300, zipf_exponent=1.07):
+    """Songs of 4-6 lines of 6-10 words, each word drawn with probability 0.7
+    from one pole and otherwise from Zipf filler words. Even songs use the
+    X and A words of `test`, odd songs its Y and B words."""
+    poles = (test.targets_x + test.attributes_a, test.targets_y + test.attributes_b)
+    filler = [f"filler{i}" for i in range(n_filler)]
+    filler_cdf = np.cumsum(1.0 / np.arange(1, n_filler + 1) ** zipf_exponent)
+    filler_cdf /= filler_cdf[-1]
+    songs = []
+    for s in range(n_songs):
+        pole = poles[s % 2]
+        words = []
+        for length in rng.integers(6, 11, size=int(rng.integers(4, 7))).tolist():
+            from_pole = rng.random(length) < 0.7
+            pole_ids = rng.integers(len(pole), size=length)
+            filler_ids = np.minimum(np.searchsorted(filler_cdf, rng.random(length), side="right"), n_filler - 1)
+            words += [pole[p] if f else filler[q] for f, p, q in zip(from_pole, pole_ids, filler_ids)]
+        songs.append(words)
+    return corpus_from_token_lists(songs)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_planted_poles_read_a_large_effect(seed):
+    # one epoch at lr 0.1 and dim 50, as the command-line benchmark trains
+    test = load_battery(default_battery_path())[0]
+    corpus = planted_poles_corpus(test, np.random.default_rng([seed, 2]))
+    table = train_sgns(corpus, SgnsConfig(dim=50, epochs=1, initial_learning_rate=0.1, seed=seed))
+    result = effect_size(test, table)
+    assert result.coverage["targets_x"] == (25, 25) and result.coverage["attributes_b"] == (25, 25)
+    assert result.effect_size > 1.0

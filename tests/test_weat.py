@@ -553,16 +553,21 @@ class TestSharedDraw:
         assert set(methods.values()) == {"exact" if n_samples == 924 else "monte_carlo(n=19, seed=2)"}
         assert sum(r.p_value is not None for r in results) == 7
 
-    @pytest.mark.parametrize("n_samples", [3001, 19], ids=["exact", "monte_carlo"])
-    def test_p_values_do_not_depend_on_the_chunk_size(self, monkeypatch, n_samples):
+    # lists of 7 and 8 targets have 3,432 and 12,870 partitions, so 3,001
+    # samples are drawn for each size, over chunks that neither 7 nor 2,000
+    # rows fill evenly
+    @pytest.mark.parametrize("sizes, n_samples", [
+        (SIZES, 3001), (SIZES, 19), ([(7, 0), (8, 0), (8, 1)], 3001),
+    ], ids=["exact", "monte_carlo", "monte_carlo_over_chunks"])
+    def test_p_values_do_not_depend_on_the_chunk_size(self, monkeypatch, sizes, n_samples):
         import lyricstats.weat as weat
 
-        tests, table = mixed_battery(np.random.default_rng(35), self.SIZES)
+        tests, table = mixed_battery(np.random.default_rng(35), sizes)
         runs = []
-        for chunk in (7, 1000, 20_000):
+        for chunk in (7, 1000, 2_000, 20_000):
             monkeypatch.setattr(weat, "_SUBSET_CHUNK", chunk)
-            runs.append([r.p_value for r in run_battery(tests, table, n_samples=n_samples, seed=3)])
-        assert runs[0] == runs[1] == runs[2]
+            runs.append([(r.p_method, r.p_value) for r in run_battery(tests, table, n_samples=n_samples, seed=3)])
+        assert all(run == runs[0] for run in runs)
 
     def test_group_over_exact_budget_keeps_each_effect_size(self):
         # two tests of 11 targets per list: C(22, 11) = 705,432 partitions exceed
