@@ -13,6 +13,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from lyricstats import __version__
 from lyricstats.corpus import (
     IngestConfig,
@@ -241,12 +243,23 @@ def cmd_train(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
-        table = train_sgns(corpus, config)
+        # a diverging run overflows on its way to NaN; the check below reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = train_sgns(corpus, config)
     except EmbeddingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_QUALITY
-    os.makedirs(out_dir, exist_ok=True)
-    save_vectors(table, args.out)
+    diverged = int(np.count_nonzero(~np.isfinite(table.vectors).all(axis=1)))
+    if diverged:
+        print(f"error: training diverged: {diverged} of {len(table)} words have NaN or infinite vectors; "
+              f"no vector file written; try a lower --learning-rate than {args.learning_rate:g}", file=sys.stderr)
+        return EXIT_QUALITY
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        save_vectors(table, args.out)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        return EXIT_IO
     _write_config_digest(out_dir, args)
     print(f"trained {len(table)} vectors of dim {table.dim} -> {args.out}")
     return EXIT_OK

@@ -3,6 +3,7 @@ negative-sampling trainer over a tokenized corpus."""
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -71,8 +72,9 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.dot(u, v) / (nu * nv))
 
 
-# rows whose numbers one np.loadtxt call parses: this bounds the text and the
-# parsed block held besides the table
+# rows whose numbers one np.loadtxt call parses, and the most rows that
+# save_vectors formats at once: this bounds the text and the parsed or
+# formatted block held besides the table
 _BLOCK_ROWS = 1024
 _PRINTABLE_ASCII = bytes(range(0x20, 0x7F))
 
@@ -224,21 +226,154 @@ def load_vectors(path: str) -> EmbeddingTable:
     return table
 
 
+# values that save_vectors formats at once, at most: blocks of fewer than
+# _BLOCK_ROWS rows when rows are wide, so that a block's temporaries do not
+# grow with the dimension. Each float64 one takes 64 KB, under glibc's default
+# 128 KB mmap threshold, so the blocks reuse the same heap pages. Writing the
+# benchmark's 558 x 50 `train` table raised the peak RSS of `lyricstats train`
+# by 0.4 MB; with 1 << 16 values a block, by 2.1 MB, at the same speed.
+_FORMAT_VALUES = 1 << 13
+
+# a byte that UTF-8 text never holds: the block layout of `_write_block` fills
+# what a line leaves out with it, and deleting it joins the line
+_GAP = b"\xff"
+
+
+@functools.cache
+def _digit_words() -> tuple[np.ndarray, ...]:
+    """Lookup tables of four-byte words, each read as one native uint32, for
+    three-digit groups g in range(1000), where _GAP stands for no byte:
+
+    - an integer group's word: a sign slot and g's digits. The tables of the
+      last (rightmost) group and of any other hold, at index g, g's digits
+      without leading zeros after a _GAP sign slot, for a group with no digit
+      above it; at 1000 + g, all three digits; at 2000 + g, the digits of
+      index g after a "-". The last group keeps the "0" of g = 0, any other
+      group none.
+    - ".ddd" and "ddd ", the first and second half of a fraction."""
+
+    def words(texts) -> np.ndarray:
+        return np.frombuffer("".join(texts).encode("latin-1"), np.uint32)
+
+    gap = _GAP.decode("latin-1")
+    padded = [f"{gap}{g:03d}" for g in range(1000)]
+    last = [f"{g:3d}".replace(" ", gap) for g in range(1000)]
+    inner = [gap * 3] + last[1:]
+    return (
+        words([gap + d for d in last] + padded + ["-" + d for d in last]),
+        words([gap + d for d in inner] + padded + ["-" + d for d in inner]),
+        words(f".{g:03d}" for g in range(1000)),
+        words(f"{g:03d} " for g in range(1000)),
+    )
+
+
+def _rounds_exactly(y: np.ndarray) -> np.ndarray:
+    """Per row of values times 1e6 (`y`, the products rounded to floats),
+    whether np.rint(y) rounds each value to millionths as "%.6f" does, half
+    to even: each y is more than 2 spacings from a half-way point, so the
+    product's own rounding cannot have moved it onto or across one. This also
+    keeps |y| below 2**51 (from there on a spacing is 0.5 or more), where
+    floats hold whole numbers exactly, and fails NaN and +-inf."""
+    size = np.abs(y)
+    with np.errstate(invalid="ignore"):
+        return (np.abs(size - np.floor(size) - 0.5) > 2 * np.spacing(size)).all(axis=1)
+
+
+def _write_block(fh, words: Sequence[str], x: np.ndarray) -> None:
+    """Write the lines "word v1 ... vD" of `words` and their float64 rows `x`
+    to the binary file `fh`, each value as "%.6f" gives it.
+
+    Rows that `_rounds_exactly` passes are formatted with numpy. The block is
+    laid out as bytes, one layout row per line: the word and a space, padded
+    to a multiple of 4 bytes, then per value uint32 words from `_digit_words`:
+    a sign slot and three integer digits per integer group, ".ddd" and
+    "ddd ". The block has as many integer groups as its widest value needs.
+    The padding, the sign slot of a value whose sign bit is clear and the
+    leading zeros of the integer part are _GAP bytes, and one bytes.translate
+    call deletes them. Every other row (a near-tie such as k/128, NaN, +-inf,
+    a huge value) is written with one "%" call, which shares CPython's float
+    formatter with "{:.6f}"."""
+    last_group, inner_group, dot_words, sep_words = _digit_words()
+    n, dim = x.shape
+    with np.errstate(over="ignore"):
+        y = x * 1e6
+    slow = np.flatnonzero(~_rounds_exactly(y)).tolist()
+    y[slow] = 0.0  # laid out as zeros, then written with "%"
+    # whole millionths, their integer part and their fraction; below 2**52
+    # each floor of a quotient is the exact integer quotient
+    millionths = np.abs(np.rint(y))
+    units = np.floor(millionths / 1e6)
+    fraction = millionths - units * 1e6
+    groups = -(-len(str(int(units.max()))) // 3)
+
+    encoded = np.frombuffer((" ".join(words) + " ").encode("utf-8"), np.uint8)
+    word_lengths = np.diff(np.flatnonzero(encoded == ord(" ")), prepend=-1)
+    word_bytes = -(-int(word_lengths.max()) // 4) * 4  # the value words start 4-byte aligned
+    text = bytearray(n * (word_bytes + 4 * dim * (groups + 2)))
+    layout = np.frombuffer(text, np.uint8).reshape(n, -1)
+    layout[:, :word_bytes] = _GAP[0]
+    layout[:, :word_bytes][np.arange(word_bytes) < word_lengths[:, None]] = encoded
+    values = layout[:, word_bytes:].view(np.uint32).reshape(n, dim, groups + 2)
+    high = np.floor(fraction / 1e3)
+    values[:, :, groups] = dot_words[high.astype(np.intp)]
+    values[:, :, groups + 1] = sep_words[(fraction - high * 1e3).astype(np.intp)]
+    for k in range(groups - 1, -1, -1):  # integer groups, rightmost first
+        above = np.floor(units / 1e3)
+        index = (units - above * 1e3).astype(np.intp)
+        if k:  # a digit above the group shows its leading zeros
+            index += (above > 0) * 1000
+        else:  # the leftmost group holds the sign
+            index += np.signbit(x) * 2000
+        values[:, :, k] = (last_group if k == groups - 1 else inner_group)[index]
+        units = above
+    values.view(np.uint8)[:, -1, -1] = ord("\n")
+    joined = memoryview(text.translate(None, _GAP))
+
+    start = 0
+    if slow:
+        starts = [0, *(np.flatnonzero(np.frombuffer(joined, np.uint8) == ord("\n")) + 1).tolist()]
+        row_format = " ".join(["%.6f"] * dim) + "\n"
+        for row in slow:
+            fh.write(joined[start : starts[row]])
+            # the word stays out of the format string because it may contain "%"
+            fh.write(f"{words[row]} ".encode("utf-8") + (row_format % tuple(x[row].tolist())).encode("ascii"))
+            start = starts[row + 1]
+    fh.write(joined[start:])
+
+
 def save_vectors(table: EmbeddingTable, path: str) -> None:
-    """Write the text vector format that `load_vectors` reads. Raises
-    EmbeddingError, before the file is opened, for a word that is empty or
-    holds whitespace: the format could not give it back."""
+    """Write the text vector format that `load_vectors` reads, each value as
+    "%.6f" spells it, rows in row-index order. Raises EmbeddingError, before
+    the file is opened, for a word that is empty or holds whitespace, which
+    the format could not give back, or for vectors that are not (rows, dim)
+    with dim >= 1.
+
+    Rows are formatted in blocks of at most _BLOCK_ROWS rows and
+    _FORMAT_VALUES values (see `_write_block`), so memory beyond the table
+    does not grow with it. The file is written to a temporary file beside
+    `path` and moved into place, so a failed write leaves any previous file
+    as it was."""
     for word in table.vocab:
         if word.split() != [word]:
             raise EmbeddingError(f"cannot save {word!r}: a word in a vector file is non-empty and holds no whitespace")
-    # one % call per row; "%.6f" and "{:.6f}" share CPython's float formatter,
-    # so the bytes match per-float formatting. The word stays out of the format
-    # string because it may contain "%".
-    row_format = " ".join(["%.6f"] * table.dim) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(table.vocab)} {table.dim}\n")
-        for word, idx in sorted(table.vocab.items(), key=lambda kv: kv[1]):
-            fh.write(f"{word} " + row_format % tuple(table.vectors[idx].tolist()))
+    if table.dim < 1 or table.vectors.ndim != 2 or table.vectors.shape[1] != table.dim:
+        raise EmbeddingError(f"cannot save vectors of shape {table.vectors.shape} as dimension {table.dim}")
+    ordered = sorted(table.vocab.items(), key=lambda kv: kv[1])
+    words = [word for word, _ in ordered]
+    rows = np.array([row for _, row in ordered], dtype=np.intp)
+    block_rows = min(_BLOCK_ROWS, max(1, _FORMAT_VALUES // table.dim))
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(f"{len(rows)} {table.dim}\n".encode("ascii"))
+            for lo in range(0, len(rows), block_rows):
+                block = slice(lo, lo + block_rows)
+                _write_block(fh, words[block], np.asarray(table.vectors[rows[block]], dtype=np.float64))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 import csv
+import errno
 import hashlib
 import json
+import os
 import random
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import lyricstats.embeddings as embeddings
 from lyricstats.cli import main
 from lyricstats.corpus import Corpus, load_cache, save_cache
 from lyricstats.resources import mini_corpus_path
@@ -411,6 +415,33 @@ class TestTrainCommand:
         assert main(["train", "--cache", str(build / "corpus.cache"), "--out", str(out), "--seed", "1"]) == 2
         assert capsys.readouterr().err.startswith("error: empty vocabulary")
 
+
+    def test_diverged_training_exit_2_without_a_vector_file(self, tmp_path, mini_cache, capsys):
+        out = tmp_path / "v" / "v.txt"
+        args = ["train", "--cache", str(mini_cache), "--out", str(out), "--dim", "8", "--epochs", "1",
+                "--min-count", "1", "--seed", "7", "--learning-rate", "1e10"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: training diverged: [1-9]\d* of 57 words have NaN or infinite vectors; "
+                            r"no vector file written; try a lower --learning-rate than 1e\+10\n", err)
+        assert not out.parent.exists()
+
+    def test_failed_vector_write_exit_1_keeps_previous_file(self, tmp_path, mini_cache, capsys, monkeypatch):
+        out = tmp_path / "v.txt"
+        args = ["train", "--cache", str(mini_cache), "--out", str(out), "--dim", "8", "--epochs", "1",
+                "--min-count", "1", "--seed"]
+        assert main([*args, "7"]) == 0
+        before = out.read_bytes()
+        capsys.readouterr()
+
+        def no_space(fh, words, x):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(embeddings, "_write_block", no_space)
+        assert main([*args, "8"]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {out}: [Errno {errno.ENOSPC}] No space left on device\n"
+        assert out.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["build", "train.config.json", "v.txt"]
 
 class TestWeatCommand:
     def _vector_file(self, tmp_path, words, dim=6, seed=0):

@@ -336,6 +336,105 @@ class TestVectorFile:
         assert len(table) == 2 and table.get("a").tolist() == [1.0, 1.0]
 
 
+def boundary_values():
+    """Values where rounding to six decimals is hardest: at and 1-4 ulps either
+    side of the half-way points (m + 0.5) / 1e6 at every magnitude, the exact
+    ties k/128 and k/2048, values next to powers of ten and around 2**52 / 1e6
+    (the largest whole number of millionths that floats hold exactly),
+    subnormals, and tiny values of either sign."""
+    centers = [(m + 0.5) / 1e6 for m in (0, 1, 7, 12, 499_999, 999_999, 1_000_000, 12_345_678, 987_654_321_012)]
+    centers += [9.9999995, 99999.9999995, 0.9999995, 999999.9999995, 2.0**52 / 1e6, 2.0**53 / 1e6, 1e-6, 0.0]
+    values = [np.nextafter(c, np.inf * step) if step else c for c in centers for step in (-1, 1, 0)]
+    for c in centers:
+        for ulps in range(1, 5):
+            values += [c + ulps * np.spacing(c), c - ulps * np.spacing(c)]
+    values += [k / 128 for k in range(-9, 10, 2)] + [k / 2048 for k in range(1, 40, 6)]
+    values += [5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 4e-7, -4e-7, 5e-7, -5e-7, 0.0, -0.0]
+    values += [0.1, 12345.6]  # two widths in one block
+    values = np.array(values + [-v for v in values])
+    return values[np.isfinite(values)]
+
+
+class TestVectorWriter:
+    """`save_vectors` formats blocks with numpy and falls back to one "%" call
+    per row for near-ties and non-finite values; every byte must match the
+    per-float reference writer."""
+
+    # (_BLOCK_ROWS, _FORMAT_VALUES): blocks of 1, 3 and 1024 rows, and of 2
+    # rows of 5 values when a block holds at most 12 values
+    @pytest.mark.parametrize("block_rows, format_values", [(1, 1 << 16), (3, 1 << 16), (1024, 1 << 16), (1024, 12)])
+    @pytest.mark.parametrize("dim", [1, 5])
+    def test_boundary_values_match_per_float_formatting(self, tmp_path, monkeypatch, block_rows, format_values, dim):
+        values = np.random.default_rng(dim).permutation(boundary_values())
+        # pad to whole rows with values of mixed widths, 0.1 beside 12345.6
+        pad = np.resize([0.1, 12345.6, -3.25e9, 7.0], -len(values) % dim)
+        vectors = np.concatenate([values, pad]).reshape(-1, dim)
+        order = np.random.default_rng(1).permutation(len(vectors))  # insertion order is not row order
+        table = EmbeddingTable(dim=dim, vocab={f"w{i}": int(i) for i in order}, vectors=vectors)
+        exact = []
+        rounds_exactly = embeddings._rounds_exactly
+
+        def recorded(*args):
+            rows = rounds_exactly(*args)
+            exact.extend(rows.tolist())
+            return rows
+
+        monkeypatch.setattr(embeddings, "_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(embeddings, "_FORMAT_VALUES", format_values)
+        monkeypatch.setattr(embeddings, "_rounds_exactly", recorded)
+        assert_same_bytes_as_reference(table, tmp_path)
+        # both paths ran: numpy for most rows, "%" for the near-ties
+        assert len(exact) == len(vectors)
+        assert 0 < sum(exact) < len(vectors)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-10**16, 10**16), st.integers(-4, 4)), min_size=1, max_size=8))
+    def test_values_near_half_way_points_match_per_float_formatting(self, points):
+        # (m + 0.5) / 1e6 moved by -4..4 ulps, each in its own row; beyond
+        # |m| = 2**52 the rows take the "%" path
+        values = [(m + 0.5) / 1e6 + ulps * np.spacing((m + 0.5) / 1e6) for m, ulps in points]
+        with tempfile.TemporaryDirectory() as tmp:
+            assert_same_bytes_as_reference(make_table({f"w{i}": [v] for i, v in enumerate(values)}), pathlib.Path(tmp))
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 1024])
+    def test_blocks_of_mixed_widths(self, tmp_path, monkeypatch, block_rows):
+        rng = np.random.default_rng(5)
+        vectors = rng.normal(size=(40, 6)) * 10.0 ** rng.integers(-8, 10, size=(40, 6))
+        vectors[::7] = np.nan
+        vectors[3, 2] = -np.inf
+        monkeypatch.setattr(embeddings, "_BLOCK_ROWS", block_rows)
+        assert_same_bytes_as_reference(make_table({f"w{i}": row for i, row in enumerate(vectors)}), tmp_path)
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "v.txt"
+        save_vectors(make_table({f"w{i}": [float(i), 1.0] for i in range(10)}), str(path))
+        before = path.read_bytes()
+        write_block = embeddings._write_block
+        written = []
+
+        def fail_on_second_block(fh, words, x):
+            written.append(len(words))
+            if len(written) == 2:
+                raise OSError("No space left on device")
+            return write_block(fh, words, x)
+
+        monkeypatch.setattr(embeddings, "_BLOCK_ROWS", 3)
+        monkeypatch.setattr(embeddings, "_write_block", fail_on_second_block)
+        with pytest.raises(OSError, match="No space left"):
+            save_vectors(make_table({f"u{i}": [0.5, float(i)] for i in range(10)}), str(path))
+        assert written == [3, 3]
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["v.txt"]
+
+    @pytest.mark.parametrize("vectors, dim", [(np.zeros((2, 0)), 0), (np.zeros((2, 3)), 2), (np.zeros(3), 3)])
+    def test_save_refuses_vectors_of_another_shape(self, tmp_path, vectors, dim):
+        path = tmp_path / "v.txt"
+        table = EmbeddingTable(dim=dim, vocab={"a": 0, "b": 1}, vectors=vectors)
+        with pytest.raises(EmbeddingError, match="cannot save vectors of shape"):
+            save_vectors(table, str(path))
+        assert not path.exists()
+
+
 class TestLoaderAgainstPerRowParser:
     """`load_vectors` parses blocks of rows with np.loadtxt and falls back to
     float() row by row; the per-row reference parser is the specification.
