@@ -20,6 +20,7 @@ from lyricstats.corpus import (
     IngestConfig,
     IngestError,
     TokenizeConfig,
+    atomic_write,
     ingest,
     load_cache,
     save_cache,
@@ -69,14 +70,27 @@ def _write_table(path: str, table) -> None:
 _NOT_DIGESTED = {"config", "command", "func", "out", "deterministic"}
 
 
-def _write_config_digest(out_dir: str, args: argparse.Namespace) -> None:
+def _cannot_write(path: str, exc: OSError) -> int:
+    print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+    return EXIT_IO
+
+
+def _write_config_digest(out_dir: str, args: argparse.Namespace) -> bool:
     """`<command>.config.json`: every option of the command as parsed (config
-    file values and flags resolved), and their sha256 digest."""
+    file values and flags resolved), and their sha256 digest, written
+    atomically. Prints a one-line error and returns False when it cannot be
+    written."""
     options = {key: value for key, value in vars(args).items() if key not in _NOT_DIGESTED}
     resolved = json.dumps({"command": args.command, **options}, sort_keys=True)
     digest = hashlib.sha256(resolved.encode()).hexdigest()
-    with open(os.path.join(out_dir, f"{args.command}.config.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"digest": digest, "options": json.loads(resolved)}, indent=2, sort_keys=True) + "\n")
+    path = os.path.join(out_dir, f"{args.command}.config.json")
+    try:
+        with atomic_write(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps({"digest": digest, "options": json.loads(resolved)}, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        _cannot_write(path, exc)
+        return False
+    return True
 
 
 def _config_defaults(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
@@ -158,7 +172,8 @@ def cmd_ingest(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     save_cache(result, os.path.join(args.out, "corpus.cache"))
     write_reject_report(result.rejects, os.path.join(args.out, "rejects.jsonl"))
-    _write_config_digest(args.out, args)
+    if not _write_config_digest(args.out, args):
+        return EXIT_IO
     print(f"ingested {len(result.corpus)} songs, {len(result.rejects)} rejects")
     if not result.quality_ok:
         print("error: reject fraction over threshold", file=sys.stderr)
@@ -209,8 +224,7 @@ def cmd_style(args) -> int:
         ),
     )
 
-    _write_config_digest(args.out, args)
-    return EXIT_OK
+    return EXIT_OK if _write_config_digest(args.out, args) else EXIT_IO
 
 
 def cmd_train(args) -> int:
@@ -260,7 +274,8 @@ def cmd_train(args) -> int:
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO
-    _write_config_digest(out_dir, args)
+    if not _write_config_digest(out_dir, args):
+        return EXIT_IO
     print(f"trained {len(table)} vectors of dim {table.dim} -> {args.out}")
     return EXIT_OK
 
@@ -298,8 +313,13 @@ def cmd_weat(args) -> int:
         tests, table, policy=OovPolicy(), n_samples=args.mc_samples, seed=args.seed, inclusive=args.inclusive
     )
     os.makedirs(args.out, exist_ok=True)
-    write_results_csv(results, os.path.join(args.out, "weat_results.csv"))
-    _write_config_digest(args.out, args)
+    results_path = os.path.join(args.out, "weat_results.csv")
+    try:
+        write_results_csv(results, results_path)
+    except OSError as exc:
+        return _cannot_write(results_path, exc)
+    if not _write_config_digest(args.out, args):
+        return EXIT_IO
     _print_summary(results, args.mc_samples)
     return EXIT_OK
 

@@ -12,6 +12,7 @@ import unicodedata
 import zipfile
 from array import array
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
@@ -469,6 +470,22 @@ _META = "meta"
 _ZIP_MAGIC = b"PK\x03\x04"
 
 
+@contextmanager
+def atomic_write(path: str, mode: str = "w", **open_kwargs):
+    """A file object for writing `path`: it writes a temporary file beside
+    `path` and moves it into place with os.replace when the block ends. On any
+    exception the temporary file is removed, and `path` keeps what it held."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def save_cache(result_or_corpus, path: str) -> None:
     """Write the corpus to `path`, atomically: the cache is written to a
     temporary file beside it and moved into place, so a failed write leaves
@@ -483,20 +500,13 @@ def save_cache(result_or_corpus, path: str) -> None:
     }
     members = {name: getattr(corpus, name) for name in _ARRAYS}
     members[_META] = np.frombuffer(json.dumps(meta, sort_keys=True, ensure_ascii=False).encode("utf-8"), np.uint8)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        # np.savez would stamp each member with the time of writing; a fixed
-        # stamp makes the cache's bytes a function of the corpus alone
-        with open(tmp, "wb") as fh, zipfile.ZipFile(fh, "w") as archive:
-            for name, values in members.items():
-                info = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
-                with archive.open(info, "w", force_zip64=True) as member:
-                    np.lib.format.write_array(member, values, allow_pickle=False)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    # np.savez would stamp each member with the time of writing; a fixed
+    # stamp makes the cache's bytes a function of the corpus alone
+    with atomic_write(path, "wb") as fh, zipfile.ZipFile(fh, "w") as archive:
+        for name, values in members.items():
+            info = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
+            with archive.open(info, "w", force_zip64=True) as member:
+                np.lib.format.write_array(member, values, allow_pickle=False)
 
 
 def _version_error(path: str, version) -> IngestError:

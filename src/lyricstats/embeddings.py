@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from lyricstats.corpus import Corpus, ranked_ids, token_counts
+from lyricstats.corpus import Corpus, atomic_write, ranked_ids, token_counts
 
 
 class EmbeddingError(Exception):
@@ -362,18 +362,11 @@ def save_vectors(table: EmbeddingTable, path: str) -> None:
     words = [word for word, _ in ordered]
     rows = np.array([row for _, row in ordered], dtype=np.intp)
     block_rows = min(_BLOCK_ROWS, max(1, _FORMAT_VALUES // table.dim))
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(f"{len(rows)} {table.dim}\n".encode("ascii"))
-            for lo in range(0, len(rows), block_rows):
-                block = slice(lo, lo + block_rows)
-                _write_block(fh, words[block], np.asarray(table.vectors[rows[block]], dtype=np.float64))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with atomic_write(path, "wb") as fh:
+        fh.write(f"{len(rows)} {table.dim}\n".encode("ascii"))
+        for lo in range(0, len(rows), block_rows):
+            block = slice(lo, lo + block_rows)
+            _write_block(fh, words[block], np.asarray(table.vectors[rows[block]], dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------

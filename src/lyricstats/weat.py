@@ -11,21 +11,19 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+from lyricstats.corpus import atomic_write
 from lyricstats.embeddings import EmbeddingTable
 
 DEFAULT_MC_SAMPLES = 100_000
-# n-subsets scored per numpy call, enumerated and sampled alike. Sampled
-# chunks continue one uniform stream, so p-values do not depend on the
-# size; it bounds the draw's temporaries. With one draw per list size, 20,000
-# rows took `lyricstats weat` on the bundled battery to a peak RSS of 74 MB,
-# 10,000 rows to 51 MB and 2,000 rows to 40 MB (SGNS vectors of 546 words at
-# dim 50, 2 cores). The uniforms and the gathered scores live in buffers that
-# every chunk of a draw reuses, so the allocator does not hand them back to
-# the kernel and fault them in again chunk after chunk (at n = 48, 36k minor
-# faults fell to 0.8k). The reused buffers held at 2,000 rows raised that peak
-# RSS by 1.6 MB; at 1,000 rows it is 0.8 MB below the 2,000-row peak without
-# them, at the same speed.
-_SUBSET_CHUNK = 1_000
+# Subsets scored per numpy call, enumerated and sampled alike. Sampled chunks
+# continue one uniform stream, so p-values do not depend on the size; it bounds
+# the two (rows, N) float64 buffers that every chunk of a list size reuses, the
+# uniforms and the masks. On the benchmark's `train` vectors (546 words at dim
+# 50, 2 cores), `lyricstats weat` peaked at 37.3, 37.8, 38.6 and 40.1 MB RSS at
+# 250, 500, 1,000 and 2,000 rows, against 39.0 MB for the argsort draw it
+# replaced; an in-process battery took about 0.15 s at every size from 125 to
+# 2,000 rows.
+_SUBSET_CHUNK = 500
 
 
 class WeatError(Exception):
@@ -225,61 +223,91 @@ def _check_sampling(n_samples: int, seed: Optional[int]) -> None:
         raise WeatError(f"a permutation p-value needs a seed >= 0, got {seed}")
 
 
-def _subset_chunks(n: int, n_samples: int, seed: int) -> tuple[str, int, Iterator[np.ndarray]]:
-    """The n-subsets of range(2n) that a p-value counts over: (the p-method,
-    their number, an iterator over them in chunks of at most _SUBSET_CHUNK
-    rows). Every subset when there are C(2n, n) <= n_samples ("exact"), else
-    n_samples subsets drawn at the seed; each row's indices are ascending."""
-    size = math.comb(2 * n, n)
+def _subset_chunks(
+    n_x: int, n_items: int, n_samples: int, seed: int
+) -> tuple[str, int, Iterator[tuple[np.ndarray, Optional[np.ndarray]]]]:
+    """The n_x-subsets of range(n_items) that a p-value counts over: (the
+    p-method, their number, an iterator over them in chunks of at most
+    _SUBSET_CHUNK rows). Every subset when there are C(n_items, n_x) <=
+    n_samples ("exact"), else n_samples subsets drawn at the seed. A chunk is
+    a pair (masks, uniforms): masks is a (rows, n_items) 0/1 float array, one
+    subset a row; uniforms is None for enumerated subsets, and for drawn ones
+    the row's uniforms, whose n_x smallest the mask marks. Every chunk reuses
+    the buffers of the one before."""
+    size = math.comb(n_items, n_x)
+    masks = np.empty((min(_SUBSET_CHUNK, size, n_samples), n_items))
     if size <= n_samples:
         method = "exact"
-        subsets = combinations(range(2 * n), n)
+        subsets = combinations(range(n_items), n_x)
 
-        def draw(rows: int) -> np.ndarray:
-            return np.fromiter(chain.from_iterable(islice(subsets, rows)), np.intp, rows * n).reshape(rows, n)
+        def draw(rows: int):
+            chosen = np.fromiter(chain.from_iterable(islice(subsets, rows)), np.intp, rows * n_x)
+            return _masks_of(chosen.reshape(rows, n_x), masks[:rows]), None
 
     else:
         method, size = f"monte_carlo(n={n_samples}, seed={seed})", n_samples
         rng = np.random.default_rng(seed)
-        uniforms = np.empty((min(_SUBSET_CHUNK, size), 2 * n))
+        uniforms = np.empty_like(masks)
 
-        def draw(rows: int) -> np.ndarray:
-            # a uniform random n-subset per row via argsort of iid uniforms;
-            # indices sorted so each subset sums in the same order as enumerated ones
-            subsets = np.argsort(rng.random(out=uniforms[:rows]), axis=1)[:, :n]
-            subsets.sort(axis=1)
-            return subsets
+        def draw(rows: int):
+            drawn = rng.random(out=uniforms[:rows])
+            return _smallest_masks(drawn, n_x, masks[:rows]), drawn
 
     return method, size, (draw(min(_SUBSET_CHUNK, size - start)) for start in range(0, size, _SUBSET_CHUNK))
 
 
+def _smallest_masks(uniforms: np.ndarray, n_x: int, masks: np.ndarray) -> np.ndarray:
+    """Writes into masks a 1 at each row's n_x smallest uniforms and 0
+    elsewhere: a uniform random n_x-subset per row of iid uniforms, the one
+    argsort picks. A row whose n_x-th and (n_x + 1)-th smallest uniforms tie
+    gets more than n_x ones. masks first holds a partitioned copy of the
+    uniforms, whose (n_x - 1)-th column is the cut."""
+    np.copyto(masks, uniforms)
+    masks.partition(n_x - 1, axis=1)
+    return np.less_equal(uniforms, masks[:, n_x - 1 : n_x].copy(), out=masks)
+
+
+def _masks_of(chosen: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Writes into masks a 1 at each row's chosen indices and 0 elsewhere."""
+    masks.fill(0.0)
+    np.put_along_axis(masks, chosen, 1.0, axis=1)
+    return masks
+
+
 def _p_values(
-    pairs: Sequence[tuple[np.ndarray, np.ndarray]], n_samples: int, seed: int, inclusive: bool
+    scores: np.ndarray, n_x: int, n_samples: int, seed: int, inclusive: bool
 ) -> tuple[str, list[float]]:
-    """(p-method, one-sided permutation p of each (sx, sy) score pair), all of
-    one list size n: the share of n-subsets of the pooled scores, taken as the
-    X side, whose statistic beats the observed one. Each chunk of subsets is
-    drawn once and counted against every pair with the float operations one
-    pair alone would get, so a p-value does not depend on the other pairs."""
-    n = len(pairs[0][0])
-    method, size, chunks = _subset_chunks(n, n_samples, seed)
-    pooled = [np.concatenate([sx, sy]) for sx, sy in pairs]
-    totals = [scores.sum() for scores in pooled]
-    # observed statistics computed with the same float operations as the
-    # subset statistics below, so the identity partition never flips a
-    # strict comparison by rounding
-    observed = [float(2.0 * scores[:n].sum() - total) for scores, total in zip(pooled, totals)]
-    hits = [0] * len(pairs)
-    gathered = np.empty((min(_SUBSET_CHUNK, size), n))
-    for subsets in chunks:
-        chosen = gathered[: len(subsets)]
-        for i, (scores, total, obs) in enumerate(zip(pooled, totals, observed)):
-            # mode="clip" writes straight into `chosen` ("raise" buffers out=); the
-            # indices are in range, so it clips nothing
-            stats = 2.0 * np.take(scores, subsets, out=chosen, mode="clip").sum(axis=1) - total
-            hits[i] += int(np.count_nonzero(stats >= obs if inclusive else stats > obs))
-        del subsets  # freed before the next chunk is drawn
-    return method, [h / size for h in hits]
+    """(p-method, one-sided permutation p of each column of scores), an
+    (N, k) array whose column holds one test's pooled scores, the n_x X-side
+    scores first: the share of n_x-subsets of the N rows, taken as the X
+    side, whose statistic beats the observed one. The statistic grows with
+    the subset's score sum, so a subset beats the observed X side when its
+    sum is larger (or equal, when inclusive).
+
+    The scores are rounded to integers small enough that every subset sum is
+    exact in float64, whatever order BLAS adds them in, so each chunk of
+    subsets is scored against every test by one (rows, N) @ (N, k + 1)
+    product. Per column, max|s| = f * 2**e with 0.5 <= f < 1 is scaled to
+    below 2**(52 - ceil(log2 N)); an all-zero column stays zero. The last
+    column of ones counts each subset's items: a drawn row with a tie at its
+    n_x-th smallest uniform marks more than n_x of them, and its chunk takes
+    argsort's subsets instead."""
+    n_items, k = scores.shape
+    method, size, chunks = _subset_chunks(n_x, n_items, n_samples, seed)
+    exponents = np.frexp(np.abs(scores).max(axis=0))[1]
+    q = np.ones((n_items, k + 1))
+    q[:, :k] = np.rint(np.ldexp(scores, 52 - (n_items - 1).bit_length() - exponents))
+    observed = q[:n_x, :k].sum(axis=0)
+    beats = np.greater_equal if inclusive else np.greater
+    hits = np.zeros(k, dtype=np.int64)
+    sums = np.empty((min(_SUBSET_CHUNK, size), k + 1))
+    for masks, uniforms in chunks:
+        chunk_sums = np.matmul(masks, q, out=sums[: len(masks)])
+        if uniforms is not None and (chunk_sums[:, k] != n_x).any():
+            _masks_of(np.argsort(uniforms, axis=1)[:, :n_x], masks)
+            np.matmul(masks, q, out=chunk_sums)
+        hits += np.count_nonzero(beats(chunk_sums[:, :k], observed), axis=0)
+    return method, [int(h) / size for h in hits]
 
 
 def permutation_p(
@@ -296,7 +324,7 @@ def permutation_p(
     n_samples drawn at the seed."""
     _check_sampling(n_samples, seed)
     sx, sy, _, _ = _prepare(test, emb, policy)
-    return _p_values([(sx, sy)], n_samples, seed, inclusive)[1][0]
+    return _p_values(np.concatenate([sx, sy])[:, None], len(sx), n_samples, seed, inclusive)[1][0]
 
 
 def run_test(
@@ -339,17 +367,21 @@ def run_battery(
             results[i] = WeatResult(test.name, None, None, None, "none", coverage, dropped, str(exc))
             continue
         groups.setdefault(len(sx), []).append((i, sx, sy, coverage, dropped, d))
-    for members in groups.values():
-        method, p_values = _p_values([(sx, sy) for _, sx, sy, *_ in members], n_samples, seed, inclusive)
+    for n, members in groups.items():
+        scores = np.column_stack([np.concatenate([sx, sy]) for _, sx, sy, *_ in members])
+        method, p_values = _p_values(scores, n, n_samples, seed, inclusive)
         for (i, sx, sy, coverage, dropped, d), p in zip(members, p_values):
             results[i] = WeatResult(tests[i].name, d, float(sx.sum() - sy.sum()), p, method, coverage, dropped)
     return results
 
 
 def write_results_csv(results: Sequence[WeatResult], path: str) -> None:
+    """One CSV row per result. The file is written to a temporary file beside
+    `path` and moved into place, so a failed write leaves any previous file
+    as it was."""
     import csv
 
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             [

@@ -607,6 +607,51 @@ class TestOutputDirectory:
         assert (out / "weat_results.csv").exists()
 
 
+class TestWriteErrors:
+    """An output that cannot be written ends the command with exit 1 and one
+    line naming it. Outputs are written beside their path and moved into
+    place, so no temporary file stays and a previous file keeps its bytes."""
+
+    @pytest.mark.parametrize("command", ["ingest", "style", "train", "weat"])
+    def test_config_digest_in_the_way_exit_1(self, tmp_path, mini_cache, capsys, command):
+        out = tmp_path / "out"
+        digest = out / f"{command}.config.json"
+        digest.mkdir(parents=True)
+        capsys.readouterr()
+        assert main(TestOutputDirectory()._command(command, tmp_path, mini_cache, str(out))) == 1
+        assert capsys.readouterr().err == f"error: cannot write {digest}: Is a directory\n"
+        assert digest.is_dir() and not [name for name in os.listdir(out) if name.endswith(".tmp")]
+
+    def test_failed_results_write_keeps_previous_files(self, tmp_path, capsys, monkeypatch):
+        vecs = TestWeatCommand()._vector_file(tmp_path, ["x1", "x2", "y1", "y2", "a1", "a2", "b1", "b2"])
+        battery = tmp_path / "tests.json"
+        battery.write_text(json.dumps([{"name": "t", "targets_x": ["x1", "x2"], "targets_y": ["y1", "y2"],
+                                        "attributes_a": ["a1", "a2"], "attributes_b": ["b1", "b2"]}]))
+        out = tmp_path / "weat"
+        args = ["weat", "--vectors", str(vecs), "--tests", str(battery), "--out", str(out), "--seed"]
+        assert main([*args, "1"]) == 0
+        before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+        capsys.readouterr()
+
+        class NoSpaceAfterTheHeader:
+            def __init__(self, fh):
+                self.fh, self.rows = fh, 0
+
+            def writerow(self, row):
+                self.rows += 1
+                if self.rows > 1:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                self.fh.write(",".join(row) + "\n")
+
+        monkeypatch.setattr(csv, "writer", NoSpaceAfterTheHeader)
+        assert main([*args, "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {out / 'weat_results.csv'}: No space left on device\n"
+        assert captured.out == ""
+        assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+        assert sorted(before) == ["weat.config.json", "weat_results.csv"]
+
+
 class TestNegativeSeed:
     @pytest.mark.parametrize("via_config", [False, True])
     def test_weat_exit_1(self, tmp_path, capsys, via_config):

@@ -1,4 +1,4 @@
-"""The demo scripts and the throughput tool run as a reader runs them: from a
+"""The demo scripts and the throughput tools run as a reader runs them: from a
 checkout, with `src` on the import path, each as its own process."""
 
 import os
@@ -41,3 +41,10 @@ def test_vector_io_throughput_tool_runs_at_a_tiny_size():
     runs = [re.fullmatch(r"rows=(\d+) dim=(\d+) bytes=\d+ save_s=[\d.]+ save_rows_per_s=\d+ "
                          r"load_s=[\d.]+ load_rows_per_s=\d+", line) for line in lines]
     assert [m and m.groups() for m in runs] == [("7", "3"), ("2", "5")]
+
+
+def test_weat_throughput_tool_runs_at_a_tiny_size():
+    lines = run_script(os.path.join("tools", "weat_throughput.py"), "--dims", "3,5", "--repeats", "1",
+                       "--mc-samples", "20")
+    runs = [re.fullmatch(r"dim=(\d+) words=\d+ tests=8 samples=20 seconds=[\d.]+ minflt=\d+", line) for line in lines]
+    assert [m and m.group(1) for m in runs] == ["3", "5"]

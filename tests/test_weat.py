@@ -1,11 +1,13 @@
 import dataclasses
 import json
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+import lyricstats.weat as weat
 from lyricstats.embeddings import cosine
 from lyricstats.resources import default_battery_path
 from lyricstats.weat import (
@@ -592,3 +594,112 @@ class TestSharedDraw:
         monkeypatch.setattr(weat, "_prepare", None)
         with pytest.raises(WeatError, match="seed >= 0"):
             run_test(test, table, seed=-1)
+
+
+def argsort_reference_p_values(pairs, n_samples, seed, inclusive):
+    """The scoring that integer masks replaced: each subset's X-side indices
+    from itertools.combinations, or drawn as the first n of an argsort of 2n
+    uniforms per row of one default_rng(seed) stream, then sorted, gathered
+    with take and summed in float64, with the observed statistic computed by
+    the same operations."""
+    n = len(pairs[0][0])
+    size = math.comb(2 * n, n)
+    if size <= n_samples:
+        method, blocks = "exact", [np.array(list(combinations(range(2 * n), n)))]
+    else:
+        method, size = f"monte_carlo(n={n_samples}, seed={seed})", n_samples
+        rng = np.random.default_rng(seed)
+        blocks = (np.sort(np.argsort(rng.random((min(1000, size - start), 2 * n)), axis=1)[:, :n], axis=1)
+                  for start in range(0, size, 1000))
+    pooled = [np.concatenate(pair) for pair in pairs]
+    totals = [scores.sum() for scores in pooled]
+    observed = [2.0 * scores[:n].sum() - total for scores, total in zip(pooled, totals)]
+    hits = [0] * len(pairs)
+    for subsets in blocks:
+        for i, (scores, total, obs) in enumerate(zip(pooled, totals, observed)):
+            stats = 2.0 * np.take(scores, subsets).sum(axis=1) - total
+            hits[i] += int(np.count_nonzero(stats >= obs if inclusive else stats > obs))
+    return method, [h / size for h in hits]
+
+
+def score_matrix(pairs):
+    return np.column_stack([np.concatenate(pair) for pair in pairs])
+
+
+class TestIntegerMaskScoring:
+    """`_p_values` scores each chunk of subsets as 0/1 masks against the
+    scores rounded to integers: every subset sum is exact, and each p-value
+    is the one the argsort-and-gather scoring gave."""
+
+    # 13 sizes x 2 groups x 3 sample counts x 2 tails: 156 p-value lists, exact
+    # for n <= 6 at 3,001 samples and n <= 8 at 20,000, sampled otherwise
+    @pytest.mark.parametrize("n", [*range(2, 13), 24, 48])
+    @pytest.mark.parametrize("duplicated", [False, True], ids=["plain", "duplicated_pairs"])
+    def test_p_values_equal_the_argsort_scoring(self, n, duplicated):
+        rng = np.random.default_rng(100 + n)
+        sx, sy = rng.normal(0.02, 0.1, n), rng.normal(0.0, 0.1, n)
+        # a duplicated group holds one pair twice and once swapped
+        pairs = [(sx, sy), (sx, sy), (sy, sx)] if duplicated else [(sx, sy), (rng.normal(0.0, 0.3, n), sy)]
+        for n_samples in (50, 3001, 20_000):
+            for inclusive in (False, True):
+                assert weat._p_values(score_matrix(pairs), n, n_samples, 7, inclusive) == (
+                    argsort_reference_p_values(pairs, n_samples, 7, inclusive)
+                )
+
+    def test_tied_uniforms_take_the_argsort_subsets(self, monkeypatch):
+        n, rows = 5, 40
+        rng = np.random.default_rng(41)
+        uniforms = rng.random((rows, 2 * n))
+        argsorted = np.argsort(uniforms, axis=1)
+        # even rows: the (n + 1)-th smallest uniform equals the n-th
+        even = np.arange(0, rows, 2)
+        uniforms[even, argsorted[even, n]] = uniforms[even, argsorted[even, n - 1]]
+        argsorted = np.argsort(uniforms, axis=1)[:, :n]
+        masks = weat._smallest_masks(uniforms, n, np.empty_like(uniforms))
+        assert masks.sum(axis=1).tolist() == [n + 1, n] * (rows // 2)
+        method = f"monte_carlo(n={rows}, seed=0)"
+        monkeypatch.setattr(weat, "_subset_chunks", lambda *args: (method, rows, iter([(masks, uniforms)])))
+        sx, sy = rng.normal(0.0, 0.1, n), rng.normal(0.0, 0.1, n)
+        p = weat._p_values(score_matrix([(sx, sy)]), n, rows, 0, False)
+        # the chunk's masks were redone: n ones a row, argsort's subsets
+        expected = np.zeros_like(masks)
+        np.put_along_axis(expected, argsorted, 1.0, axis=1)
+        assert (masks == expected).all()
+        pooled = np.concatenate([sx, sy])
+        stats = 2.0 * np.take(pooled, np.sort(argsorted, axis=1)).sum(axis=1) - pooled.sum()
+        assert p == (method, [np.count_nonzero(stats > 2.0 * sx.sum() - pooled.sum()) / rows])
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_exact_ties_match_fraction_enumeration(self, n):
+        # multiples of 1/8 between -3/8 and 3/8: many subsets tie exactly
+        rng = np.random.default_rng(60 + n)
+        pooled = rng.integers(-3, 4, 2 * n) / 8
+        values = [Fraction(float(v)) for v in pooled]
+        observed = sum(values[:n])
+        sums = [sum(values[i] for i in subset) for subset in combinations(range(2 * n), n)]
+        size = math.comb(2 * n, n)
+        for inclusive in (False, True):
+            expected = sum(s > observed or (inclusive and s == observed) for s in sums) / size
+            assert weat._p_values(pooled[:, None], n, size, 0, inclusive) == ("exact", [expected])
+            # the sums are exact in float too, so drawn subsets count as the reference does
+            pairs = [(pooled[:n], pooled[n:])]
+            assert weat._p_values(pooled[:, None], n, size - 1, 3, inclusive) == (
+                argsort_reference_p_values(pairs, size - 1, 3, inclusive)
+            )
+
+    def test_all_zero_column_ties_every_subset(self):
+        scores = np.column_stack([np.zeros(8), np.random.default_rng(70).normal(size=8)])
+        for n_samples, method in ((70, "exact"), (50, "monte_carlo(n=50, seed=0)")):
+            strict = weat._p_values(scores, 4, n_samples, 0, False)
+            assert strict[:1] == (method,) and strict[1][0] == 0.0
+            assert strict[1][1] == weat._p_values(scores[:, 1:], 4, n_samples, 0, False)[1][0]
+            assert weat._p_values(scores, 4, n_samples, 0, True)[1][0] == 1.0
+
+    def test_unequal_sides_match_enumeration(self):
+        # 3 of 7 items on the X side: C(7, 3) = 35 subsets
+        pooled = np.random.default_rng(80).normal(size=7)
+        sums = [math.fsum(pooled[list(subset)]) for subset in combinations(range(7), 3)]
+        observed = math.fsum(pooled[:3])
+        for inclusive in (False, True):
+            expected = sum(s > observed or (inclusive and s == observed) for s in sums) / 35
+            assert weat._p_values(pooled[:, None], 3, 35, 0, inclusive) == ("exact", [expected])
