@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from lyricstats.embeddings import EmbeddingTable
-from lyricstats.weat import WeatTest, effect_size, permutation_p
+from lyricstats.weat import WeatTest, run_battery
 
 rng = np.random.default_rng(1)
 
@@ -32,19 +32,18 @@ test = WeatTest(
     attributes_b=tuple(f"b{i}" for i in range(3)),
 )
 
-result = effect_size(test, table)
-print(f"effect size d = {result.effect_size:+.3f}, statistic S = {result.test_statistic:+.3f}")
-
 # exact: the default 100,000 samples exceed C(10,5) = 252 partitions, so all are enumerated
-p_exact = permutation_p(test, table)
+[result] = run_battery([test], table)
+print(f"effect size d = {result.effect_size:+.3f}, statistic S = {result.test_statistic:+.3f}")
+p_exact = result.p_value
 print(f"exact p over {math.comb(10, 5)} partitions: {p_exact:.6f}")
 
 # Monte Carlo below 252 samples; it converges as the sample count grows
 for n in (25, 100, 250):
-    p_mc = permutation_p(test, table, n_samples=n, seed=11)
+    p_mc = run_battery([test], table, n_samples=n, seed=11)[0].p_value
     stderr = math.sqrt(max(p_exact * (1 - p_exact), 1e-12) / n)
     print(f"monte carlo n={n:>7}: {p_mc:.6f}  (|diff| = {abs(p_mc - p_exact):.6f}, 3se = {3 * stderr:.6f})")
 
 # the strict ">" convention can give p = 0; the inclusive variant cannot
-p_incl = permutation_p(test, table, inclusive=True)
+p_incl = run_battery([test], table, inclusive=True)[0].p_value
 print(f"inclusive exact p: {p_incl:.6f} (always >= strict p)")

@@ -14,12 +14,8 @@ from lyricstats.embeddings import EmbeddingTable, SgnsConfig, cosine, load_vecto
 from lyricstats.style import (
     StyleMetrics,
     aggregate,
-    compute_style_metrics,
     corpus_style_metrics,
-    fk_grade,
     rank_series,
-    repetitiveness,
-    speed,
     top_words,
     year_rankings,
 )
@@ -27,12 +23,8 @@ from lyricstats.weat import (
     OovPolicy,
     WeatResult,
     WeatTest,
-    association,
-    effect_size,
     load_battery,
-    permutation_p,
     run_battery,
-    test_statistic,
 )
 
 __version__ = "0.1.0"

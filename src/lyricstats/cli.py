@@ -52,7 +52,7 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: str, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows([_fmt(value) for value in row] for row in rows)
@@ -170,8 +170,13 @@ def cmd_ingest(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     os.makedirs(args.out, exist_ok=True)
-    save_cache(result, os.path.join(args.out, "corpus.cache"))
-    write_reject_report(result.rejects, os.path.join(args.out, "rejects.jsonl"))
+    path = os.path.join(args.out, "corpus.cache")
+    try:
+        save_cache(result, path)
+        path = os.path.join(args.out, "rejects.jsonl")
+        write_reject_report(result.rejects, path)
+    except OSError as exc:
+        return _cannot_write(path, exc)
     if not _write_config_digest(args.out, args):
         return EXIT_IO
     print(f"ingested {len(result.corpus)} songs, {len(result.rejects)} rejects")
@@ -200,29 +205,35 @@ def cmd_style(args) -> int:
         return EXIT_IO
     os.makedirs(args.out, exist_ok=True)
     metrics = corpus_style_metrics(corpus, lexicon)
-    _write_table(os.path.join(args.out, "per_song.csv"), metrics)
-    _write_table(os.path.join(args.out, "aggregate.csv"), aggregate(metrics))
-
     # rank_series.csv needs every year; top_words.csv alone needs only --year
     rankings = year_rankings(corpus, args.cohort, None if words else args.year)
-    _write_csv(
-        os.path.join(args.out, "top_words.csv"),
-        ["year", "rank", "word"],
-        (
-            (year, rank, word)
-            for year in (rankings if args.year is None else [args.year])
-            for rank, word in enumerate(top_words(rankings.get(year, []), args.top_k, stopwords), start=1)
-        ),
-    )
-    _write_csv(
-        os.path.join(args.out, "rank_series.csv"),
-        ["word", "year", "rank"],
-        (
-            (series.word, year, series.entries[year])
-            for series in (rank_series(rankings, words) if words else [])
-            for year in sorted(series.entries)
-        ),
-    )
+    path = os.path.join(args.out, "per_song.csv")
+    try:
+        _write_table(path, metrics)
+        path = os.path.join(args.out, "aggregate.csv")
+        _write_table(path, aggregate(metrics))
+        path = os.path.join(args.out, "top_words.csv")
+        _write_csv(
+            path,
+            ["year", "rank", "word"],
+            (
+                (year, rank, word)
+                for year in (rankings if args.year is None else [args.year])
+                for rank, word in enumerate(top_words(rankings.get(year, []), args.top_k, stopwords), start=1)
+            ),
+        )
+        path = os.path.join(args.out, "rank_series.csv")
+        _write_csv(
+            path,
+            ["word", "year", "rank"],
+            (
+                (series.word, year, series.entries[year])
+                for series in (rank_series(rankings, words) if words else [])
+                for year in sorted(series.entries)
+            ),
+        )
+    except OSError as exc:
+        return _cannot_write(path, exc)
 
     return EXIT_OK if _write_config_digest(args.out, args) else EXIT_IO
 

@@ -146,11 +146,6 @@ class Corpus:
             )
             yield SongRecord(id=rid, year=year, cohort=COHORTS[cohort], duration_seconds=duration, lines=lines)
 
-    @property
-    def records(self) -> tuple[SongRecord, ...]:
-        """Every song as a `SongRecord`, built anew on each access."""
-        return tuple(self)
-
 
 # tokens renumbered per step when a corpus is built: bounds the temporary copy
 _RENUMBER_CHUNK = 1 << 20
@@ -573,7 +568,8 @@ def load_cache(path: str) -> Corpus:
 
 
 def write_reject_report(rejects: Iterable[Reject], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """One JSON line per reject, written atomically as `save_cache` is."""
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         for rej in rejects:
             key = "line_no" if rej.where.startswith("line:") else "id"
             value = rej.where.split(":", 1)[1] if key == "line_no" else rej.where

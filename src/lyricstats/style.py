@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from lyricstats.corpus import COHORTS, Corpus, CorpusError, SongRecord, ranked_ids, token_counts
+from lyricstats.corpus import COHORTS, Corpus, ranked_ids, token_counts
 
 _VOWELS = np.array([ord(c) for c in "aeiouy"], dtype=np.uint32)
 # songs that `_song_sums` and `_repetitiveness` take at once: bounds the
@@ -73,20 +73,6 @@ class RankSeries:
 class SwearLexicon:
     entries: frozenset[str]
     source: str
-
-
-def _one_song(song: SongRecord) -> Corpus:
-    """The corpus of one song: the per-song functions below run the corpus
-    code on it, so that there is one implementation of each metric."""
-    try:
-        return Corpus.from_records((song,))
-    except CorpusError as exc:
-        raise StyleError(str(exc)) from exc
-
-
-def _speeds(lengths: np.ndarray, durations: np.ndarray) -> np.ndarray:
-    """Words per second of each song; NaN where the duration is NaN."""
-    return lengths / durations
 
 
 def _repetitiveness(corpus: Corpus) -> np.ndarray:
@@ -164,22 +150,6 @@ def _swear_counts(corpus: Corpus, lexicon: SwearLexicon) -> np.ndarray:
     return _song_sums(corpus, swears)
 
 
-def length_words(song: SongRecord) -> int:
-    return len(_one_song(song).tokens)
-
-
-def speed(length: int, duration_seconds: float) -> float:
-    """Words per second."""
-    if duration_seconds <= 0:
-        raise StyleError("duration_seconds must be > 0")
-    return float(_speeds(np.array([length]), np.array([duration_seconds], dtype=np.float64))[0])
-
-
-def repetitiveness(song: SongRecord) -> float:
-    """Percentage of lines that repeat an earlier line (see `_repetitiveness`)."""
-    return float(_repetitiveness(_one_song(song))[0])
-
-
 @lru_cache(maxsize=200_000)
 def count_syllables(word: str) -> int:
     """Heuristic syllable count of one word (see `syllable_table`). The corpus
@@ -187,11 +157,6 @@ def count_syllables(word: str) -> int:
     serves callers that ask for single words, and `cache_info()` stays part of
     the function's interface (perfbench/launch.py reads it)."""
     return int(syllable_table([word])[0])
-
-
-def fk_grade(song: SongRecord) -> float:
-    """Flesch-Kincaid grade level with each lyric line treated as one sentence."""
-    return float(_fk_grades(_one_song(song))[0])
 
 
 def load_wordlist(path: str) -> frozenset[str]:
@@ -220,21 +185,10 @@ def load_swear_lexicon(path: str) -> SwearLexicon:
     return SwearLexicon(entries=entries, source=path)
 
 
-def swear_stats(song: SongRecord, lexicon: SwearLexicon) -> tuple[int, float]:
-    """Exact-token swear matches: (count, count/length)."""
-    corpus = _one_song(song)
-    count = int(_swear_counts(corpus, lexicon)[0])
-    return count, count / len(corpus.tokens)
-
-
-def compute_style_metrics(song: SongRecord, lexicon: SwearLexicon) -> StyleMetrics:
-    """The metrics of one song: a one-entry `StyleMetrics`."""
-    return corpus_style_metrics(_one_song(song), lexicon)
-
-
 def corpus_style_metrics(corpus: Corpus, lexicon: SwearLexicon) -> StyleMetrics:
     """Every song's metrics, in corpus order, each column computed for all
-    songs at once from vocabulary-level tables."""
+    songs at once from vocabulary-level tables. One song's metrics are those
+    of its one-song corpus, `Corpus.from_records([song])`."""
     swears = _swear_counts(corpus, lexicon)
     lengths = np.diff(corpus.song_bounds)
     return StyleMetrics(
@@ -243,7 +197,7 @@ def corpus_style_metrics(corpus: Corpus, lexicon: SwearLexicon) -> StyleMetrics:
         cohort=np.array(COHORTS)[corpus.cohorts],
         length_words=lengths,
         duration_seconds=corpus.durations,
-        speed_wps=_speeds(lengths, corpus.durations),
+        speed_wps=lengths / corpus.durations,
         repetitiveness_pct=_repetitiveness(corpus),
         fk_grade=_fk_grades(corpus),
         swear_count=swears,

@@ -154,15 +154,6 @@ def _unit_rows(words: Sequence[str], emb: EmbeddingTable) -> np.ndarray:
     return mat / np.linalg.norm(mat, axis=1, keepdims=True)
 
 
-def association(w: str, attributes_a: Sequence[str], attributes_b: Sequence[str], emb: EmbeddingTable) -> float:
-    """Mean cosine of w to the A attributes minus mean cosine to the B attributes."""
-    for word in (w, *attributes_a, *attributes_b):
-        if word not in emb:
-            raise WeatError(f"word {word!r} not in vocabulary; filter before calling")
-    scores = _association_scores([w], attributes_a, attributes_b, emb)
-    return float(scores[0])
-
-
 def _association_scores(
     targets: Sequence[str], attributes_a: Sequence[str], attributes_b: Sequence[str], emb: EmbeddingTable
 ) -> np.ndarray:
@@ -186,41 +177,12 @@ def _prepare(test: WeatTest, emb: EmbeddingTable, policy: OovPolicy):
     return sx, sy, coverage, dropped
 
 
-def test_statistic(test: WeatTest, emb: EmbeddingTable, policy: OovPolicy = OovPolicy()) -> float:
-    """Sum of X association scores minus sum of Y association scores."""
-    sx, sy, _, _ = _prepare(test, emb, policy)
-    return float(sx.sum() - sy.sum())
-
-
 def _effect_size_from_scores(sx: np.ndarray, sy: np.ndarray) -> float:
     pooled = np.concatenate([sx, sy])
     denom = pooled.std()  # population std
     if denom == 0.0:
         raise DegenerateStatisticError("all association scores equal; effect size undefined")
     return float((sx.mean() - sy.mean()) / denom)
-
-
-def effect_size(test: WeatTest, emb: EmbeddingTable, policy: OovPolicy = OovPolicy()) -> WeatResult:
-    sx, sy, coverage, dropped = _prepare(test, emb, policy)
-    return WeatResult(
-        test_name=test.name,
-        effect_size=_effect_size_from_scores(sx, sy),
-        test_statistic=float(sx.sum() - sy.sum()),
-        p_value=None,
-        p_method="none",
-        coverage=coverage,
-        dropped_words=dropped,
-    )
-
-
-def _check_sampling(n_samples: int, seed: Optional[int]) -> None:
-    """Raises WeatError for a sample count or seed that no p-value can use."""
-    if n_samples < 1:
-        raise WeatError(f"a permutation p-value needs n_samples >= 1, got {n_samples}")
-    if seed is None:
-        raise WeatError("a permutation p-value needs an explicit seed")
-    if seed < 0:
-        raise WeatError(f"a permutation p-value needs a seed >= 0, got {seed}")
 
 
 def _subset_chunks(
@@ -310,34 +272,6 @@ def _p_values(
     return method, [int(h) / size for h in hits]
 
 
-def permutation_p(
-    test: WeatTest,
-    emb: EmbeddingTable,
-    n_samples: int = DEFAULT_MC_SAMPLES,
-    seed: int = 0,
-    inclusive: bool = False,
-    policy: OovPolicy = OovPolicy(),
-) -> float:
-    """One-sided permutation p-value: the proportion of equal-size partitions
-    of X∪Y whose statistic beats the observed one (strict ">" by default),
-    over every partition when there are at most n_samples of them, else over
-    n_samples drawn at the seed."""
-    _check_sampling(n_samples, seed)
-    sx, sy, _, _ = _prepare(test, emb, policy)
-    return _p_values(np.concatenate([sx, sy])[:, None], len(sx), n_samples, seed, inclusive)[1][0]
-
-
-def run_test(
-    test: WeatTest,
-    emb: EmbeddingTable,
-    policy: OovPolicy = OovPolicy(),
-    n_samples: int = DEFAULT_MC_SAMPLES,
-    seed: int = 0,
-    inclusive: bool = False,
-) -> WeatResult:
-    return run_battery([test], emb, policy, n_samples, seed, inclusive)[0]
-
-
 def run_battery(
     tests: Sequence[WeatTest],
     emb: EmbeddingTable,
@@ -346,13 +280,23 @@ def run_battery(
     seed: int = 0,
     inclusive: bool = False,
 ) -> list[WeatResult]:
-    """One WeatResult per test, order preserved; per-test failures are
-    reported in the result's error field without aborting the battery.
-    Tests whose target lists have the same size after filtering share their
-    subsets (see `_p_values`): each p-value is the one the test gets alone.
-    Raises WeatError, before any work, for a sample count or seed that no
-    p-value can use."""
-    _check_sampling(n_samples, seed)
+    """One WeatResult per test, order preserved: its effect size, its
+    statistic (the X association scores' sum minus the Y scores') and its
+    one-sided permutation p-value, the share of equal-size partitions of X∪Y
+    whose statistic beats the observed one (">", or ">=" when inclusive),
+    over every partition when there are at most n_samples of them, else over
+    n_samples drawn at the seed. Per-test failures are reported in the
+    result's error field without aborting the battery. Tests whose target
+    lists have the same size after filtering share their subsets (see
+    `_p_values`): each p-value is the one the test gets alone. Raises
+    WeatError, before any work, for a sample count or seed that no p-value
+    can use."""
+    if n_samples < 1:
+        raise WeatError(f"a permutation p-value needs n_samples >= 1, got {n_samples}")
+    if seed is None:
+        raise WeatError("a permutation p-value needs an explicit seed")
+    if seed < 0:
+        raise WeatError(f"a permutation p-value needs a seed >= 0, got {seed}")
     results: list[Optional[WeatResult]] = [None] * len(tests)
     groups: dict[int, list] = {}
     for i, test in enumerate(tests):

@@ -27,20 +27,12 @@ from lyricstats.embeddings import (
     unigram_noise_probs,
 )
 from lyricstats.resources import default_battery_path, default_swear_lexicon_path, mini_corpus_path
-from lyricstats.style import corpus_style_metrics, fk_grade, load_swear_lexicon, repetitiveness, speed
-from lyricstats.weat import (
-    WeatTest,
-    _association_scores,
-    effect_size,
-    load_battery,
-    permutation_p,
-    run_battery,
-)
-from lyricstats.weat import test_statistic as weat_statistic
+from lyricstats.style import corpus_style_metrics, load_swear_lexicon
+from lyricstats.weat import WeatTest, load_battery, run_battery
 from tests.conftest import make_record, make_table, random_table
 from tests.test_embeddings import corpus_from_token_lists, two_cluster_corpus
-from tests.test_style import lyric
-from tests.test_weat import brute_force_p, combinations_p, random_weat
+from tests.test_style import lyric, metrics_of
+from tests.test_weat import brute_force_p, combinations_p, pooled_scores, random_weat
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -82,20 +74,15 @@ def test_criterion_2_exact_permutation_oracle():
     for n in range(2, 7):  # all test sizes 2n <= 12
         for _ in range(4):
             test, table = random_weat(rng, n_targets=n, n_attrs=3)
-            sx = _association_scores(list(test.targets_x), test.attributes_a, test.attributes_b, table)
-            sy = _association_scores(list(test.targets_y), test.attributes_a, test.attributes_b, table)
-            pooled = list(np.concatenate([sx, sy]))
-            assert permutation_p(test, table) == brute_force_p(pooled, n)
+            assert run_battery([test], table)[0].p_value == brute_force_p(pooled_scores(test, table), n)
     # Monte Carlo at 100,000 samples, fewer than the C(20, 10) = 184,756
     # partitions of 10 targets a side, against the enumerated p-value
     test, table = random_weat(rng, n_targets=10, n_attrs=3)
-    sx = _association_scores(list(test.targets_x), test.attributes_a, test.attributes_b, table)
-    sy = _association_scores(list(test.targets_y), test.attributes_a, test.attributes_b, table)
-    p_exact = combinations_p(list(np.concatenate([sx, sy])), 10)
+    p_exact = combinations_p(pooled_scores(test, table), 10)
     n_samples = 100_000
-    assert run_battery([test], table, n_samples=n_samples, seed=5)[0].p_method.startswith("monte_carlo")
-    p_mc = permutation_p(test, table, n_samples=n_samples, seed=5)
-    assert abs(p_mc - p_exact) <= 3 * math.sqrt(p_exact * (1 - p_exact) / n_samples)
+    [sampled] = run_battery([test], table, n_samples=n_samples, seed=5)
+    assert sampled.p_method.startswith("monte_carlo")
+    assert abs(sampled.p_value - p_exact) <= 3 * math.sqrt(p_exact * (1 - p_exact) / n_samples)
     report(2, "exact permutation oracle")
 
 
@@ -103,33 +90,33 @@ def test_criterion_3_weat_property_suite():
     rng = np.random.default_rng(303)
     for _ in range(50):
         test, table = random_weat(rng, n_targets=3, n_attrs=3)
-        d = effect_size(test, table).effect_size
-        s = weat_statistic(test, table)
-        p = permutation_p(test, table)
         swap_t = WeatTest("t", test.targets_y, test.targets_x, test.attributes_a, test.attributes_b)
         swap_a = WeatTest("a", test.targets_x, test.targets_y, test.attributes_b, test.attributes_a)
-        assert abs(effect_size(swap_t, table).effect_size + d) <= 1e-12
-        assert abs(effect_size(swap_a, table).effect_size + d) <= 1e-12
-        assert abs(weat_statistic(swap_t, table) + s) <= 1e-12
+        r, r_t, r_a = run_battery([test, swap_t, swap_a], table)
+        d, s, p = r.effect_size, r.test_statistic, r.p_value
+        assert abs(r_t.effect_size + d) <= 1e-12
+        assert abs(r_a.effect_size + d) <= 1e-12
+        assert abs(r_t.test_statistic + s) <= 1e-12
         scaled = make_table({w: 3.25 * table.get(w) for w in table.vocab})
-        assert abs(effect_size(test, scaled).effect_size - d) <= 1e-12
-        assert abs(weat_statistic(test, scaled) - s) <= 1e-12
-        assert abs(permutation_p(test, scaled) - p) <= 1e-12
+        [r_scaled] = run_battery([test], scaled)
+        assert abs(r_scaled.effect_size - d) <= 1e-12
+        assert abs(r_scaled.test_statistic - s) <= 1e-12
+        assert abs(r_scaled.p_value - p) <= 1e-12
     for _ in range(1000):
         test, table = random_weat(rng, n_targets=int(rng.integers(2, 6)), n_attrs=2, dim=4)
-        assert abs(effect_size(test, table).effect_size) <= 2.0 + 1e-12
+        assert abs(run_battery([test], table)[0].effect_size) <= 2.0 + 1e-12
     report(3, "WEAT property suite")
 
 
 def test_criterion_4_style_golden_values():
-    assert repetitiveness(lyric("la la\nda da\nla la\nda da")) == 50.0
-    assert repetitiveness(lyric("one two\nthree four\nfive six")) == 0.0
-    assert repetitiveness(lyric("la la\n" * 5)) == pytest.approx(80.0, abs=1e-12)
-    assert speed(144, 240.0) == pytest.approx(0.6, abs=1e-12)
-    assert fk_grade(lyric("the cat sat")) == pytest.approx(-2.62, abs=1e-9)
-    assert fk_grade(lyric("crazy money story little dreams summer night gold rain moon")) == pytest.approx(
-        6.01, abs=1e-9
-    )
+    assert metrics_of(lyric("la la\nda da\nla la\nda da")).repetitiveness_pct[0] == 50.0
+    assert metrics_of(lyric("one two\nthree four\nfive six")).repetitiveness_pct[0] == 0.0
+    assert metrics_of(lyric("la la\n" * 5)).repetitiveness_pct[0] == pytest.approx(80.0, abs=1e-12)
+    song = make_record(lyrics=" ".join(["la"] * 144), duration=240.0)
+    assert metrics_of(song).speed_wps[0] == pytest.approx(0.6, abs=1e-12)
+    assert metrics_of(lyric("the cat sat")).fk_grade[0] == pytest.approx(-2.62, abs=1e-9)
+    text = "crazy money story little dreams summer night gold rain moon"
+    assert metrics_of(lyric(text)).fk_grade[0] == pytest.approx(6.01, abs=1e-9)
     report(4, "style metric golden tests")
 
 

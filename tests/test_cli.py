@@ -217,7 +217,7 @@ class TestStyleCommand:
         corpus = load_cache(str(mini_cache))
         stopwords = load_wordlist(default_stopwords_path())
         expected = []
-        for year in sorted({r.year for r in corpus.records if cohort is None or r.cohort == cohort}):
+        for year in sorted({r.year for r in corpus if cohort is None or r.cohort == cohort}):
             counts = Counter(
                 t for song in corpus if song.year == year and cohort in (None, song.cohort)
                 for line in song.lines for t in line
@@ -255,7 +255,7 @@ class TestStyleCommand:
     def test_cache_cut_at_row_boundary_exit_1(self, tmp_path, mini_cache, capsys):
         # members that agree with each other on 20 songs, and a meta that says 50
         cut = tmp_path / "cut.cache"
-        save_cache(Corpus.from_records(load_cache(str(mini_cache)).records[:20]), str(cut))
+        save_cache(Corpus.from_records(tuple(load_cache(str(mini_cache)))[:20]), str(cut))
         edit_cache(cut, meta_edit=lambda meta: dict(meta, songs=50))
         assert main(["style", "--cache", str(cut), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"error: {cut}: header says 50 songs but the cache holds 20\n"
@@ -612,15 +612,30 @@ class TestWriteErrors:
     line naming it. Outputs are written beside their path and moved into
     place, so no temporary file stays and a previous file keeps its bytes."""
 
-    @pytest.mark.parametrize("command", ["ingest", "style", "train", "weat"])
-    def test_config_digest_in_the_way_exit_1(self, tmp_path, mini_cache, capsys, command):
+    # a command's config digest (the ids that name only the command) and each of
+    # its other outputs, made a directory after a first run wrote them all
+    @pytest.mark.parametrize("command, name", [
+        pytest.param(command, f"{command}.config.json", id=command) for command in ("ingest", "style", "train", "weat")
+    ] + [
+        pytest.param(command, name, id=f"{command}-{name}") for command, name in (
+            ("ingest", "corpus.cache"), ("ingest", "rejects.jsonl"), ("style", "per_song.csv"),
+            ("style", "aggregate.csv"), ("style", "top_words.csv"), ("style", "rank_series.csv"),
+        )
+    ])
+    def test_config_digest_in_the_way_exit_1(self, tmp_path, mini_cache, capsys, command, name):
         out = tmp_path / "out"
-        digest = out / f"{command}.config.json"
-        digest.mkdir(parents=True)
+        args = TestOutputDirectory()._command(command, tmp_path, mini_cache, str(out))
+        assert main(args) == 0
+        blocked = out / name
+        blocked.unlink()
+        blocked.mkdir()
+        before = {path: path.read_bytes() for path in out.iterdir() if path.is_file()}
         capsys.readouterr()
-        assert main(TestOutputDirectory()._command(command, tmp_path, mini_cache, str(out))) == 1
-        assert capsys.readouterr().err == f"error: cannot write {digest}: Is a directory\n"
-        assert digest.is_dir() and not [name for name in os.listdir(out) if name.endswith(".tmp")]
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: cannot write {blocked}: Is a directory\n"
+        assert blocked.is_dir() and not list(blocked.iterdir())
+        assert {path: path.read_bytes() for path in out.iterdir() if path.is_file()} == before
+        assert not [path for path in out.rglob("*.tmp")]
 
     def test_failed_results_write_keeps_previous_files(self, tmp_path, capsys, monkeypatch):
         vecs = TestWeatCommand()._vector_file(tmp_path, ["x1", "x2", "y1", "y2", "a1", "a2", "b1", "b2"])

@@ -125,7 +125,7 @@ class TestIngest:
         path = tmp_path / "songs.jsonl"
         write_jsonl(path, [jsonl_row("s1", duration_seconds=None)])
         result = ingest(str(path), format="jsonl")
-        assert result.corpus.records[0].duration_seconds is None
+        assert tuple(result.corpus)[0].duration_seconds is None
 
     def test_unreadable_file(self, tmp_path):
         with pytest.raises((IngestError, OSError)):
@@ -148,7 +148,7 @@ class TestIngest:
     def test_mini_corpus_composition(self, mini_corpus):
         # authored composition: 50 songs, 10 popular / 40 other
         assert len(mini_corpus) == 50
-        cohorts = Counter(r.cohort for r in mini_corpus.records)
+        cohorts = Counter(r.cohort for r in mini_corpus)
         assert cohorts == {"popular": 10, "other": 40}
 
     def test_ingest_deterministic_cache_bytes(self, tmp_path):
@@ -165,7 +165,7 @@ class TestIngest:
     def test_cache_round_trip(self, tmp_path, mini_corpus):
         cache = tmp_path / "c.cache"
         save_cache(mini_corpus, str(cache))
-        assert load_cache(str(cache)).records == mini_corpus.records
+        assert tuple(load_cache(str(cache))) == tuple(mini_corpus)
 
     # the v4 counterparts of the version-3 row checks: one case per id there
     @pytest.mark.parametrize(
@@ -195,7 +195,7 @@ class TestIngest:
     def test_cache_cut_at_row_boundary(self, tmp_path, mini_corpus):
         # members that agree with each other, but on fewer songs than the meta says
         cache = tmp_path / "c.cache"
-        save_cache(Corpus.from_records(mini_corpus.records[:20]), str(cache))
+        save_cache(Corpus.from_records(tuple(mini_corpus)[:20]), str(cache))
         edit_cache(cache, meta_edit=lambda meta: dict(meta, songs=50))
         with pytest.raises(IngestError, match=f"^{re.escape(str(cache))}: header says 50 songs but the cache holds 20$"):
             load_cache(str(cache))
@@ -252,7 +252,7 @@ class TestIngest:
         records = [SongRecord("s1", 1990, "popular", None, (("a", "b"), ("a",))),
                    SongRecord("s2", 1991, "other", 200.0, (("b",),))]
         save_cache(Corpus.from_records(records), str(cache))
-        assert load_cache(str(cache)).records == tuple(records)
+        assert tuple(load_cache(str(cache))) == tuple(records)
         dtypes = read_cache(cache)[0]
         edit_cache(cache, meta_edit=lambda m: dict(m, **meta),
                    **{k: np.array(v, dtype=dtypes[k].dtype) for k, v in arrays.items()})
@@ -276,7 +276,7 @@ class TestIngest:
 
         monkeypatch.setattr(np.lib.format, "write_array", fail_on_third_member)
         with pytest.raises(OSError, match="No space left"):
-            save_cache(Corpus.from_records(mini_corpus.records[:5]), str(cache))
+            save_cache(Corpus.from_records(tuple(mini_corpus)[:5]), str(cache))
         assert len(written) == 3
         assert cache.read_bytes() == before
         assert os.listdir(tmp_path) == ["corpus.cache"]
@@ -353,7 +353,7 @@ class TestCacheRoundTrip:
             assert read_cache(path)[1]["cache_version"] == CACHE_VERSION == 4
             loaded = load_cache(path)
             assert os.listdir(tmp) == ["corpus.cache"]
-        assert loaded.records == corpus.records == tuple(songs)
+        assert tuple(loaded) == tuple(corpus) == tuple(songs)
         assert loaded.vocab == corpus.vocab == tuple(sorted({t for s in songs for line in s.lines for t in line}))
         for name in ("tokens", "line_offsets", "song_offsets", "years", "cohorts", "durations"):
             got, want = getattr(loaded, name), getattr(corpus, name)

@@ -1,5 +1,6 @@
-"""The demo scripts and the throughput tools run as a reader runs them: from a
-checkout, with `src` on the import path, each as its own process."""
+"""The demo scripts, the README's quick start and the throughput tools run as
+a reader runs them: from a checkout, with `src` on the import path, each as
+its own process."""
 
 import os
 import re
@@ -27,6 +28,12 @@ def run_script(*args):
 ])
 def test_demo_runs(script, line):
     assert line in run_script(os.path.join("demos", script))
+
+
+def test_readme_quick_start_runs():
+    with open(os.path.join(REPO_ROOT, "README.md"), encoding="utf-8") as fh:
+        block = re.search(r"## Library quick start\n\n```python\n(.*?)```", fh.read(), re.S).group(1)
+    assert run_script("-c", block + "print(len(means.year), table.dim)\n") == ["12 32"]
 
 
 def test_sgns_throughput_tool_runs_at_a_tiny_size():

@@ -27,7 +27,7 @@ from lyricstats.embeddings import (
     unigram_noise_probs,
 )
 from lyricstats.resources import default_battery_path
-from lyricstats.weat import effect_size, load_battery
+from lyricstats.weat import load_battery, run_battery
 from tests.conftest import make_record, make_table
 
 
@@ -840,6 +840,6 @@ def test_planted_poles_read_a_large_effect(seed):
     test = load_battery(default_battery_path())[0]
     corpus = planted_poles_corpus(test, np.random.default_rng([seed, 2]))
     table = train_sgns(corpus, SgnsConfig(dim=50, epochs=1, initial_learning_rate=0.1, seed=seed))
-    result = effect_size(test, table)
+    [result] = run_battery([test], table)
     assert result.coverage["targets_x"] == (25, 25) and result.coverage["attributes_b"] == (25, 25)
     assert result.effect_size > 1.0

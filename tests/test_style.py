@@ -5,23 +5,17 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from lyricstats.corpus import Corpus
+from lyricstats.corpus import Corpus, CorpusError
 from lyricstats.resources import default_swear_lexicon_path
 from lyricstats.style import (
     LexiconError,
     StyleError,
     SwearLexicon,
     aggregate,
-    compute_style_metrics,
     corpus_style_metrics,
     count_syllables,
-    fk_grade,
-    length_words,
     load_swear_lexicon,
     rank_series,
-    repetitiveness,
-    speed,
-    swear_stats,
     top_words,
     year_rankings,
 )
@@ -53,8 +47,22 @@ SYLLABLE_REFERENCE = [
 ]
 
 
+DAMN = SwearLexicon(entries=frozenset({"damn"}), source="<test>")
+
+
 def lyric(text):
     return make_record(lyrics=text)
+
+
+def metrics_of(song, lexicon=DAMN):
+    """The one-entry `StyleMetrics` of one song: those of its one-song corpus."""
+    return corpus_style_metrics(Corpus.from_records([song]), lexicon)
+
+
+def timed_song_speed(words, duration):
+    """The words per second of a one-line song of `words` words lasting `duration` seconds."""
+    song = make_record(lyrics=" ".join(["la"] * words), duration=duration)
+    return metrics_of(song).speed_wps[0]
 
 
 def recount(corpus, year, cohort=None) -> Counter:
@@ -99,78 +107,81 @@ class TestSyllables:
 
 class TestScalarMetrics:
     def test_length_words(self):
-        assert length_words(lyric("a b\nc")) == 3
+        assert metrics_of(lyric("a b\nc")).length_words.tolist() == [3]
 
     def test_speed_typical(self):
-        assert speed(144, 240.0) == pytest.approx(0.6)
+        assert timed_song_speed(144, 240.0) == pytest.approx(0.6)
 
     def test_speed_zero_words(self):
-        assert speed(0, 100.0) == 0.0
+        # a song without words has no speed: no corpus can hold it
+        with pytest.raises(CorpusError, match="offsets do not rise strictly"):
+            Corpus.from_records([make_record(lyrics="", duration=100.0)])
 
     def test_speed_exact_quotient(self):
-        assert speed(300, 150.0) == 2.0
+        assert timed_song_speed(300, 150.0) == 2.0
 
     def test_speed_requires_positive_duration(self):
-        with pytest.raises(StyleError):
-            speed(10, 0.0)
+        with pytest.raises(CorpusError, match="duration 0.0 is neither missing"):
+            Corpus.from_records([make_record(duration=0.0)])
 
     def test_speed_linear_in_length(self):
-        assert speed(300, 120.0) == pytest.approx(3 * speed(100, 120.0))
+        assert timed_song_speed(300, 120.0) == pytest.approx(3 * timed_song_speed(100, 120.0))
 
     def test_repetitiveness_abab(self):
-        assert repetitiveness(lyric("la la\nda da\nla la\nda da")) == 50.0
+        assert metrics_of(lyric("la la\nda da\nla la\nda da")).repetitiveness_pct[0] == 50.0
 
     def test_repetitiveness_all_unique(self):
-        assert repetitiveness(lyric("one two\nthree four\nfive six")) == 0.0
+        assert metrics_of(lyric("one two\nthree four\nfive six")).repetitiveness_pct[0] == 0.0
 
     def test_repetitiveness_five_identical(self):
-        assert repetitiveness(lyric("la la\n" * 5)) == pytest.approx(80.0)
+        assert metrics_of(lyric("la la\n" * 5)).repetitiveness_pct[0] == pytest.approx(80.0)
 
     def test_repetitiveness_normalized_line_equality(self):
         # punctuation and case differences do not make a line new
-        assert repetitiveness(lyric("La, la!\nla la")) == 50.0
+        assert metrics_of(lyric("La, la!\nla la")).repetitiveness_pct[0] == 50.0
 
     def test_repetitiveness_range(self):
         rng = random.Random(5)
         for _ in range(50):
             n = rng.randint(1, 12)
             text = "\n".join(rng.choice(["a b", "c d", "e f"]) for _ in range(n))
-            r = repetitiveness(lyric(text))
+            r = metrics_of(lyric(text)).repetitiveness_pct[0]
             assert 0.0 <= r < 100.0
 
     def test_fk_three_monosyllables(self):
         # 1 sentence, 3 words, 3 syllables: 0.39*3 + 11.8*1 - 15.59
-        assert fk_grade(lyric("the cat sat")) == pytest.approx(-2.62, abs=1e-9)
+        assert metrics_of(lyric("the cat sat")).fk_grade[0] == pytest.approx(-2.62, abs=1e-9)
 
     def test_fk_ten_words_fifteen_syllables(self):
         # crazy/money/... give 15 syllables over 10 words on one line
         text = "crazy money story little dreams summer night gold rain moon"
         words = text.split()
         assert sum(count_syllables(w) for w in words) == 15
-        assert fk_grade(lyric(text)) == pytest.approx(6.01, abs=1e-9)
+        assert metrics_of(lyric(text)).fk_grade[0] == pytest.approx(6.01, abs=1e-9)
 
     def test_fk_ratio_invariance_under_doubling(self):
         text = "crazy money story\nsummer night gold"
-        assert fk_grade(lyric(text + "\n" + text)) == pytest.approx(fk_grade(lyric(text)), abs=1e-12)
+        doubled = metrics_of(lyric(text + "\n" + text)).fk_grade[0]
+        assert doubled == pytest.approx(metrics_of(lyric(text)).fk_grade[0], abs=1e-12)
 
     def test_fk_increases_with_syllable_rate(self):
-        easy = fk_grade(lyric("cat dog sun"))
-        hard = fk_grade(lyric("america television paradise"))
+        easy = metrics_of(lyric("cat dog sun")).fk_grade[0]
+        hard = metrics_of(lyric("america television paradise")).fk_grade[0]
         assert hard > easy
 
 
 class TestSwearStats:
     def test_counts_and_rate(self):
-        lex = SwearLexicon(entries=frozenset({"damn"}), source="<test>")
-        assert swear_stats(lyric("damn damn it"), lex) == (2, pytest.approx(2 / 3))
+        m = metrics_of(lyric("damn damn it"), DAMN)
+        assert (m.swear_count[0], m.swear_rate[0]) == (2, pytest.approx(2 / 3))
 
     def test_no_matches(self, lexicon):
-        assert swear_stats(lyric("sunshine and rainbows"), lexicon) == (0, 0.0)
+        m = metrics_of(lyric("sunshine and rainbows"), lexicon)
+        assert (m.swear_count[0], m.swear_rate[0]) == (0, 0.0)
 
     def test_rate_decreases_with_clean_token(self):
-        lex = SwearLexicon(entries=frozenset({"damn"}), source="<test>")
-        _, r1 = swear_stats(lyric("damn damn"), lex)
-        _, r2 = swear_stats(lyric("damn damn it"), lex)
+        r1 = metrics_of(lyric("damn damn"), DAMN).swear_rate[0]
+        r2 = metrics_of(lyric("damn damn it"), DAMN).swear_rate[0]
         assert r2 < r1
 
     def test_lexicon_rejects_untokenizable_entry(self, tmp_path):
@@ -187,7 +198,7 @@ class TestSwearStats:
 
     def test_mini_corpus_rate_series_matches_recount(self, mini_corpus, lexicon):
         for cohort in ("popular", "other"):
-            for year in sorted({r.year for r in mini_corpus.records}):
+            for year in sorted({r.year for r in mini_corpus}):
                 songs = [song for song in mini_corpus if song.year == year and song.cohort == cohort]
                 if not songs:
                     continue
@@ -196,7 +207,7 @@ class TestSwearStats:
                     toks = [t for line in song.lines for t in line]
                     n_swears = sum(1 for t in toks if t in lexicon.entries)
                     expected.append(n_swears / len(toks))
-                got = [swear_stats(song, lexicon)[1] for song in songs]
+                got = corpus_style_metrics(Corpus.from_records(songs), lexicon).swear_rate.tolist()
                 assert got == pytest.approx(expected)
 
 
@@ -230,7 +241,8 @@ class TestAggregate:
         # songs in order keeps every mean bit for bit
         order = sorted(range(len(mini_corpus)), key=lambda i: -int(mini_corpus.years[i]))
         assert order != list(range(len(mini_corpus)))
-        moved = Corpus.from_records([mini_corpus.records[i] for i in order])
+        songs = tuple(mini_corpus)
+        moved = Corpus.from_records([songs[i] for i in order])
         expected = aggregate(corpus_style_metrics(mini_corpus, lexicon))
         got = aggregate(corpus_style_metrics(moved, lexicon))
         for field in dataclasses.fields(expected):
@@ -248,7 +260,7 @@ class TestAggregate:
         metrics = corpus_style_metrics(mini_corpus, lexicon)
         aggs = aggregate(metrics)
         cells = {}
-        for i, rec in enumerate(mini_corpus.records):
+        for i, rec in enumerate(mini_corpus):
             cells.setdefault((rec.year, rec.cohort), []).append(i)
         assert list(zip(aggs.year.tolist(), aggs.cohort.tolist())) == sorted(cells)
         for c, key in enumerate(sorted(cells)):
@@ -289,13 +301,13 @@ class TestRankSeries:
 
     def test_year_without_songs_absent(self, mini_corpus):
         rankings = year_rankings(mini_corpus, cohort="popular")
-        assert list(rankings) == sorted({r.year for r in mini_corpus.records if r.cohort == "popular"})
+        assert list(rankings) == sorted({r.year for r in mini_corpus if r.cohort == "popular"})
         assert 1777 not in rankings
 
     @pytest.mark.parametrize("cohort", [None, "popular", "other"])
     def test_rankings_match_per_year_recount(self, mini_corpus, cohort):
         expected = {}
-        for year in sorted({r.year for r in mini_corpus.records if cohort is None or r.cohort == cohort}):
+        for year in sorted({r.year for r in mini_corpus if cohort is None or r.cohort == cohort}):
             counts = recount(mini_corpus, year, cohort)
             expected[year] = sorted(counts, key=lambda w: (-counts[w], w))
         assert year_rankings(mini_corpus, cohort=cohort) == expected
@@ -303,7 +315,7 @@ class TestRankSeries:
     def test_mini_corpus_matches_sort_oracle(self, mini_corpus):
         rankings = year_rankings(mini_corpus, cohort="popular")
         results = {s.word: s.entries for s in rank_series(rankings, ["rock", "blues"])}
-        for year in sorted({r.year for r in mini_corpus.records if r.cohort == "popular"}):
+        for year in sorted({r.year for r in mini_corpus if r.cohort == "popular"}):
             counts = recount(mini_corpus, year, "popular")
             ordered = sorted(counts, key=lambda w: (-counts[w], w))
             for word in ("rock", "blues"):
@@ -317,7 +329,7 @@ class TestRankSeries:
         words = ["rock", "blues", "love", "the"]
         results = {s.word: s.entries for s in rank_series(year_rankings(mini_corpus, cohort=cohort), words)}
         expected = {w: {} for w in words}
-        for year in {r.year for r in mini_corpus.records if cohort is None or r.cohort == cohort}:
+        for year in {r.year for r in mini_corpus if cohort is None or r.cohort == cohort}:
             counts = recount(mini_corpus, year, cohort)
             ordered = sorted(counts, key=lambda w: (-counts[w], w))
             for word in words:
@@ -367,13 +379,13 @@ class TestPerSongMetrics:
     def test_song7_length_matches_recount(self, mini_corpus, lexicon):
         song = list(mini_corpus)[7]
         expected = sum(len(line) for line in song.lines)
-        m = compute_style_metrics(song, lexicon)
+        m = metrics_of(song, lexicon)
         assert m.song_id == (song.id,)
         assert m.length_words.tolist() == [expected]
 
     def test_speed_absent_iff_duration_absent(self, mini_corpus, lexicon):
         metrics = corpus_style_metrics(mini_corpus, lexicon)
-        for i, rec in enumerate(mini_corpus.records):
+        for i, rec in enumerate(mini_corpus):
             if rec.duration_seconds is None:
                 assert np.isnan(metrics.duration_seconds[i]) and np.isnan(metrics.speed_wps[i])
             else:

@@ -11,21 +11,15 @@ import lyricstats.weat as weat
 from lyricstats.embeddings import cosine
 from lyricstats.resources import default_battery_path
 from lyricstats.weat import (
-    DegenerateStatisticError,
-    NonFiniteScoreError,
     OovPolicy,
     UnderfilledListError,
     WeatError,
     WeatTest,
+    _association_scores,
     apply_oov_policy,
-    association,
-    effect_size,
     load_battery,
-    permutation_p,
     run_battery,
-    run_test,
 )
-from lyricstats.weat import test_statistic as weat_statistic
 from tests.conftest import make_table, random_table
 
 
@@ -100,15 +94,22 @@ def random_weat(rng, n_targets=4, n_attrs=3, dim=6):
     return test, table
 
 
+def cosine_association(w, attributes_a, attributes_b, table):
+    """Independent oracle: the mean cosine of w to the A words minus its mean
+    cosine to the B words, one cosine at a time."""
+    return (np.mean([cosine(table.get(w), table.get(a)) for a in attributes_a])
+            - np.mean([cosine(table.get(w), table.get(b)) for b in attributes_b]))
+
+
 class TestAssociation:
     def test_identical_to_a_orthogonal_to_b(self):
         table = make_table({"w": [1.0, 0.0], "a1": [1.0, 0.0], "b1": [0.0, 1.0]})
-        assert association("w", ["a1"], ["b1"], table) == pytest.approx(1.0)
+        assert _association_scores(["w"], ["a1"], ["b1"], table)[0] == pytest.approx(1.0)
 
     def test_a_equals_b_gives_zero(self):
         rng = np.random.default_rng(0)
         table = random_table(["w", "p", "q"], 5, rng)
-        assert association("w", ["p", "q"], ["p", "q"], table) == pytest.approx(0.0, abs=1e-15)
+        assert _association_scores(["w"], ["p", "q"], ["p", "q"], table)[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_matches_two_mean_oracle(self):
         rng = np.random.default_rng(1)
@@ -117,12 +118,7 @@ class TestAssociation:
             (cosine(table.get("w"), table.get("a1")) + cosine(table.get("w"), table.get("a2"))) / 2
             - (cosine(table.get("w"), table.get("b1")) + cosine(table.get("w"), table.get("b2"))) / 2
         )
-        assert association("w", ["a1", "a2"], ["b1", "b2"], table) == pytest.approx(expected, abs=1e-12)
-
-    def test_oov_is_programming_error(self):
-        table = make_table({"w": [1.0, 0.0]})
-        with pytest.raises(WeatError, match="not in vocabulary"):
-            association("missing", ["w"], ["w"], table)
+        assert _association_scores(["w"], ["a1", "a2"], ["b1", "b2"], table)[0] == pytest.approx(expected, abs=1e-12)
 
     def test_equidistant_attribute_is_neutral(self):
         rng = np.random.default_rng(5)
@@ -139,14 +135,14 @@ class TestAssociation:
         vecs = {word: table.get(word) for word in table.vocab}
         vecs["a_star"] = a_star
         table2 = make_table(vecs)
-        base = association("w", ["a0", "a1", "a2"], ["b0", "b1"], table2)
-        extended = association("w", ["a0", "a1", "a2", "a_star"], ["b0", "b1"], table2)
+        base = _association_scores(["w"], ["a0", "a1", "a2"], ["b0", "b1"], table2)[0]
+        extended = _association_scores(["w"], ["a0", "a1", "a2", "a_star"], ["b0", "b1"], table2)[0]
         assert extended == pytest.approx(base, abs=1e-12)
 
 
 class TestEffectSize:
     def test_symmetric_table_d_is_two(self):
-        result = effect_size(symmetric_test(), symmetric_table())
+        [result] = run_battery([symmetric_test()], symmetric_table())
         assert result.effect_size == pytest.approx(2.0, abs=1e-12)
 
     def test_identical_score_multisets_d_zero(self):
@@ -157,21 +153,22 @@ class TestEffectSize:
         vecs["y1"], vecs["y2"] = vecs["w1"], vecs["w2"]
         table = make_table(vecs)
         test = WeatTest("same", ("x1", "x2"), ("y1", "y2"), ("a1", "a2"), ("b1", "b2"))
-        assert effect_size(test, table).effect_size == pytest.approx(0.0, abs=1e-12)
+        assert run_battery([test], table)[0].effect_size == pytest.approx(0.0, abs=1e-12)
 
     def test_degenerate_statistic(self):
         rng = np.random.default_rng(3)
         table = random_table(["x1", "x2", "y1", "y2", "a1", "a2"], 4, rng)
         # A == B forces every association score to zero
         test = WeatTest("degen", ("x1", "x2"), ("y1", "y2"), ("a1", "a2"), ("a1", "a2"))
-        with pytest.raises(DegenerateStatisticError):
-            effect_size(test, table)
+        [r] = run_battery([test], table)
+        assert r.error == "all association scores equal; effect size undefined"
+        assert (r.effect_size, r.test_statistic, r.p_value) == (None, None, None)
 
     def test_sign_agreement_with_statistic(self):
         rng = np.random.default_rng(4)
         for _ in range(25):
             test, table = random_weat(rng)
-            r = effect_size(test, table)
+            [r] = run_battery([test], table)
             if r.effect_size != 0:
                 assert math.copysign(1, r.test_statistic) == math.copysign(1, r.effect_size)
 
@@ -179,75 +176,66 @@ class TestEffectSize:
         rng = np.random.default_rng(6)
         for _ in range(200):
             test, table = random_weat(rng, n_targets=int(rng.integers(2, 6)))
-            assert abs(effect_size(test, table).effect_size) <= 2.0 + 1e-12
+            assert abs(run_battery([test], table)[0].effect_size) <= 2.0 + 1e-12
 
 
 class TestStatistic:
     def test_symmetric_is_4c(self):
         # every x scores +1, every y scores -1, |X|=|Y|=2
-        assert weat_statistic(symmetric_test(), symmetric_table()) == pytest.approx(4.0, abs=1e-12)
+        [r] = run_battery([symmetric_test()], symmetric_table())
+        assert r.test_statistic == pytest.approx(4.0, abs=1e-12)
 
     def test_swap_negates(self):
         rng = np.random.default_rng(7)
         test, table = random_weat(rng)
         swapped = WeatTest("sw", test.targets_y, test.targets_x, test.attributes_a, test.attributes_b)
-        assert weat_statistic(swapped, table) == pytest.approx(-weat_statistic(test, table), abs=1e-12)
+        r, r_swapped = run_battery([test, swapped], table)
+        assert r_swapped.test_statistic == pytest.approx(-r.test_statistic, abs=1e-12)
 
     def test_matches_script_oracle(self):
         rng = np.random.default_rng(8)
         test, table = random_weat(rng)
-        s = sum(association(x, test.attributes_a, test.attributes_b, table) for x in test.targets_x)
-        s -= sum(association(y, test.attributes_a, test.attributes_b, table) for y in test.targets_y)
-        assert weat_statistic(test, table) == pytest.approx(s, abs=1e-12)
+        s = sum(cosine_association(x, test.attributes_a, test.attributes_b, table) for x in test.targets_x)
+        s -= sum(cosine_association(y, test.attributes_a, test.attributes_b, table) for y in test.targets_y)
+        assert run_battery([test], table)[0].test_statistic == pytest.approx(s, abs=1e-12)
+
+
+def pooled_scores(test, table):
+    """The X then Y association scores of a test whose words are all in the table."""
+    sx = _association_scores(list(test.targets_x), test.attributes_a, test.attributes_b, table)
+    sy = _association_scores(list(test.targets_y), test.attributes_a, test.attributes_b, table)
+    return list(np.concatenate([sx, sy]))
 
 
 class TestPermutationP:
     def test_maximal_separation_exact_zero(self):
         # observed partition strictly dominates all 6 partitions of 4 targets
-        assert permutation_p(symmetric_test(), symmetric_table()) == 0.0
+        assert run_battery([symmetric_test()], symmetric_table())[0].p_value == 0.0
 
     def test_exchangeable_case_matches_enumeration(self):
         rng = np.random.default_rng(9)
         test, table = random_weat(rng, n_targets=3, n_attrs=3)
-        from lyricstats.weat import _association_scores
-
-        sx = _association_scores(list(test.targets_x), test.attributes_a, test.attributes_b, table)
-        sy = _association_scores(list(test.targets_y), test.attributes_a, test.attributes_b, table)
-        pooled = list(np.concatenate([sx, sy]))
-        expected = brute_force_p(pooled, 3)
-        assert permutation_p(test, table) == expected
+        expected = brute_force_p(pooled_scores(test, table), 3)
+        assert run_battery([test], table)[0].p_value == expected
 
     def test_exact_matches_oracle_all_sizes_up_to_12(self):
         rng = np.random.default_rng(10)
         for n in range(1, 7):
             for _ in range(3):
                 test, table = random_weat(rng, n_targets=n, n_attrs=2)
+                [r] = run_battery([test], table)
                 if n < 2:
-                    with pytest.raises(UnderfilledListError):
-                        permutation_p(test, table)
+                    assert "under-filled" in r.error and r.p_value is None
                     continue
-                from lyricstats.weat import _association_scores
-
-                sx = _association_scores(
-                    list(test.targets_x), test.attributes_a, test.attributes_b, table
-                )
-                sy = _association_scores(
-                    list(test.targets_y), test.attributes_a, test.attributes_b, table
-                )
-                pooled = list(np.concatenate([sx, sy]))
-                assert permutation_p(test, table) == brute_force_p(pooled, n)
+                assert r.p_value == brute_force_p(pooled_scores(test, table), n)
 
     def test_exact_over_several_chunks_matches_combinations(self):
         # C(18, 9) = 48,620 partitions: more than one chunk of subsets
         rng = np.random.default_rng(21)
         test, table = random_weat(rng, n_targets=9, n_attrs=3)
-        from lyricstats.weat import _association_scores
-
-        sx = _association_scores(list(test.targets_x), test.attributes_a, test.attributes_b, table)
-        sy = _association_scores(list(test.targets_y), test.attributes_a, test.attributes_b, table)
-        pooled = list(np.concatenate([sx, sy]))
+        pooled = pooled_scores(test, table)
         for inclusive in (False, True):
-            assert permutation_p(test, table, inclusive=inclusive) == combinations_p(
+            assert run_battery([test], table, inclusive=inclusive)[0].p_value == combinations_p(
                 pooled, 9, inclusive
             )
 
@@ -257,45 +245,52 @@ class TestPermutationP:
         for n in (3, 5, 9):
             test, table = random_weat(rng, n_targets=n, n_attrs=2)
             partitions = math.comb(2 * n, n)
-            assert run_test(test, table, n_samples=partitions).p_method == "exact"
-            sampled = run_test(test, table, n_samples=partitions - 1, seed=6)
+            [exact] = run_battery([test], table, n_samples=partitions)
+            assert exact.p_method == "exact"
+            [sampled] = run_battery([test], table, n_samples=partitions - 1, seed=6)
             assert sampled.p_method == f"monte_carlo(n={partitions - 1}, seed=6)"
-            assert sampled.p_value == permutation_p(test, table, n_samples=partitions - 1, seed=6)
             # more samples than partitions change nothing: the p-value is exact
-            assert permutation_p(test, table, n_samples=partitions) == permutation_p(
-                test, table, n_samples=partitions + 1, seed=9
-            )
+            assert exact.p_value == run_battery([test], table, n_samples=partitions + 1, seed=9)[0].p_value
+        rng = np.random.default_rng(22)
+        for _ in range(10):
+            test, table = random_weat(rng, n_targets=int(rng.integers(2, 7)), n_attrs=int(rng.integers(2, 5)))
+            inclusive = bool(rng.integers(2))
+            # 5 samples are fewer than the C(4, 2) = 6 partitions of the smallest
+            # test, 3000 more than the C(12, 6) = 924 of the largest
+            for n_samples, method in ((5, "monte_carlo(n=5, seed=4)"), (3000, "exact")):
+                [r] = run_battery([test], table, n_samples=n_samples, seed=4, inclusive=inclusive)
+                assert r.error is None and r.p_method == method
 
     def test_monte_carlo_agrees_with_exact(self):
         # C(20, 10) = 184,756 partitions: 100,000 samples take the sampled path
         rng = np.random.default_rng(12)
         test, table = random_weat(rng, n_targets=10, n_attrs=3)
-        p_exact = permutation_p(test, table, n_samples=math.comb(20, 10))
+        p_exact = run_battery([test], table, n_samples=math.comb(20, 10))[0].p_value
         n = 100_000
-        p_mc = permutation_p(test, table, n_samples=n, seed=123)
-        assert run_test(test, table, n_samples=n, seed=123).p_method.startswith("monte_carlo")
+        [sampled] = run_battery([test], table, n_samples=n, seed=123)
+        assert sampled.p_method.startswith("monte_carlo")
         tol = 3 * math.sqrt(max(p_exact * (1 - p_exact), 1e-12) / n)
-        assert abs(p_mc - p_exact) <= max(tol, 1e-3)
+        assert abs(sampled.p_value - p_exact) <= max(tol, 1e-3)
 
     def test_monte_carlo_requires_seed(self):
         # refused on the exact path too: C(8, 4) = 70 partitions
         test, table = random_weat(np.random.default_rng(13))
         with pytest.raises(WeatError, match="seed"):
-            permutation_p(test, table, seed=None)
+            run_battery([test], table, seed=None)
         with pytest.raises(WeatError, match="seed"):
-            run_test(test, table, n_samples=10, seed=None)
+            run_battery([test], table, n_samples=10, seed=None)
 
     @pytest.mark.parametrize("n_samples", [0, -5])
     def test_monte_carlo_needs_a_sample(self, n_samples):
         test, table = random_weat(np.random.default_rng(13))
         with pytest.raises(WeatError, match="n_samples >= 1"):
-            permutation_p(test, table, n_samples=n_samples, seed=1)
+            run_battery([test], table, n_samples=n_samples, seed=1)
 
     def test_inclusive_at_least_strict(self):
         test, table = random_weat(np.random.default_rng(14), n_targets=3)
-        strict = permutation_p(test, table)
-        inclusive = permutation_p(test, table, inclusive=True)
-        assert inclusive >= strict
+        [strict] = run_battery([test], table)
+        [inclusive] = run_battery([test], table, inclusive=True)
+        assert inclusive.p_value >= strict.p_value
 
 
 class TestOovPolicy:
@@ -397,20 +392,6 @@ class TestBattery:
 
 
 class TestRunTest:
-    def test_agrees_with_public_functions(self):
-        rng = np.random.default_rng(22)
-        for _ in range(10):
-            test, table = random_weat(rng, n_targets=int(rng.integers(2, 7)), n_attrs=int(rng.integers(2, 5)))
-            inclusive = bool(rng.integers(2))
-            # 5 samples are fewer than the C(4, 2) = 6 partitions of the smallest
-            # test, 3000 more than the C(12, 6) = 924 of the largest
-            for n_samples, method in ((5, "monte_carlo(n=5, seed=4)"), (3000, "exact")):
-                r = run_test(test, table, n_samples=n_samples, seed=4, inclusive=inclusive)
-                assert r.error is None and r.p_method == method
-                assert r.effect_size == effect_size(test, table).effect_size
-                assert r.test_statistic == weat_statistic(test, table)
-                assert r.p_value == permutation_p(test, table, n_samples=n_samples, seed=4, inclusive=inclusive)
-
     def test_filters_and_scores_once(self, monkeypatch):
         import lyricstats.weat as weat
 
@@ -424,14 +405,14 @@ class TestRunTest:
 
             monkeypatch.setattr(weat, name, counted)
         test, table = random_weat(np.random.default_rng(23))
-        assert run_test(test, table, n_samples=500, seed=1).error is None
+        assert run_battery([test], table, n_samples=500, seed=1)[0].error is None
         assert calls == {"apply_oov_policy": 1, "_association_scores": 2}
 
     def test_degenerate_result_keeps_coverage(self):
         rng = np.random.default_rng(24)
         table = random_table(["x1", "x2", "y1", "y2", "a1", "a2"], 4, rng)
         test = WeatTest("degen", ("x1", "x2", "x9"), ("y1", "y2"), ("a1", "a2"), ("a1", "a2"))
-        r = run_test(test, table)
+        [r] = run_battery([test], table)
         assert r.error is not None and "effect size undefined" in r.error
         assert r.p_value is None and r.p_method == "none"
         assert r.coverage["targets_x"] == (3, 2) and r.coverage["attributes_b"] == (2, 2)
@@ -447,14 +428,13 @@ class TestRunTest:
         assert (first.effect_size, first.test_statistic, first.p_value, first.p_method) == (None, None, None, "none")
         assert first.coverage["targets_x"] == (4, 3) and first.dropped_words == ("x9",)
         assert second.error == first.error.replace("t:", "random:", 1)
-        with pytest.raises(NonFiniteScoreError):
-            permutation_p(test, table)
+        assert run_battery([test], table)[0] == second
 
     def test_underfilled_result_has_no_coverage(self):
         rng = np.random.default_rng(25)
         table = random_table(["x1", "y1", "a1", "a2", "b1", "b2"], 4, rng)
         test = WeatTest("uf", ("x1", "x9"), ("y1", "y9"), ("a1", "a2"), ("b1", "b2"))
-        r = run_test(test, table)
+        [r] = run_battery([test], table)
         assert "under-filled" in r.error and r.coverage == {} and r.dropped_words == ()
 
 
@@ -463,23 +443,20 @@ class TestProperties:
         rng = np.random.default_rng(19)
         for _ in range(20):
             test, table = random_weat(rng)
-            d = effect_size(test, table).effect_size
             swapped_t = WeatTest("t", test.targets_y, test.targets_x, test.attributes_a, test.attributes_b)
             swapped_a = WeatTest("a", test.targets_x, test.targets_y, test.attributes_b, test.attributes_a)
-            assert effect_size(swapped_t, table).effect_size == pytest.approx(-d, abs=1e-12)
-            assert effect_size(swapped_a, table).effect_size == pytest.approx(-d, abs=1e-12)
+            r, r_t, r_a = run_battery([test, swapped_t, swapped_a], table)
+            assert r_t.effect_size == pytest.approx(-r.effect_size, abs=1e-12)
+            assert r_a.effect_size == pytest.approx(-r.effect_size, abs=1e-12)
 
     def test_positive_scale_invariance(self):
         rng = np.random.default_rng(20)
         test, table = random_weat(rng, n_targets=3)
         scaled = make_table({w: 7.5 * table.get(w) for w in table.vocab})
-        assert effect_size(test, scaled).effect_size == pytest.approx(
-            effect_size(test, table).effect_size, abs=1e-12
-        )
-        assert weat_statistic(test, scaled) == pytest.approx(weat_statistic(test, table), abs=1e-12)
-        assert permutation_p(test, scaled) == pytest.approx(
-            permutation_p(test, table), abs=1e-12
-        )
+        [r], [r_scaled] = run_battery([test], table), run_battery([test], scaled)
+        assert r_scaled.effect_size == pytest.approx(r.effect_size, abs=1e-12)
+        assert r_scaled.test_statistic == pytest.approx(r.test_statistic, abs=1e-12)
+        assert r_scaled.p_value == pytest.approx(r.p_value, abs=1e-12)
 
 
 def mixed_battery(rng, sizes, dim=6):
@@ -515,10 +492,8 @@ class TestSharedDraw:
         results = run_battery(tests, table, **kwargs)
         assert [r.error is not None for r in results] == [False] * 6 + [True, True, False]
         for test, r in zip(tests, results):
-            assert r == run_test(test, table, **kwargs)
+            assert r == run_battery([test], table, **kwargs)[0]
             if r.error is None:
-                assert r.p_value == permutation_p(test, table, **kwargs)
-                assert r.effect_size == effect_size(test, table).effect_size
                 n = r.coverage["targets_x"][1]
                 exact = math.comb(2 * n, n) <= n_samples
                 assert r.p_method == ("exact" if exact else f"monte_carlo(n={n_samples}, seed=8)")
@@ -579,21 +554,17 @@ class TestSharedDraw:
         sampled = "monte_carlo(n=100000, seed=0)"
         assert [r.p_method for r in results] == [sampled, "exact", sampled]
         for test, r in zip(tests, results):
-            assert r.error is None and r.p_value == permutation_p(test, table)
-            assert r.effect_size == effect_size(test, table).effect_size
-            assert r.test_statistic == weat_statistic(test, table)
+            assert r.error is None and r == run_battery([test], table)[0]
         assert results[0].effect_size != results[2].effect_size
 
     def test_negative_seed_refused(self, monkeypatch):
         import lyricstats.weat as weat
 
         test, table = random_weat(np.random.default_rng(34))
-        with pytest.raises(WeatError, match="seed >= 0"):
-            permutation_p(test, table, seed=-1)
         # refused before any test is prepared, on the exact path too
         monkeypatch.setattr(weat, "_prepare", None)
         with pytest.raises(WeatError, match="seed >= 0"):
-            run_test(test, table, seed=-1)
+            run_battery([test], table, seed=-1)
 
 
 def argsort_reference_p_values(pairs, n_samples, seed, inclusive):
