@@ -1,15 +1,6 @@
 """Corpus analytics for song lyrics: style metrics and embedding bias tests."""
 
-from lyricstats.corpus import (
-    Corpus,
-    IngestConfig,
-    IngestResult,
-    SongRecord,
-    TokenizeConfig,
-    ingest,
-    token_counts,
-    tokenize,
-)
+from lyricstats.corpus import Corpus, IngestResult, SongRecord, ingest, token_counts, tokenize
 from lyricstats.embeddings import EmbeddingTable, SgnsConfig, cosine, load_vectors, save_vectors, train_sgns
 from lyricstats.style import (
     StyleMetrics,
@@ -19,12 +10,6 @@ from lyricstats.style import (
     top_words,
     year_rankings,
 )
-from lyricstats.weat import (
-    OovPolicy,
-    WeatResult,
-    WeatTest,
-    load_battery,
-    run_battery,
-)
+from lyricstats.weat import WeatResult, WeatTest, load_battery, run_battery
 
 __version__ = "0.1.0"

@@ -16,16 +16,7 @@ import sys
 import numpy as np
 
 from lyricstats import __version__
-from lyricstats.corpus import (
-    IngestConfig,
-    IngestError,
-    TokenizeConfig,
-    atomic_write,
-    ingest,
-    load_cache,
-    save_cache,
-    write_reject_report,
-)
+from lyricstats.corpus import IngestError, atomic_write, ingest, load_cache, save_cache, write_reject_report
 from lyricstats.embeddings import EmbeddingError, SgnsConfig, load_vectors, save_vectors, train_sgns
 from lyricstats.resources import default_battery_path, default_stopwords_path, default_swear_lexicon_path
 from lyricstats.style import (
@@ -38,7 +29,7 @@ from lyricstats.style import (
     top_words,
     year_rankings,
 )
-from lyricstats.weat import OovPolicy, WeatError, load_battery, run_battery, write_results_csv
+from lyricstats.weat import DEFAULT_MC_SAMPLES, WeatError, load_battery, run_battery, write_results_csv
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -160,19 +151,22 @@ class _Parser(argparse.ArgumentParser):
 
 def cmd_ingest(args) -> int:
     args.format = args.format or ("csv" if args.input.endswith(".csv") else "jsonl")
-    tok_config = TokenizeConfig(drop_annotations=not args.keep_annotations)
     if not _out_dir_usable(args.out):
         return EXIT_IO
     try:
-        config = IngestConfig(max_reject_fraction=args.max_reject_fraction)  # refuses a fraction outside [0, 1]
-        result = ingest(args.input, format=args.format, config=config, tokenize_config=tok_config)
+        result = ingest(
+            args.input,
+            format=args.format,
+            max_reject_fraction=args.max_reject_fraction,
+            drop_annotations=not args.keep_annotations,
+        )
     except (IngestError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "corpus.cache")
     try:
-        save_cache(result, path)
+        save_cache(result.corpus, path)
         path = os.path.join(args.out, "rejects.jsonl")
         write_reject_report(result.rejects, path)
     except OSError as exc:
@@ -320,9 +314,7 @@ def cmd_weat(args) -> int:
     except (EmbeddingError, WeatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    results = run_battery(
-        tests, table, policy=OovPolicy(), n_samples=args.mc_samples, seed=args.seed, inclusive=args.inclusive
-    )
+    results = run_battery(tests, table, n_samples=args.mc_samples, seed=args.seed, inclusive=args.inclusive)
     os.makedirs(args.out, exist_ok=True)
     results_path = os.path.join(args.out, "weat_results.csv")
     try:
@@ -383,7 +375,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--vectors", required=True)
     p.add_argument("--tests")
     p.add_argument("--out", required=True)
-    p.add_argument("--mc-samples", type=int, default=100_000)
+    p.add_argument("--mc-samples", type=int, default=DEFAULT_MC_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--inclusive", action="store_true")
     p.set_defaults(func=cmd_weat)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import re
 import unicodedata
@@ -24,6 +25,9 @@ COHORTS = ("popular", "other")  # a corpus stores each song's cohort as its inde
 # strips any run of non-word characters (plus underscore) at a token edge;
 # interior apostrophes and hyphens survive
 _EDGE = re.compile(r"^[\W_]+|[\W_]+$")
+# a section-annotation line such as "[Chorus]", dropped by default
+_ANNOTATION = re.compile(r"^\[[^\[\]]*\]$")
+YEAR_MIN, YEAR_MAX = 1900, 2100  # the years a song may carry
 
 
 class CorpusError(Exception):
@@ -48,26 +52,6 @@ class SongRecord:
     cohort: str
     duration_seconds: Optional[float]
     lines: tuple[tuple[str, ...], ...]
-
-
-@dataclass(frozen=True)
-class IngestConfig:
-    year_min: int = 1900
-    year_max: int = 2100
-    max_reject_fraction: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.max_reject_fraction <= 1.0:  # NaN fails too
-            raise IngestError(f"max_reject_fraction must be in [0, 1], got {self.max_reject_fraction}")
-
-
-@dataclass(frozen=True)
-class TokenizeConfig:
-    drop_annotations: bool = True
-    annotation_pattern: str = r"^\[[^\[\]]*\]$"
-
-    def digest_fields(self) -> dict:
-        return {"drop_annotations": self.drop_annotations, "annotation_pattern": self.annotation_pattern}
 
 
 @dataclass(frozen=True)
@@ -252,17 +236,10 @@ class IngestResult:
     corpus: Corpus
     rejects: tuple[Reject, ...]
     total_rows: int
-
-    @property
-    def quality_ok(self) -> bool:
-        """False when the reject fraction exceeded the configured threshold."""
-        if self.total_rows == 0:
-            return False
-        frac = len(self.rejects) / self.total_rows
-        return frac <= self.corpus.provenance.get("max_reject_fraction", 0.5)
+    quality_ok: bool  # False for no rows, or a reject fraction over the threshold
 
 
-def tokenize(lyrics: str, config: TokenizeConfig = TokenizeConfig()) -> tuple[tuple[str, ...], ...]:
+def tokenize(lyrics: str, *, drop_annotations: bool = True) -> tuple[tuple[str, ...], ...]:
     """Normalize and split lyrics into lines of lowercase word tokens.
 
     NFC-normalizes, lowercases, splits on newlines then whitespace, strips
@@ -271,13 +248,12 @@ def tokenize(lyrics: str, config: TokenizeConfig = TokenizeConfig()) -> tuple[tu
     without a token give no lines.
     """
     text = unicodedata.normalize("NFC", lyrics).lower()
-    annotation = re.compile(config.annotation_pattern) if config.drop_annotations else None
     lines: list[tuple[str, ...]] = []
     for raw_line in text.split("\n"):
         stripped = raw_line.strip()
         if not stripped:
             continue
-        if annotation is not None and annotation.match(stripped):
+        if drop_annotations and _ANNOTATION.match(stripped):
             continue
         # a word that starts and ends with an alphanumeric character has no edge
         # for _EDGE to strip (\w is isalnum() plus "_"), so it skips the regex
@@ -301,27 +277,36 @@ def _encodable(text: str) -> bool:
     return True
 
 
-def _validate_record(
-    raw: dict, config: IngestConfig, tokenize_config: TokenizeConfig, seen_ids: set[str], where: str
-) -> SongRecord:
+def _validate_record(raw: dict, drop_annotations: bool, seen_ids: set[str], where: str) -> SongRecord:
     for key in ("id", "title", "artist", "year", "cohort", "lyrics"):
         if key not in raw or raw[key] is None:
             raise RecordError(f"{where}: missing required field {key!r}")
     rid = str(raw["id"])
     if not _encodable(rid):
         raise RecordError(f"{where}: id {rid!r} holds a lone surrogate")
+    year = raw["year"]
+    # a JSON number such as 1965.0 names a year; 1965.7, true and infinity do not
+    if isinstance(year, float) and year.is_integer():
+        year = int(year)
     try:
-        year = int(raw["year"])
+        if isinstance(year, (bool, float)):
+            raise TypeError
+        year = int(year)
     except (TypeError, ValueError):
         raise RecordError(f"{where}: year {raw['year']!r} is not an integer")
-    if not (config.year_min <= year <= config.year_max):
-        raise RecordError(f"{where}: year {year} outside [{config.year_min}, {config.year_max}]")
+    if not (YEAR_MIN <= year <= YEAR_MAX):
+        raise RecordError(f"{where}: year {year} outside [{YEAR_MIN}, {YEAR_MAX}]")
     duration = raw.get("duration_seconds")
     if duration is not None and duration != "":
         try:
+            if isinstance(duration, bool):
+                raise TypeError
             duration = float(duration)
         except (TypeError, ValueError):
             raise RecordError(f"{where}: duration_seconds {raw['duration_seconds']!r} is not a number")
+        # a cache stores a missing duration as NaN, so "nan" cannot be a duration
+        if not math.isfinite(duration):
+            raise RecordError(f"{where}: duration_seconds {raw['duration_seconds']!r} is not a finite number")
         if duration <= 0:
             raise RecordError(f"{where}: duration_seconds must be > 0")
     else:
@@ -334,7 +319,7 @@ def _validate_record(
         raise RecordError(f"{where}: lyrics empty after trimming")
     if rid in seen_ids:
         raise RecordError(f"{where}: duplicate id {rid!r}")
-    lines = tokenize(lyrics, tokenize_config)
+    lines = tokenize(lyrics, drop_annotations=drop_annotations)
     if not lines:
         raise RecordError(f"record {rid!r}: lyrics tokenize to zero tokens")
     if not _encodable(lyrics) and not _encodable(" ".join(t for line in lines for t in line)):
@@ -374,16 +359,17 @@ def _iter_csv(path: str) -> Iterator[tuple[str, dict]]:
 
 
 def ingest(
-    path: str,
-    format: str = "jsonl",
-    config: IngestConfig = IngestConfig(),
-    tokenize_config: TokenizeConfig = TokenizeConfig(),
+    path: str, format: str = "jsonl", *, max_reject_fraction: float = 0.5, drop_annotations: bool = True
 ) -> IngestResult:
     """Read a song dataset from disk, validate, and tokenize every record.
 
     Invalid records are collected into the reject report, never silently
-    dropped. Ingestion order is preserved.
+    dropped. Ingestion order is preserved. The result's quality is not ok when
+    more than `max_reject_fraction` of the rows are rejects; `drop_annotations`
+    is passed to `tokenize`.
     """
+    if not 0.0 <= max_reject_fraction <= 1.0:  # NaN fails too
+        raise IngestError(f"max_reject_fraction must be in [0, 1], got {max_reject_fraction}")
     if format == "jsonl":
         rows = _iter_jsonl(path)
     elif format == "csv":
@@ -402,7 +388,7 @@ def ingest(
                 rejects.append(Reject(where, raw["__parse_error__"]))
                 continue
             try:
-                rec = _validate_record(raw, config, tokenize_config, seen_ids, where)
+                rec = _validate_record(raw, drop_annotations, seen_ids, where)
             except RecordError as exc:
                 rejects.append(Reject(str(raw.get("id", where)), str(exc)))
                 continue
@@ -415,10 +401,11 @@ def ingest(
 
     digest_src = json.dumps(
         {
-            "year_min": config.year_min,
-            "year_max": config.year_max,
-            "max_reject_fraction": config.max_reject_fraction,
-            **tokenize_config.digest_fields(),
+            "year_min": YEAR_MIN,
+            "year_max": YEAR_MAX,
+            "max_reject_fraction": max_reject_fraction,
+            "drop_annotations": drop_annotations,
+            "annotation_pattern": _ANNOTATION.pattern,
         },
         sort_keys=True,
     )
@@ -426,10 +413,10 @@ def ingest(
         "source": path,
         "format": format,
         "config_digest": hashlib.sha256(digest_src.encode()).hexdigest()[:16],
-        "max_reject_fraction": config.max_reject_fraction,
+        "max_reject_fraction": max_reject_fraction,
     }
-    corpus = builder.corpus(provenance)
-    return IngestResult(corpus=corpus, rejects=tuple(rejects), total_rows=total)
+    quality_ok = total > 0 and len(rejects) / total <= max_reject_fraction
+    return IngestResult(builder.corpus(provenance), tuple(rejects), total, quality_ok)
 
 
 def ranked_ids(counts: np.ndarray) -> np.ndarray:
@@ -481,11 +468,10 @@ def atomic_write(path: str, mode: str = "w", **open_kwargs):
         raise
 
 
-def save_cache(result_or_corpus, path: str) -> None:
+def save_cache(corpus: Corpus, path: str) -> None:
     """Write the corpus to `path`, atomically: the cache is written to a
     temporary file beside it and moved into place, so a failed write leaves
     any previous cache as it was."""
-    corpus = result_or_corpus.corpus if isinstance(result_or_corpus, IngestResult) else result_or_corpus
     meta = {
         "cache_version": CACHE_VERSION,
         "provenance": corpus.provenance,

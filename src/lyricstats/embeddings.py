@@ -403,9 +403,10 @@ def sgns_pair_grads(
     return g_center, g_context, g_negatives
 
 
-def unigram_noise_probs(counts: Sequence[int], power: float = 0.75) -> np.ndarray:
-    """Negative-sampling distribution: unigram counts raised to `power`."""
-    arr = np.asarray(counts, dtype=float) ** power
+def unigram_noise_probs(counts: Sequence[int]) -> np.ndarray:
+    """Negative-sampling distribution: unigram counts raised to the 3/4 power
+    (Mikolov et al. 2013)."""
+    arr = np.asarray(counts, dtype=float) ** 0.75
     return arr / arr.sum()
 
 

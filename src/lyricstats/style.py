@@ -69,12 +69,6 @@ class RankSeries:
     entries: dict[int, int]  # year -> rank (1 = most frequent); absent year = word unseen
 
 
-@dataclass(frozen=True)
-class SwearLexicon:
-    entries: frozenset[str]
-    source: str
-
-
 def _repetitiveness(corpus: Corpus) -> np.ndarray:
     """Per song, the percentage of its lines that repeat an earlier line of it.
 
@@ -141,12 +135,11 @@ def _fk_grades(corpus: Corpus) -> np.ndarray:
     return 0.39 * (words / sentences) + 11.8 * (syllables / words) - 15.59
 
 
-def _swear_counts(corpus: Corpus, lexicon: SwearLexicon) -> np.ndarray:
+def _swear_counts(corpus: Corpus, lexicon: frozenset[str]) -> np.ndarray:
     """Per song, how many of its tokens are entries of the lexicon."""
-    if not lexicon.entries:
+    if not lexicon:
         raise LexiconError("empty swear lexicon")
-    entries = lexicon.entries
-    swears = np.fromiter((w in entries for w in corpus.vocab), dtype=bool, count=len(corpus.vocab))
+    swears = np.fromiter((w in lexicon for w in corpus.vocab), dtype=bool, count=len(corpus.vocab))
     return _song_sums(corpus, swears)
 
 
@@ -173,7 +166,9 @@ def load_wordlist(path: str) -> frozenset[str]:
     return frozenset(entries)
 
 
-def load_swear_lexicon(path: str) -> SwearLexicon:
+def load_swear_lexicon(path: str) -> frozenset[str]:
+    """The lexicon's words, as `load_wordlist` reads them. Raises LexiconError
+    for an empty lexicon or a word that no token can equal."""
     entries = load_wordlist(path)
     if not entries:
         raise LexiconError(f"{path}: empty lexicon")
@@ -182,10 +177,10 @@ def load_swear_lexicon(path: str) -> SwearLexicon:
     for word in entries:
         if _EDGE.sub("", word) != word or word != word.lower() or " " in word:
             raise LexiconError(f"{path}: entry {word!r} would not survive tokenization")
-    return SwearLexicon(entries=entries, source=path)
+    return entries
 
 
-def corpus_style_metrics(corpus: Corpus, lexicon: SwearLexicon) -> StyleMetrics:
+def corpus_style_metrics(corpus: Corpus, lexicon: frozenset[str]) -> StyleMetrics:
     """Every song's metrics, in corpus order, each column computed for all
     songs at once from vocabulary-level tables. One song's metrics are those
     of its one-song corpus, `Corpus.from_records([song])`."""

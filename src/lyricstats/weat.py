@@ -24,27 +24,11 @@ DEFAULT_MC_SAMPLES = 100_000
 # replaced; an in-process battery took about 0.15 s at every size from 125 to
 # 2,000 rows.
 _SUBSET_CHUNK = 500
+MIN_WORDS = 2  # usable words each target and attribute list needs after filtering
 
 
 class WeatError(Exception):
     pass
-
-
-class UnderfilledListError(WeatError):
-    """A word list dropped below the minimum size after vocabulary filtering."""
-
-
-class DegenerateStatisticError(WeatError):
-    """All association scores equal; the effect-size denominator is zero."""
-
-
-class NonFiniteScoreError(WeatError):
-    """An association score is NaN or infinite: a vector of the test is not
-    finite. Carries the test's coverage and drops, which stay valid."""
-
-    def __init__(self, message: str, coverage: dict, dropped: tuple[str, ...]):
-        super().__init__(message)
-        self.coverage, self.dropped = coverage, dropped
 
 
 @dataclass(frozen=True)
@@ -64,15 +48,6 @@ class WeatTest:
         ):
             if not words:
                 raise WeatError(f"{self.name}: {label} is empty")
-
-
-@dataclass(frozen=True)
-class OovPolicy:
-    """Drop out-of-vocabulary words, then truncate the longer target list from
-    its end to restore |X| = |Y|."""
-
-    min_targets: int = 2
-    min_attributes: int = 2
 
 
 @dataclass(frozen=True)
@@ -117,10 +92,11 @@ def _usable(words: Sequence[str], emb: EmbeddingTable) -> list[str]:
     return [w for w in words if w in emb and w not in emb.zero_words]
 
 
-def apply_oov_policy(test: WeatTest, emb: EmbeddingTable, policy: OovPolicy = OovPolicy()):
-    """Filter each list to the embedding vocabulary, rebalance targets, and
-    report coverage and drops. Raises UnderfilledListError when a list falls
-    below its minimum."""
+def apply_oov_policy(test: WeatTest, emb: EmbeddingTable):
+    """Filter each list to the embedding vocabulary, dropping words without a
+    vector or with a zero one, then truncate the longer target list from its
+    end to restore |X| = |Y|: (x, y, a, b, coverage, dropped), however few
+    words are left."""
     x = _usable(test.targets_x, emb)
     y = _usable(test.targets_y, emb)
     a = _usable(test.attributes_a, emb)
@@ -137,15 +113,6 @@ def apply_oov_policy(test: WeatTest, emb: EmbeddingTable, policy: OovPolicy = Oo
         "attributes_a": (len(test.attributes_a), len(a)),
         "attributes_b": (len(test.attributes_b), len(b)),
     }
-    if n < policy.min_targets:
-        raise UnderfilledListError(
-            f"{test.name}: target lists under-filled after filtering (|X|=|Y|={n})"
-        )
-    if len(a) < policy.min_attributes or len(b) < policy.min_attributes:
-        raise UnderfilledListError(
-            f"{test.name}: attribute lists under-filled after filtering "
-            f"(|A|={len(a)}, |B|={len(b)})"
-        )
     return x, y, a, b, coverage, tuple(dropped)
 
 
@@ -163,26 +130,24 @@ def _association_scores(
     return (t @ a.T).mean(axis=1) - (t @ b.T).mean(axis=1)
 
 
-def _prepare(test: WeatTest, emb: EmbeddingTable, policy: OovPolicy):
-    """Filter the word lists once and score both target lists against the
-    attributes: (sx, sy, coverage, dropped). Raises NonFiniteScoreError when a
-    score is NaN or infinite."""
-    x, y, a, b, coverage, dropped = apply_oov_policy(test, emb, policy)
+def _scores(
+    name: str, x: list[str], y: list[str], a: list[str], b: list[str], emb: EmbeddingTable
+) -> tuple[np.ndarray, np.ndarray, float] | str:
+    """Both target lists' association scores and the effect size, (sx, sy,
+    d), for lists that `apply_oov_policy` filtered; or, when the test cannot
+    be scored, the error that says why."""
+    if len(x) < MIN_WORDS:
+        return f"{name}: target lists under-filled after filtering (|X|=|Y|={len(x)})"
+    if len(a) < MIN_WORDS or len(b) < MIN_WORDS:
+        return f"{name}: attribute lists under-filled after filtering (|A|={len(a)}, |B|={len(b)})"
     with np.errstate(invalid="ignore"):  # an infinite vector: reported below
         sx, sy = _association_scores(x, a, b, emb), _association_scores(y, a, b, emb)
     if not (np.isfinite(sx).all() and np.isfinite(sy).all()):
-        raise NonFiniteScoreError(
-            f"{test.name}: association scores are not all finite (a vector holds nan or inf)", coverage, dropped
-        )
-    return sx, sy, coverage, dropped
-
-
-def _effect_size_from_scores(sx: np.ndarray, sy: np.ndarray) -> float:
-    pooled = np.concatenate([sx, sy])
-    denom = pooled.std()  # population std
+        return f"{name}: association scores are not all finite (a vector holds nan or inf)"
+    denom = np.concatenate([sx, sy]).std()  # population std
     if denom == 0.0:
-        raise DegenerateStatisticError("all association scores equal; effect size undefined")
-    return float((sx.mean() - sy.mean()) / denom)
+        return "all association scores equal; effect size undefined"
+    return sx, sy, float((sx.mean() - sy.mean()) / denom)
 
 
 def _subset_chunks(
@@ -275,7 +240,6 @@ def _p_values(
 def run_battery(
     tests: Sequence[WeatTest],
     emb: EmbeddingTable,
-    policy: OovPolicy = OovPolicy(),
     n_samples: int = DEFAULT_MC_SAMPLES,
     seed: int = 0,
     inclusive: bool = False,
@@ -285,8 +249,10 @@ def run_battery(
     one-sided permutation p-value, the share of equal-size partitions of X∪Y
     whose statistic beats the observed one (">", or ">=" when inclusive),
     over every partition when there are at most n_samples of them, else over
-    n_samples drawn at the seed. Per-test failures are reported in the
-    result's error field without aborting the battery. Tests whose target
+    n_samples drawn at the seed. A test with fewer than MIN_WORDS usable
+    words in a list, a non-finite score or equal scores throughout gets no
+    statistic, and its error field says why; its coverage and drops are
+    filled in all the same, and the battery goes on. Tests whose target
     lists have the same size after filtering share their subsets (see
     `_p_values`): each p-value is the one the test gets alone. Raises
     WeatError, before any work, for a sample count or seed that no p-value
@@ -300,16 +266,12 @@ def run_battery(
     results: list[Optional[WeatResult]] = [None] * len(tests)
     groups: dict[int, list] = {}
     for i, test in enumerate(tests):
-        coverage, dropped = {}, ()
-        try:
-            sx, sy, coverage, dropped = _prepare(test, emb, policy)
-            d = _effect_size_from_scores(sx, sy)
-        except WeatError as exc:
-            # coverage and drops stay once the lists are filtered
-            if isinstance(exc, NonFiniteScoreError):
-                coverage, dropped = exc.coverage, exc.dropped
-            results[i] = WeatResult(test.name, None, None, None, "none", coverage, dropped, str(exc))
+        x, y, a, b, coverage, dropped = apply_oov_policy(test, emb)
+        scored = _scores(test.name, x, y, a, b, emb)
+        if isinstance(scored, str):
+            results[i] = WeatResult(test.name, None, None, None, "none", coverage, dropped, scored)
             continue
+        sx, sy, d = scored
         groups.setdefault(len(sx), []).append((i, sx, sy, coverage, dropped, d))
     for n, members in groups.items():
         scores = np.column_stack([np.concatenate([sx, sy]) for _, sx, sy, *_ in members])

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from lyricstats.corpus import IngestConfig, SongRecord, TokenizeConfig, ingest, tokenize
+from lyricstats.corpus import SongRecord, ingest, tokenize
 from lyricstats.embeddings import EmbeddingTable
 from lyricstats.resources import mini_corpus_path
 

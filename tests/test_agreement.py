@@ -23,7 +23,6 @@ from lyricstats.corpus import COHORTS, Corpus, SongRecord
 from lyricstats.embeddings import EmbeddingError, SgnsConfig, _TrainState
 from lyricstats.style import (
     StyleMetrics,
-    SwearLexicon,
     aggregate,
     corpus_style_metrics,
     count_syllables,
@@ -54,7 +53,7 @@ def corpora(draw):
         )
         for i in range(draw(st.integers(0, 8)))
     ]
-    lexicon = SwearLexicon(entries=frozenset(draw(st.lists(st.sampled_from(words), min_size=1))), source="<test>")
+    lexicon = frozenset(draw(st.lists(st.sampled_from(words), min_size=1)))
     return Corpus.from_records(records), records, lexicon
 
 
@@ -70,7 +69,7 @@ def reference_metrics(song, lexicon):
     tokens = [t for line in song.lines for t in line]
     n, lines, duration = len(tokens), len(song.lines), song.duration_seconds
     syllables = sum(reference_syllables(t) for t in tokens)
-    swears = sum(1 for t in tokens if t in lexicon.entries)
+    swears = sum(1 for t in tokens if t in lexicon)
     return {
         "song_id": song.id,
         "year": song.year,

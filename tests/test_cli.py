@@ -505,6 +505,10 @@ class TestWeatCommand:
         with open(out / "weat_results.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert any(r["error"] for r in rows) and sum(1 for r in rows if not r["error"]) == 7
+        # the under-filled row still says how many words of each list were found
+        n_x, n_y = len(tests[2].targets_x), len(tests[2].targets_y)
+        assert rows[2]["error"] and (rows[2]["coverage_x"], rows[2]["coverage_y"]) == (f"0/{n_x}", f"0/{n_y}")
+        assert rows[2]["dropped_words"].split() == [*tests[2].targets_x, *tests[2].targets_y]
 
 
     @pytest.mark.parametrize("value", ["nan", "inf"])

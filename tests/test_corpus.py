@@ -20,7 +20,6 @@ from lyricstats.corpus import (
     IngestError,
     Reject,
     SongRecord,
-    TokenizeConfig,
     ingest,
     load_cache,
     save_cache,
@@ -28,6 +27,7 @@ from lyricstats.corpus import (
     tokenize,
     write_reject_report,
 )
+from lyricstats.resources import mini_corpus_path
 from tests.conftest import edit_cache, jsonl_row, read_cache, without_lines, write_jsonl
 
 
@@ -42,7 +42,7 @@ class TestTokenize:
         assert tokenize("[Chorus]\nla la") == (("la", "la"),)
 
     def test_annotation_kept_when_disabled(self):
-        assert tokenize("[Chorus]\nla la", TokenizeConfig(drop_annotations=False)) == (("chorus",), ("la", "la"))
+        assert tokenize("[Chorus]\nla la", drop_annotations=False) == (("chorus",), ("la", "la"))
 
     def test_empty_lines_removed(self):
         assert tokenize("one\n\n\ntwo") == (("one",), ("two",))
@@ -81,7 +81,7 @@ class TestEdgeStripFastPath:
         line = " ".join(words)
         text = unicodedata.normalize("NFC", line).lower()
         expected = tuple(t for t in (_EDGE.sub("", w) for w in text.split()) if t)
-        assert tokenize(line, TokenizeConfig(drop_annotations=False)) == ((expected,) if expected else ())
+        assert tokenize(line, drop_annotations=False) == ((expected,) if expected else ())
 
 
 class TestIngest:
@@ -137,6 +137,41 @@ class TestIngest:
         with pytest.raises(IngestError):
             ingest(str(path), format="csv")
 
+    # json.dumps writes a float inf or nan as the bare JSON Infinity or NaN,
+    # which json.loads reads back as a float, as it reads 1e999
+    @pytest.mark.parametrize(
+        "field, value, reason",
+        [
+            ("duration_seconds", "inf", "duration_seconds 'inf' is not a finite number"),
+            ("duration_seconds", float("inf"), "duration_seconds inf is not a finite number"),
+            ("duration_seconds", "-Infinity", "duration_seconds '-Infinity' is not a finite number"),
+            ("duration_seconds", "nan", "duration_seconds 'nan' is not a finite number"),
+            ("duration_seconds", float("nan"), "duration_seconds nan is not a finite number"),
+            ("duration_seconds", True, "duration_seconds True is not a number"),
+            ("year", 1965.7, "year 1965.7 is not an integer"),
+            ("year", float("inf"), "year inf is not an integer"),
+            ("year", True, "year True is not an integer"),
+        ],
+    )
+    def test_value_no_cache_can_hold_rejected(self, tmp_path, field, value, reason):
+        path = tmp_path / "songs.jsonl"
+        write_jsonl(path, [jsonl_row("s1"), jsonl_row("bad", **{field: value}), jsonl_row("s2", year=1965.0)])
+        result = ingest(str(path), format="jsonl")
+        assert result.rejects == (Reject("bad", f"line:2: {reason}"),) and result.quality_ok
+        cache = tmp_path / "c.cache"
+        save_cache(result.corpus, str(cache))
+        loaded = tuple(load_cache(str(cache)))
+        assert [(r.id, r.year, r.duration_seconds) for r in loaded] == [("s1", 1990, 200.0), ("s2", 1965, 200.0)]
+
+    # the cache stores this digest, so a change to its source JSON changes the
+    # bytes of every cache
+    @pytest.mark.parametrize(
+        "options, digest",
+        [({}, "278cc6cbc8ba0c84"), ({"max_reject_fraction": 0.25, "drop_annotations": False}, "6247923431d84722")],
+    )
+    def test_config_digest_is_stable(self, options, digest):
+        assert ingest(mini_corpus_path(), "csv", **options).corpus.provenance["config_digest"] == digest
+
     def test_quality_flag_on_majority_rejects(self, tmp_path):
         path = tmp_path / "songs.jsonl"
         bad = [dict(jsonl_row(f"b{i}"), year="not-a-year") for i in range(6)]
@@ -158,7 +193,7 @@ class TestIngest:
         for name in ("a", "b"):
             result = ingest(str(src), format="jsonl")
             cache = tmp_path / f"{name}.cache"
-            save_cache(result, str(cache))
+            save_cache(result.corpus, str(cache))
             outputs.append(cache.read_bytes())
         assert outputs[0] == outputs[1]
 

@@ -10,7 +10,6 @@ from lyricstats.resources import default_swear_lexicon_path
 from lyricstats.style import (
     LexiconError,
     StyleError,
-    SwearLexicon,
     aggregate,
     corpus_style_metrics,
     count_syllables,
@@ -47,7 +46,7 @@ SYLLABLE_REFERENCE = [
 ]
 
 
-DAMN = SwearLexicon(entries=frozenset({"damn"}), source="<test>")
+DAMN = frozenset({"damn"})
 
 
 def lyric(text):
@@ -205,7 +204,7 @@ class TestSwearStats:
                 expected = []
                 for song in songs:
                     toks = [t for line in song.lines for t in line]
-                    n_swears = sum(1 for t in toks if t in lexicon.entries)
+                    n_swears = sum(1 for t in toks if t in lexicon)
                     expected.append(n_swears / len(toks))
                 got = corpus_style_metrics(Corpus.from_records(songs), lexicon).swear_rate.tolist()
                 assert got == pytest.approx(expected)

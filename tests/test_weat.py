@@ -11,8 +11,6 @@ import lyricstats.weat as weat
 from lyricstats.embeddings import cosine
 from lyricstats.resources import default_battery_path
 from lyricstats.weat import (
-    OovPolicy,
-    UnderfilledListError,
     WeatError,
     WeatTest,
     _association_scores,
@@ -309,8 +307,9 @@ class TestOovPolicy:
         rng = np.random.default_rng(16)
         table = random_table(["x1", "y1", "a1", "a2", "b1", "b2"], 4, rng)
         test = WeatTest("uf", ("x1", "x9"), ("y1", "y9"), ("a1", "a2"), ("b1", "b2"))
-        with pytest.raises(UnderfilledListError):
-            apply_oov_policy(test, table)
+        x, y, _, _, coverage, dropped = apply_oov_policy(test, table)
+        assert x == ["x1"] and y == ["y1"] and len(x) < weat.MIN_WORDS
+        assert coverage["targets_y"] == (2, 1) and dropped == ("x9", "y9")
 
     def test_zero_vector_words_treated_as_missing(self):
         table = make_table(
@@ -430,12 +429,22 @@ class TestRunTest:
         assert second.error == first.error.replace("t:", "random:", 1)
         assert run_battery([test], table)[0] == second
 
-    def test_underfilled_result_has_no_coverage(self):
+    def test_underfilled_result_keeps_coverage(self):
         rng = np.random.default_rng(25)
         table = random_table(["x1", "y1", "a1", "a2", "b1", "b2"], 4, rng)
         test = WeatTest("uf", ("x1", "x9"), ("y1", "y9"), ("a1", "a2"), ("b1", "b2"))
         [r] = run_battery([test], table)
-        assert "under-filled" in r.error and r.coverage == {} and r.dropped_words == ()
+        assert r.error == "uf: target lists under-filled after filtering (|X|=|Y|=1)"
+        assert (r.effect_size, r.test_statistic, r.p_value, r.p_method) == (None, None, None, "none")
+        assert r.coverage["targets_x"] == (2, 1) and r.coverage["attributes_b"] == (2, 2)
+        assert r.dropped_words == ("x9", "y9")
+
+    def test_underfilled_attributes_keep_coverage(self):
+        table = random_table(["x1", "x2", "y1", "y2", "a1", "b1", "b2"], 4, np.random.default_rng(27))
+        test = WeatTest("ua", ("x1", "x2"), ("y1", "y2"), ("a1", "a9"), ("b1", "b2"))
+        [r] = run_battery([test], table)
+        assert r.error == "ua: attribute lists under-filled after filtering (|A|=1, |B|=2)"
+        assert r.coverage["attributes_a"] == (2, 1) and r.dropped_words == ("a9",)
 
 
 class TestProperties:
@@ -562,7 +571,7 @@ class TestSharedDraw:
 
         test, table = random_weat(np.random.default_rng(34))
         # refused before any test is prepared, on the exact path too
-        monkeypatch.setattr(weat, "_prepare", None)
+        monkeypatch.setattr(weat, "apply_oov_policy", None)
         with pytest.raises(WeatError, match="seed >= 0"):
             run_battery([test], table, seed=-1)
 
