@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 environment/I/O or usage failure, 2 data-quality failur
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -16,7 +17,7 @@ import sys
 import numpy as np
 
 from lyricstats import __version__
-from lyricstats.corpus import IngestError, atomic_write, ingest, load_cache, save_cache, write_reject_report
+from lyricstats.corpus import CorpusError, atomic_write, ingest, load_cache, save_cache, write_reject_report
 from lyricstats.embeddings import EmbeddingError, SgnsConfig, load_vectors, save_vectors, train_sgns
 from lyricstats.resources import default_battery_path, default_stopwords_path, default_swear_lexicon_path
 from lyricstats.style import (
@@ -36,6 +37,23 @@ EXIT_IO = 1
 EXIT_QUALITY = 2
 
 
+class _Failure(Exception):
+    """A command's failure: `main` prints `error: <message>` and returns `code`."""
+
+    def __init__(self, message: str, code: int = EXIT_IO):
+        super().__init__(message)
+        self.code = code
+
+
+@contextlib.contextmanager
+def _writing(path: str):
+    """Turns an OSError raised in the block into a _Failure naming `path`."""
+    try:
+        yield
+    except OSError as exc:
+        raise _Failure(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
         return "" if value != value else f"{value:.9f}"  # NaN: no value
@@ -43,7 +61,7 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: str, header, rows) -> None:
-    with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
+    with _writing(path), atomic_write(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows([_fmt(value) for value in row] for row in rows)
@@ -61,27 +79,16 @@ def _write_table(path: str, table) -> None:
 _NOT_DIGESTED = {"config", "command", "func", "out", "deterministic"}
 
 
-def _cannot_write(path: str, exc: OSError) -> int:
-    print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
-    return EXIT_IO
-
-
-def _write_config_digest(out_dir: str, args: argparse.Namespace) -> bool:
+def _write_config_digest(out_dir: str, args: argparse.Namespace) -> None:
     """`<command>.config.json`: every option of the command as parsed (config
     file values and flags resolved), and their sha256 digest, written
-    atomically. Prints a one-line error and returns False when it cannot be
-    written."""
+    atomically."""
     options = {key: value for key, value in vars(args).items() if key not in _NOT_DIGESTED}
     resolved = json.dumps({"command": args.command, **options}, sort_keys=True)
     digest = hashlib.sha256(resolved.encode()).hexdigest()
     path = os.path.join(out_dir, f"{args.command}.config.json")
-    try:
-        with atomic_write(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"digest": digest, "options": json.loads(resolved)}, indent=2, sort_keys=True) + "\n")
-    except OSError as exc:
-        _cannot_write(path, exc)
-        return False
-    return True
+    with _writing(path), atomic_write(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"digest": digest, "options": json.loads(resolved)}, indent=2, sort_keys=True) + "\n")
 
 
 def _config_defaults(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
@@ -125,19 +132,18 @@ def _config_defaults(parser: argparse.ArgumentParser, args: argparse.Namespace) 
     return config
 
 
-def _out_dir_usable(path: str) -> bool:
-    """Whether `path` is, or can be made, a directory to write outputs in: the
-    path or its nearest existing ancestor is a writable directory. Commands
-    check this before any work, and make the directory only when they write
-    to it; otherwise this prints a one-line error."""
+def _check_out_dir(path: str) -> None:
+    """Raises _Failure unless `path` is, or can be made, a directory to write
+    outputs in: a non-empty path that, or whose nearest existing ancestor, is
+    a writable directory. Commands check this before any work, and make the
+    directory only when they write to it."""
+    if not path:
+        raise _Failure("--out is empty; it names the output directory")
     existing = os.path.abspath(path)
     while not os.path.lexists(existing):
         existing = os.path.dirname(existing)
-    if os.path.isdir(existing) and os.access(existing, os.W_OK | os.X_OK):
-        return True
-    print(f"error: cannot use {path} as the output directory: {existing} is not a writable directory",
-          file=sys.stderr)
-    return False
+    if not (os.path.isdir(existing) and os.access(existing, os.W_OK | os.X_OK)):
+        raise _Failure(f"cannot use {path} as the output directory: {existing} is not a writable directory")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -151,136 +157,102 @@ class _Parser(argparse.ArgumentParser):
 
 def cmd_ingest(args) -> int:
     args.format = args.format or ("csv" if args.input.endswith(".csv") else "jsonl")
-    if not _out_dir_usable(args.out):
-        return EXIT_IO
-    try:
-        result = ingest(
-            args.input,
-            format=args.format,
-            max_reject_fraction=args.max_reject_fraction,
-            drop_annotations=not args.keep_annotations,
-        )
-    except (IngestError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    os.makedirs(args.out, exist_ok=True)
+    _check_out_dir(args.out)
+    result = ingest(
+        args.input,
+        format=args.format,
+        max_reject_fraction=args.max_reject_fraction,
+        drop_annotations=not args.keep_annotations,
+    )
+    with _writing(args.out):
+        os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "corpus.cache")
-    try:
+    with _writing(path):
         save_cache(result.corpus, path)
-        path = os.path.join(args.out, "rejects.jsonl")
+    path = os.path.join(args.out, "rejects.jsonl")
+    with _writing(path):
         write_reject_report(result.rejects, path)
-    except OSError as exc:
-        return _cannot_write(path, exc)
-    if not _write_config_digest(args.out, args):
-        return EXIT_IO
+    _write_config_digest(args.out, args)
     print(f"ingested {len(result.corpus)} songs, {len(result.rejects)} rejects")
     if not result.quality_ok:
-        print("error: reject fraction over threshold", file=sys.stderr)
-        return EXIT_QUALITY
+        raise _Failure("reject fraction over threshold", EXIT_QUALITY)
     return EXIT_OK
 
 
 def cmd_style(args) -> int:
     if args.top_k < 1:
-        print("error: --top-k must be >= 1", file=sys.stderr)
-        return EXIT_IO
+        raise _Failure("--top-k must be >= 1")
     words = [w.strip() for w in (args.words or "").split(",") if w.strip()]
     if args.words and not words:
-        print(f"error: --words {args.words!r} names no word", file=sys.stderr)
-        return EXIT_IO
-    if not _out_dir_usable(args.out):
-        return EXIT_IO
-    try:
-        corpus = load_cache(args.cache)
-        lexicon = load_swear_lexicon(args.lexicon or default_swear_lexicon_path())
-        stopwords = load_wordlist(args.stopwords or default_stopwords_path())
-    except (IngestError, StyleError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    os.makedirs(args.out, exist_ok=True)
+        raise _Failure(f"--words {args.words!r} names no word")
+    _check_out_dir(args.out)
+    corpus = load_cache(args.cache)
+    lexicon = load_swear_lexicon(args.lexicon or default_swear_lexicon_path())
+    stopwords = load_wordlist(args.stopwords or default_stopwords_path())
+    with _writing(args.out):
+        os.makedirs(args.out, exist_ok=True)
     metrics = corpus_style_metrics(corpus, lexicon)
     # rank_series.csv needs every year; top_words.csv alone needs only --year
     rankings = year_rankings(corpus, args.cohort, None if words else args.year)
-    path = os.path.join(args.out, "per_song.csv")
-    try:
-        _write_table(path, metrics)
-        path = os.path.join(args.out, "aggregate.csv")
-        _write_table(path, aggregate(metrics))
-        path = os.path.join(args.out, "top_words.csv")
-        _write_csv(
-            path,
-            ["year", "rank", "word"],
-            (
-                (year, rank, word)
-                for year in (rankings if args.year is None else [args.year])
-                for rank, word in enumerate(top_words(rankings.get(year, []), args.top_k, stopwords), start=1)
-            ),
-        )
-        path = os.path.join(args.out, "rank_series.csv")
-        _write_csv(
-            path,
-            ["word", "year", "rank"],
-            (
-                (series.word, year, series.entries[year])
-                for series in (rank_series(rankings, words) if words else [])
-                for year in sorted(series.entries)
-            ),
-        )
-    except OSError as exc:
-        return _cannot_write(path, exc)
-
-    return EXIT_OK if _write_config_digest(args.out, args) else EXIT_IO
+    _write_table(os.path.join(args.out, "per_song.csv"), metrics)
+    _write_table(os.path.join(args.out, "aggregate.csv"), aggregate(metrics))
+    _write_csv(
+        os.path.join(args.out, "top_words.csv"),
+        ["year", "rank", "word"],
+        (
+            (year, rank, word)
+            for year in (rankings if args.year is None else [args.year])
+            for rank, word in enumerate(top_words(rankings.get(year, []), args.top_k, stopwords), start=1)
+        ),
+    )
+    _write_csv(
+        os.path.join(args.out, "rank_series.csv"),
+        ["word", "year", "rank"],
+        (
+            (series.word, year, series.entries[year])
+            for series in (rank_series(rankings, words) if words else [])
+            for year in sorted(series.entries)
+        ),
+    )
+    _write_config_digest(args.out, args)
+    return EXIT_OK
 
 
 def cmd_train(args) -> int:
     if args.seed is None:
-        print("error: --seed is mandatory for training (stochastic step)", file=sys.stderr)
-        return EXIT_IO
-    try:
-        config = SgnsConfig(
-            dim=args.dim,
-            window=args.window,
-            negatives=args.negatives,
-            epochs=args.epochs,
-            initial_learning_rate=args.learning_rate,
-            min_count=args.min_count,
-            subsample_threshold=args.subsample,
-            seed=args.seed,
-        )
-    except EmbeddingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise _Failure("--seed is mandatory for training (stochastic step)")
+    config = SgnsConfig(
+        dim=args.dim,
+        window=args.window,
+        negatives=args.negatives,
+        epochs=args.epochs,
+        initial_learning_rate=args.learning_rate,
+        min_count=args.min_count,
+        subsample_threshold=args.subsample,
+        seed=args.seed,
+    )
+    if not args.out or os.path.isdir(args.out):
+        what = f"{args.out} is a directory" if args.out else "is empty"
+        raise _Failure(f"--out {what}; it names the vector file")
     out_dir = os.path.dirname(os.path.abspath(args.out))
-    if os.path.isdir(args.out):
-        print(f"error: --out {args.out} is a directory; it names the vector file", file=sys.stderr)
-        return EXIT_IO
-    if not _out_dir_usable(out_dir):
-        return EXIT_IO
-    try:
-        corpus = load_cache(args.cache)
-    except (IngestError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _check_out_dir(out_dir)
+    corpus = load_cache(args.cache)
     try:
         # a diverging run overflows on its way to NaN; the check below reports it
         with np.errstate(over="ignore", invalid="ignore"):
             table = train_sgns(corpus, config)
     except EmbeddingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_QUALITY
+        raise _Failure(str(exc), EXIT_QUALITY) from exc
     diverged = int(np.count_nonzero(~np.isfinite(table.vectors).all(axis=1)))
     if diverged:
-        print(f"error: training diverged: {diverged} of {len(table)} words have NaN or infinite vectors; "
-              f"no vector file written; try a lower --learning-rate than {args.learning_rate:g}", file=sys.stderr)
-        return EXIT_QUALITY
-    try:
+        raise _Failure(f"training diverged: {diverged} of {len(table)} words have NaN or infinite vectors; "
+                       f"no vector file written; try a lower --learning-rate than {args.learning_rate:g}",
+                       EXIT_QUALITY)
+    with _writing(out_dir):
         os.makedirs(out_dir, exist_ok=True)
+    with _writing(args.out):
         save_vectors(table, args.out)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    if not _write_config_digest(out_dir, args):
-        return EXIT_IO
+    _write_config_digest(out_dir, args)
     print(f"trained {len(table)} vectors of dim {table.dim} -> {args.out}")
     return EXIT_OK
 
@@ -301,28 +273,19 @@ def _print_summary(results, n_samples: int) -> None:
 
 def cmd_weat(args) -> int:
     if args.mc_samples < 1:
-        print("error: --mc-samples must be >= 1", file=sys.stderr)
-        return EXIT_IO
+        raise _Failure("--mc-samples must be >= 1")
     if args.seed < 0:
-        print("error: --seed must be >= 0", file=sys.stderr)
-        return EXIT_IO
-    if not _out_dir_usable(args.out):
-        return EXIT_IO
-    try:
-        table = load_vectors(args.vectors)
-        tests = load_battery(args.tests or default_battery_path())
-    except (EmbeddingError, WeatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise _Failure("--seed must be >= 0")
+    _check_out_dir(args.out)
+    table = load_vectors(args.vectors)
+    tests = load_battery(args.tests or default_battery_path())
     results = run_battery(tests, table, n_samples=args.mc_samples, seed=args.seed, inclusive=args.inclusive)
-    os.makedirs(args.out, exist_ok=True)
-    results_path = os.path.join(args.out, "weat_results.csv")
-    try:
-        write_results_csv(results, results_path)
-    except OSError as exc:
-        return _cannot_write(results_path, exc)
-    if not _write_config_digest(args.out, args):
-        return EXIT_IO
+    with _writing(args.out):
+        os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, "weat_results.csv")
+    with _writing(path):
+        write_results_csv(results, path)
+    _write_config_digest(args.out, args)
     _print_summary(results, args.mc_samples)
     return EXIT_OK
 
@@ -400,7 +363,11 @@ def main(argv=None) -> int:
             print(f"error: {args.config}: {exc}", file=sys.stderr)
             return EXIT_IO
         args = build_parser(config).parse_args(raw_argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (_Failure, CorpusError, StyleError, EmbeddingError, WeatError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code if isinstance(exc, _Failure) else EXIT_IO
 
 
 if __name__ == "__main__":

@@ -327,19 +327,19 @@ def _validate_record(raw: dict, drop_annotations: bool, seen_ids: set[str], wher
     return SongRecord(id=rid, year=year, cohort=cohort, duration_seconds=duration, lines=lines)
 
 
-def _iter_jsonl(path: str) -> Iterator[tuple[str, dict]]:
+def _iter_jsonl(path: str) -> Iterator[tuple[str, dict | RecordError]]:
+    """Each non-blank line's row, or the RecordError that rejects it: a line
+    that is not JSON, or whose JSON is not an object."""
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 raw = json.loads(line)
+                if not isinstance(raw, dict):
+                    raw = RecordError("row is not a JSON object")
             except json.JSONDecodeError as exc:
-                yield f"line:{line_no}", {"__parse_error__": str(exc)}
-                continue
-            if not isinstance(raw, dict):
-                yield f"line:{line_no}", {"__parse_error__": "row is not a JSON object"}
-                continue
+                raw = RecordError(str(exc))
             yield f"line:{line_no}", raw
 
 
@@ -384,8 +384,8 @@ def ingest(
     try:
         for where, raw in rows:
             total += 1
-            if "__parse_error__" in raw:
-                rejects.append(Reject(where, raw["__parse_error__"]))
+            if isinstance(raw, RecordError):
+                rejects.append(Reject(where, str(raw)))
                 continue
             try:
                 rec = _validate_record(raw, drop_annotations, seen_ids, where)

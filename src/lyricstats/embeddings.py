@@ -24,7 +24,13 @@ class EmbeddingTable:
     dim: int
     vocab: dict  # word -> row index
     vectors: np.ndarray  # (V, dim) float64
-    zero_words: frozenset = frozenset()  # flagged at load/train end, rejected in cosine
+
+    @functools.cached_property
+    def zero_words(self) -> frozenset:
+        """The words whose vector is all zeros: no cosine is defined for
+        them, so WEAT counts them as missing."""
+        rows = set(np.flatnonzero(~self.vectors.any(axis=1)).tolist())
+        return frozenset(w for w, i in self.vocab.items() if i in rows)
 
     def __contains__(self, word: str) -> bool:
         return word in self.vocab
@@ -216,14 +222,11 @@ def load_vectors(path: str) -> EmbeddingTable:
     duplicates = n_rows - len(index)
     if duplicates:
         vectors = vectors[source]
-    vocab_words = list(index)
-    zero = frozenset(vocab_words[i] for i in np.flatnonzero(~vectors.any(axis=1)))
-    table = EmbeddingTable(dim=dim, vocab=index, vectors=vectors, zero_words=zero)
     if duplicates:
         import warnings
 
         warnings.warn(f"{path}: {duplicates} duplicate words, last occurrence kept")
-    return table
+    return EmbeddingTable(dim=dim, vocab=index, vectors=vectors)
 
 
 # values that save_vectors formats at once, at most: blocks of fewer than
@@ -546,6 +549,4 @@ def train_sgns(corpus: Corpus, config: SgnsConfig, epoch_callback=None) -> Embed
         state.train_epoch(np.random.default_rng((config.seed, epoch)), epoch)
         if epoch_callback is not None:
             epoch_callback(epoch, state.w_in, state.w_out)
-    vectors = state.w_in.copy()
-    zero = frozenset(w for w, i in state.vocab.items() if not np.any(vectors[i]))
-    return EmbeddingTable(dim=config.dim, vocab=state.vocab, vectors=vectors, zero_words=zero)
+    return EmbeddingTable(dim=config.dim, vocab=state.vocab, vectors=state.w_in.copy())

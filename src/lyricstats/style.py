@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from lyricstats.corpus import COHORTS, Corpus, ranked_ids, token_counts
+from lyricstats.corpus import COHORTS, Corpus, ranked_ids, token_counts, tokenize
 
 _VOWELS = np.array([ord(c) for c in "aeiouy"], dtype=np.uint32)
 # songs that `_song_sums` and `_repetitiveness` take at once: bounds the
@@ -172,10 +172,8 @@ def load_swear_lexicon(path: str) -> frozenset[str]:
     entries = load_wordlist(path)
     if not entries:
         raise LexiconError(f"{path}: empty lexicon")
-    from lyricstats.corpus import _EDGE  # reuse the tokenizer's edge-strip rule
-
     for word in entries:
-        if _EDGE.sub("", word) != word or word != word.lower() or " " in word:
+        if tokenize(word) != ((word,),):
             raise LexiconError(f"{path}: entry {word!r} would not survive tokenization")
     return entries
 

@@ -16,8 +16,7 @@ def make_table(word_vectors: dict) -> EmbeddingTable:
     """Build an EmbeddingTable from {word: vector}."""
     vocab = {w: i for i, w in enumerate(word_vectors)}
     vectors = np.array([np.asarray(v, dtype=float) for v in word_vectors.values()])
-    zero = frozenset(w for w, i in vocab.items() if not np.any(vectors[i]))
-    return EmbeddingTable(dim=vectors.shape[1], vocab=vocab, vectors=vectors, zero_words=zero)
+    return EmbeddingTable(dim=vectors.shape[1], vocab=vocab, vectors=vectors)
 
 
 def random_table(words, dim, rng) -> EmbeddingTable:

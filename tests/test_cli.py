@@ -439,7 +439,7 @@ class TestTrainCommand:
 
         monkeypatch.setattr(embeddings, "_write_block", no_space)
         assert main([*args, "8"]) == 1
-        assert capsys.readouterr().err == f"error: cannot write {out}: [Errno {errno.ENOSPC}] No space left on device\n"
+        assert capsys.readouterr().err == f"error: cannot write {out}: No space left on device\n"
         assert out.read_bytes() == before
         assert sorted(os.listdir(tmp_path)) == ["build", "train.config.json", "v.txt"]
 
@@ -599,6 +599,32 @@ class TestOutputDirectory:
         assert err.startswith("error: cannot use ") and f"{blocker} is not a writable directory" in err
         assert err.count("\n") == 1
         assert blocker.read_text() == "x"
+
+    @pytest.mark.parametrize("command", ["ingest", "style", "train", "weat"])
+    @pytest.mark.parametrize("name", ["", "o" * 300], ids=["empty", "300-chars"])
+    def test_unusable_out_name_exit_1_one_line(self, tmp_path, mini_cache, capsys, monkeypatch, command, name):
+        """An empty --out is refused before any work and writes nothing; a
+        name too long for the file system fails when the output is made."""
+        import lyricstats.cli as cli
+
+        out = str(tmp_path / name) if name else ""
+        args = self._command(command, tmp_path, mini_cache, out)
+        if not name:
+            args[args.index("--out") + 1] = ""
+            for work in ("ingest", "load_cache", "load_vectors"):
+                monkeypatch.setattr(cli, work, lambda *a, work=work, **k: pytest.fail(f"{work} ran"))
+        monkeypatch.chdir(tmp_path)
+        before = sorted(os.listdir(tmp_path))
+        capsys.readouterr()
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        if name:
+            assert err.startswith(f"error: cannot write {out}") and err.endswith(": File name too long\n")
+        else:
+            what = "the vector file" if command == "train" else "the output directory"
+            assert err == f"error: --out is empty; it names {what}\n"
+            assert sorted(os.listdir(tmp_path)) == before
 
     def test_train_out_naming_a_directory_exit_1(self, tmp_path, mini_cache, capsys):
         assert main(["train", "--cache", str(mini_cache), "--out", str(tmp_path), "--seed", "1"]) == 1

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -315,6 +316,29 @@ class TestIngest:
         assert len(written) == 3
         assert cache.read_bytes() == before
         assert os.listdir(tmp_path) == ["corpus.cache"]
+
+    def test_row_fields_cannot_forge_a_reject(self, tmp_path):
+        src = tmp_path / "songs.jsonl"
+        write_jsonl(src, [dict(jsonl_row("s1"), __parse_error__="looks fine")])
+        with open(src, "a", encoding="utf-8") as fh:
+            fh.write('{"id": "s2", broken\n["s3"]\n')
+        result = ingest(str(src), format="jsonl")
+        assert [song.id for song in result.corpus] == ["s1"]
+        report = tmp_path / "rejects.jsonl"
+        write_reject_report(result.rejects, str(report))
+        assert [json.loads(line) for line in report.read_text().splitlines()] == [
+            {"line_no": "2", "reason": "Expecting property name enclosed in double quotes: line 1 column 14 (char 13)"},
+            {"line_no": "3", "reason": "row is not a JSON object"},
+        ]
+        # a CSV column of that name is one more field too
+        src = tmp_path / "songs.csv"
+        row = dict(jsonl_row("s1"), __parse_error__="looks fine")
+        with open(src, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(row))
+            writer.writeheader()
+            writer.writerows([row, dict(row, id="s2")])
+        result = ingest(str(src), format="csv")
+        assert [song.id for song in result.corpus] == ["s1", "s2"] and result.rejects == ()
 
     def test_reject_report_schema(self, tmp_path):
         src = tmp_path / "songs.jsonl"

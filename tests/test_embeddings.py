@@ -93,10 +93,9 @@ def load_vectors_per_row(path):
             f"read {len(words) + duplicates} rows of dimension {dim}"
         )
     vectors = np.vstack(rows)
-    zero = frozenset(w for w, i in index.items() if not np.any(vectors[i]))
     if duplicates:
         warnings.warn(f"{path}: {duplicates} duplicate words, last occurrence kept")
-    return EmbeddingTable(dim=dim, vocab=index, vectors=vectors, zero_words=zero)
+    return EmbeddingTable(dim=dim, vocab=index, vectors=vectors)
 
 
 def load_outcome(loader, path):

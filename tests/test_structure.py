@@ -1,0 +1,79 @@
+"""The package's modules reach each other only through public names: an
+underscore name is free to change inside its own module."""
+
+import ast
+import pathlib
+
+import lyricstats
+
+PACKAGE = pathlib.Path(lyricstats.__file__).parent
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _dotted(node) -> str | None:
+    """`a.b.c` for a chain of attribute lookups on a name, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        head = _dotted(node.value)
+        return None if head is None else f"{head}.{node.attr}"
+    return None
+
+
+def private_uses(path: pathlib.Path) -> list[str]:
+    """Each `file:line` of `path` that imports, or looks up, an underscore
+    name of another lyricstats module."""
+    own = "lyricstats" if path.stem == "__init__" else f"lyricstats.{path.stem}"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    modules = {"lyricstats": "lyricstats"}  # local name -> the lyricstats module it names
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "lyricstats":
+                    modules[alias.asname or alias.name.split(".")[0]] = alias.name if alias.asname else "lyricstats"
+        elif isinstance(node, ast.ImportFrom):
+            source = "lyricstats" + (f".{node.module}" if node.module else "") if node.level else node.module or ""
+            if source.split(".")[0] != "lyricstats":
+                continue
+            for alias in node.names:
+                if _private(alias.name) and source != own:
+                    found.append(f"{path.name}:{node.lineno} imports {source}.{alias.name}")
+                elif source == "lyricstats":
+                    modules[alias.asname or alias.name] = f"lyricstats.{alias.name}"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr):
+            owner = _dotted(node.value)
+            head, _, rest = (owner or "").partition(".")
+            if head in modules:
+                module = ".".join(filter(None, (modules[head], rest)))
+                if module != own:
+                    found.append(f"{path.name}:{node.lineno} uses {module}.{node.attr}")
+    return found
+
+
+def test_no_module_uses_another_modules_private_name():
+    assert [use for path in sorted(PACKAGE.glob("*.py")) for use in private_uses(path)] == []
+
+
+def test_guard_sees_each_form(tmp_path):
+    path = tmp_path / "style.py"
+    path.write_text(
+        "import lyricstats.corpus\n"
+        "import lyricstats.corpus as c\n"
+        "from lyricstats import weat\n"
+        "from lyricstats.corpus import _EDGE, tokenize\n"
+        "from .weat import _scores\n"
+        "from lyricstats.style import _own\n"
+        "lyricstats.corpus._ANNOTATION, c._ANNOTATION, weat._p_values, weat.run_battery, _own\n"
+    )
+    assert private_uses(path) == [
+        "style.py:4 imports lyricstats.corpus._EDGE",
+        "style.py:5 imports lyricstats.weat._scores",
+        "style.py:7 uses lyricstats.corpus._ANNOTATION",
+        "style.py:7 uses lyricstats.corpus._ANNOTATION",
+        "style.py:7 uses lyricstats.weat._p_values",
+    ]

@@ -185,9 +185,11 @@ class TestSwearStats:
 
     def test_lexicon_rejects_untokenizable_entry(self, tmp_path):
         path = tmp_path / "lex.txt"
-        path.write_text("damn\nBad!\n")
-        with pytest.raises(LexiconError):
-            load_swear_lexicon(str(path))
+        # tokenize splits on a tab and on a no-break space too
+        for entry in ("Bad!", "a\tb", "a\u00a0b"):
+            path.write_text(f"damn\n{entry}\n", encoding="utf-8")
+            with pytest.raises(LexiconError, match="would not survive tokenization"):
+                load_swear_lexicon(str(path))
 
     def test_lexicon_rejects_empty(self, tmp_path):
         path = tmp_path / "lex.txt"

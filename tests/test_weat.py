@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import lyricstats.weat as weat
-from lyricstats.embeddings import cosine
+from lyricstats.embeddings import EmbeddingTable, cosine, load_vectors, save_vectors
 from lyricstats.resources import default_battery_path
 from lyricstats.weat import (
     WeatError,
@@ -321,6 +321,19 @@ class TestOovPolicy:
         x, y, _, _, _, dropped = apply_oov_policy(test, table)
         assert x == ["x1", "x3"] and y == ["y1", "y2"]
         assert "x2" in dropped and "y3" in dropped
+
+    def test_zero_row_result_same_built_directly_and_after_a_round_trip(self, tmp_path):
+        words = ["x1", "x2", "x3", "y1", "y2", "y3", "a1", "a2", "b1", "b2"]
+        # values that %.6f writes exactly, so the file holds the same table
+        vectors = np.random.default_rng(17).integers(-8, 9, size=(len(words), 4)) / 8
+        vectors[words.index("x2")] = 0.0
+        table = EmbeddingTable(dim=4, vocab={w: i for i, w in enumerate(words)}, vectors=vectors)
+        path = tmp_path / "v.txt"
+        save_vectors(table, str(path))
+        test = WeatTest("z", ("x1", "x2", "x3"), ("y1", "y2", "y3"), ("a1", "a2"), ("b1", "b2"))
+        direct = run_battery([test], table, n_samples=1000, seed=3)
+        assert direct == run_battery([test], load_vectors(str(path)), n_samples=1000, seed=3)
+        assert direct[0].error is None and "x2" in direct[0].dropped_words
 
 
 ENTRY = {"name": "t", "targets_x": ["x1"], "targets_y": ["y1"], "attributes_a": ["a1"], "attributes_b": ["b1"]}
