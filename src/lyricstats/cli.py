@@ -9,6 +9,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import errno
 import hashlib
 import json
 import os
@@ -46,12 +47,26 @@ class _Failure(Exception):
 
 
 @contextlib.contextmanager
-def _writing(path: str):
-    """Turns an OSError raised in the block into a _Failure naming `path`."""
+def _io(verb: str, path: str):
+    """Turns an OSError raised in the block into a _Failure, `cannot <verb>
+    <path>: <reason>`."""
     try:
         yield
     except OSError as exc:
-        raise _Failure(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise _Failure(f"cannot {verb} {path}: {exc.strerror or exc}") from exc
+
+
+def _read(load, path: str):
+    with _io("read", path):
+        return load(path)
+
+
+def _input_path(value: str | None, flag: str, bundled) -> str:
+    """The file an optional input flag names, or the bundled one when the
+    flag is not given. Raises _Failure for an empty value, which names none."""
+    if value == "":
+        raise _Failure(f"{flag} is empty; it names an input file")
+    return bundled() if value is None else value
 
 
 def _fmt(value) -> str:
@@ -61,7 +76,7 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: str, header, rows) -> None:
-    with _writing(path), atomic_write(path, "w", encoding="utf-8", newline="") as fh:
+    with _io("write", path), atomic_write(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows([_fmt(value) for value in row] for row in rows)
@@ -87,7 +102,7 @@ def _write_config_digest(out_dir: str, args: argparse.Namespace) -> None:
     resolved = json.dumps({"command": args.command, **options}, sort_keys=True)
     digest = hashlib.sha256(resolved.encode()).hexdigest()
     path = os.path.join(out_dir, f"{args.command}.config.json")
-    with _writing(path), atomic_write(path, "w", encoding="utf-8") as fh:
+    with _io("write", path), atomic_write(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"digest": digest, "options": json.loads(resolved)}, indent=2, sort_keys=True) + "\n")
 
 
@@ -135,15 +150,19 @@ def _config_defaults(parser: argparse.ArgumentParser, args: argparse.Namespace) 
 def _check_out_dir(path: str) -> None:
     """Raises _Failure unless `path` is, or can be made, a directory to write
     outputs in: a non-empty path that, or whose nearest existing ancestor, is
-    a writable directory. Commands check this before any work, and make the
+    a writable directory, and whose missing components' names the file
+    system can hold. Commands check this before any work, and make the
     directory only when they write to it."""
     if not path:
         raise _Failure("--out is empty; it names the output directory")
-    existing = os.path.abspath(path)
+    existing, missing = os.path.abspath(path), []
     while not os.path.lexists(existing):
-        existing = os.path.dirname(existing)
+        existing, name = os.path.split(existing)
+        missing.append(name)
     if not (os.path.isdir(existing) and os.access(existing, os.W_OK | os.X_OK)):
         raise _Failure(f"cannot use {path} as the output directory: {existing} is not a writable directory")
+    if any(len(os.fsencode(name)) > os.pathconf(existing, "PC_NAME_MAX") > 0 for name in missing):
+        raise _Failure(f"cannot write {path}: {os.strerror(errno.ENAMETOOLONG)}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -164,13 +183,13 @@ def cmd_ingest(args) -> int:
         max_reject_fraction=args.max_reject_fraction,
         drop_annotations=not args.keep_annotations,
     )
-    with _writing(args.out):
+    with _io("write", args.out):
         os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "corpus.cache")
-    with _writing(path):
+    with _io("write", path):
         save_cache(result.corpus, path)
     path = os.path.join(args.out, "rejects.jsonl")
-    with _writing(path):
+    with _io("write", path):
         write_reject_report(result.rejects, path)
     _write_config_digest(args.out, args)
     print(f"ingested {len(result.corpus)} songs, {len(result.rejects)} rejects")
@@ -185,11 +204,13 @@ def cmd_style(args) -> int:
     words = [w.strip() for w in (args.words or "").split(",") if w.strip()]
     if args.words and not words:
         raise _Failure(f"--words {args.words!r} names no word")
+    lexicon_path = _input_path(args.lexicon, "--lexicon", default_swear_lexicon_path)
+    stopwords_path = _input_path(args.stopwords, "--stopwords", default_stopwords_path)
     _check_out_dir(args.out)
-    corpus = load_cache(args.cache)
-    lexicon = load_swear_lexicon(args.lexicon or default_swear_lexicon_path())
-    stopwords = load_wordlist(args.stopwords or default_stopwords_path())
-    with _writing(args.out):
+    corpus = _read(load_cache, args.cache)
+    lexicon = _read(load_swear_lexicon, lexicon_path)
+    stopwords = _read(load_wordlist, stopwords_path)
+    with _io("write", args.out):
         os.makedirs(args.out, exist_ok=True)
     metrics = corpus_style_metrics(corpus, lexicon)
     # rank_series.csv needs every year; top_words.csv alone needs only --year
@@ -236,7 +257,7 @@ def cmd_train(args) -> int:
         raise _Failure(f"--out {what}; it names the vector file")
     out_dir = os.path.dirname(os.path.abspath(args.out))
     _check_out_dir(out_dir)
-    corpus = load_cache(args.cache)
+    corpus = _read(load_cache, args.cache)
     try:
         # a diverging run overflows on its way to NaN; the check below reports it
         with np.errstate(over="ignore", invalid="ignore"):
@@ -248,9 +269,9 @@ def cmd_train(args) -> int:
         raise _Failure(f"training diverged: {diverged} of {len(table)} words have NaN or infinite vectors; "
                        f"no vector file written; try a lower --learning-rate than {args.learning_rate:g}",
                        EXIT_QUALITY)
-    with _writing(out_dir):
+    with _io("write", out_dir):
         os.makedirs(out_dir, exist_ok=True)
-    with _writing(args.out):
+    with _io("write", args.out):
         save_vectors(table, args.out)
     _write_config_digest(out_dir, args)
     print(f"trained {len(table)} vectors of dim {table.dim} -> {args.out}")
@@ -276,14 +297,15 @@ def cmd_weat(args) -> int:
         raise _Failure("--mc-samples must be >= 1")
     if args.seed < 0:
         raise _Failure("--seed must be >= 0")
+    battery_path = _input_path(args.tests, "--tests", default_battery_path)
     _check_out_dir(args.out)
-    table = load_vectors(args.vectors)
-    tests = load_battery(args.tests or default_battery_path())
+    table = _read(load_vectors, args.vectors)
+    tests = _read(load_battery, battery_path)
     results = run_battery(tests, table, n_samples=args.mc_samples, seed=args.seed, inclusive=args.inclusive)
-    with _writing(args.out):
+    with _io("write", args.out):
         os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "weat_results.csv")
-    with _writing(path):
+    with _io("write", path):
         write_results_csv(results, path)
     _write_config_digest(args.out, args)
     _print_summary(results, args.mc_samples)

@@ -56,7 +56,8 @@ class SongRecord:
 
 @dataclass(frozen=True)
 class Reject:
-    where: str  # record id if known, else "line:<n>"
+    line_no: int  # the row's line in the input file
+    id: Optional[str]  # the row's id, None when it has none
     reason: str
 
 
@@ -327,7 +328,7 @@ def _validate_record(raw: dict, drop_annotations: bool, seen_ids: set[str], wher
     return SongRecord(id=rid, year=year, cohort=cohort, duration_seconds=duration, lines=lines)
 
 
-def _iter_jsonl(path: str) -> Iterator[tuple[str, dict | RecordError]]:
+def _iter_jsonl(path: str) -> Iterator[tuple[int, dict | RecordError]]:
     """Each non-blank line's row, or the RecordError that rejects it: a line
     that is not JSON, or whose JSON is not an object."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -340,13 +341,13 @@ def _iter_jsonl(path: str) -> Iterator[tuple[str, dict | RecordError]]:
                     raw = RecordError("row is not a JSON object")
             except json.JSONDecodeError as exc:
                 raw = RecordError(str(exc))
-            yield f"line:{line_no}", raw
+            yield line_no, raw
 
 
 _CSV_COLUMNS = {"id", "title", "artist", "year", "duration_seconds", "cohort", "lyrics"}
 
 
-def _iter_csv(path: str) -> Iterator[tuple[str, dict]]:
+def _iter_csv(path: str) -> Iterator[tuple[int, dict]]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not _CSV_COLUMNS.issubset(set(reader.fieldnames)):
@@ -355,7 +356,7 @@ def _iter_csv(path: str) -> Iterator[tuple[str, dict]]:
             if raw.get("lyrics"):
                 # CSV carries newlines escaped as the two-character sequence \n
                 raw = dict(raw, lyrics=raw["lyrics"].replace("\\n", "\n"))
-            yield f"line:{line_no}", raw
+            yield line_no, raw
 
 
 def ingest(
@@ -382,20 +383,21 @@ def ingest(
     seen_ids: set[str] = set()
     total = 0
     try:
-        for where, raw in rows:
+        for line_no, raw in rows:
             total += 1
             if isinstance(raw, RecordError):
-                rejects.append(Reject(where, str(raw)))
+                rejects.append(Reject(line_no, None, str(raw)))
                 continue
             try:
-                rec = _validate_record(raw, drop_annotations, seen_ids, where)
+                rec = _validate_record(raw, drop_annotations, seen_ids, f"line:{line_no}")
             except RecordError as exc:
-                rejects.append(Reject(str(raw.get("id", where)), str(exc)))
+                rid = raw.get("id")
+                rejects.append(Reject(line_no, None if rid is None else str(rid), str(exc)))
                 continue
             seen_ids.add(rec.id)
             builder.add(rec)
     except OSError as exc:
-        raise IngestError(f"cannot read {path}: {exc}") from exc
+        raise IngestError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
@@ -554,9 +556,9 @@ def load_cache(path: str) -> Corpus:
 
 
 def write_reject_report(rejects: Iterable[Reject], path: str) -> None:
-    """One JSON line per reject, written atomically as `save_cache` is."""
+    """One JSON line per reject, naming the row by its id, or by its line
+    number (a string) when it has none; written atomically as `save_cache` is."""
     with atomic_write(path, "w", encoding="utf-8") as fh:
         for rej in rejects:
-            key = "line_no" if rej.where.startswith("line:") else "id"
-            value = rej.where.split(":", 1)[1] if key == "line_no" else rej.where
-            fh.write(json.dumps({key: value, "reason": rej.reason}, sort_keys=True) + "\n")
+            where = {"line_no": str(rej.line_no)} if rej.id is None else {"id": rej.id}
+            fh.write(json.dumps({**where, "reason": rej.reason}, sort_keys=True) + "\n")

@@ -25,13 +25,6 @@ class EmbeddingTable:
     vocab: dict  # word -> row index
     vectors: np.ndarray  # (V, dim) float64
 
-    @functools.cached_property
-    def zero_words(self) -> frozenset:
-        """The words whose vector is all zeros: no cosine is defined for
-        them, so WEAT counts them as missing."""
-        rows = set(np.flatnonzero(~self.vectors.any(axis=1)).tolist())
-        return frozenset(w for w, i in self.vocab.items() if i in rows)
-
     def __contains__(self, word: str) -> bool:
         return word in self.vocab
 

@@ -83,6 +83,17 @@ class TestIngestCommand:
         assert len((out / "rejects.jsonl").read_text().splitlines()) == 3
 
 
+    def test_reject_named_by_its_own_id_or_line(self, tmp_path):
+        # an id that reads like a line number is an id; a null id names no row
+        src = tmp_path / "songs.jsonl"
+        write_jsonl(src, [jsonl_row("line:7", year=3000), jsonl_row(None)])
+        out = tmp_path / "build"
+        assert main(["ingest", "--input", str(src), "--out", str(out), "--max-reject-fraction", "1"]) == 0
+        assert [json.loads(line) for line in (out / "rejects.jsonl").read_text().splitlines()] == [
+            {"id": "line:7", "reason": "line:1: year 3000 outside [1900, 2100]"},
+            {"line_no": "2", "reason": "line:2: missing required field 'id'"},
+        ]
+
     @pytest.mark.parametrize(
         "row, reason",
         [
@@ -601,18 +612,19 @@ class TestOutputDirectory:
         assert blocker.read_text() == "x"
 
     @pytest.mark.parametrize("command", ["ingest", "style", "train", "weat"])
-    @pytest.mark.parametrize("name", ["", "o" * 300], ids=["empty", "300-chars"])
+    @pytest.mark.parametrize("name", ["", "o" * 300, f"new/{'o' * 300}/deeper"],
+                             ids=["empty", "300-chars", "300-chars-under-new-parent"])
     def test_unusable_out_name_exit_1_one_line(self, tmp_path, mini_cache, capsys, monkeypatch, command, name):
-        """An empty --out is refused before any work and writes nothing; a
-        name too long for the file system fails when the output is made."""
+        """An empty --out, or one whose name is too long for the file system,
+        is refused before any work and writes nothing."""
         import lyricstats.cli as cli
 
         out = str(tmp_path / name) if name else ""
         args = self._command(command, tmp_path, mini_cache, out)
         if not name:
             args[args.index("--out") + 1] = ""
-            for work in ("ingest", "load_cache", "load_vectors"):
-                monkeypatch.setattr(cli, work, lambda *a, work=work, **k: pytest.fail(f"{work} ran"))
+        for work in ("ingest", "load_cache", "load_vectors"):
+            monkeypatch.setattr(cli, work, lambda *a, work=work, **k: pytest.fail(f"{work} ran"))
         monkeypatch.chdir(tmp_path)
         before = sorted(os.listdir(tmp_path))
         capsys.readouterr()
@@ -620,11 +632,11 @@ class TestOutputDirectory:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         if name:
-            assert err.startswith(f"error: cannot write {out}") and err.endswith(": File name too long\n")
+            assert err == f"error: cannot write {out}: File name too long\n"
         else:
             what = "the vector file" if command == "train" else "the output directory"
             assert err == f"error: --out is empty; it names {what}\n"
-            assert sorted(os.listdir(tmp_path)) == before
+        assert sorted(os.listdir(tmp_path)) == before
 
     def test_train_out_naming_a_directory_exit_1(self, tmp_path, mini_cache, capsys):
         assert main(["train", "--cache", str(mini_cache), "--out", str(tmp_path), "--seed", "1"]) == 1
@@ -635,6 +647,41 @@ class TestOutputDirectory:
         out = tmp_path / "new" / "deeper"
         assert main(["weat", "--vectors", str(vecs), "--out", str(out), "--mc-samples", "10"]) == 0
         assert (out / "weat_results.csv").exists()
+
+
+class TestInputPaths:
+    """An input flag given an empty value, or naming a file that cannot be
+    opened, ends the command with exit 1 and one line naming it."""
+
+    @pytest.mark.parametrize("command, flag", [("style", "--lexicon"), ("style", "--stopwords"), ("weat", "--tests")])
+    def test_empty_input_flag_exit_1_before_work(self, tmp_path, mini_cache, capsys, monkeypatch, command, flag):
+        import lyricstats.cli as cli
+
+        for work in ("load_cache", "load_vectors", "_check_out_dir"):
+            monkeypatch.setattr(cli, work, lambda *a, work=work, **k: pytest.fail(f"{work} ran"))
+        source = ["--cache", str(mini_cache)] if command == "style" else ["--vectors", str(tmp_path / "v.txt")]
+        capsys.readouterr()
+        assert main([command, *source, "--out", str(tmp_path / "o"), flag, ""]) == 1
+        assert capsys.readouterr() == ("", f"error: {flag} is empty; it names an input file\n")
+
+    @pytest.mark.parametrize("command, flag, name", [
+        ("ingest", "--input", ""), ("style", "--cache", ""), ("train", "--cache", ""), ("weat", "--vectors", ""),
+        ("ingest", "--input", "missing"), ("style", "--cache", "missing"), ("train", "--cache", "missing"),
+        ("weat", "--vectors", "missing"), ("style", "--lexicon", "missing"), ("style", "--stopwords", "missing"),
+        ("weat", "--tests", "missing"),
+    ])
+    def test_unopenable_input_names_its_path(self, tmp_path, mini_cache, capsys, command, flag, name):
+        path = str(tmp_path / name) if name else ""
+        given = {
+            "ingest": {"--input": mini_corpus_path(), "--format": "csv"},
+            "style": {"--cache": str(mini_cache)},
+            "train": {"--cache": str(mini_cache), "--seed": "1"},
+            "weat": {"--vectors": str(TestWeatCommand()._vector_file(tmp_path, ["a", "b"]))},
+        }[command]
+        given.update({flag: path, "--out": str(tmp_path / ("v.txt" if command == "train" else "o"))})
+        capsys.readouterr()
+        assert main([command, *(arg for pair in given.items() for arg in pair)]) == 1
+        assert capsys.readouterr() == ("", f"error: cannot read {path}: No such file or directory\n")
 
 
 class TestWriteErrors:

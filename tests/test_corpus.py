@@ -57,7 +57,7 @@ class TestTokenize:
         write_jsonl(path, [jsonl_row("x", lyrics="!!! ???")])
         result = ingest(str(path), format="jsonl")
         assert len(result.corpus) == 0
-        assert result.rejects == (Reject("x", "record 'x': lyrics tokenize to zero tokens"),)
+        assert result.rejects == (Reject(1, "x", "record 'x': lyrics tokenize to zero tokens"),)
 
     def test_deterministic(self):
         text = "Sómé Ünicode tëxt\nAnd More"
@@ -158,7 +158,7 @@ class TestIngest:
         path = tmp_path / "songs.jsonl"
         write_jsonl(path, [jsonl_row("s1"), jsonl_row("bad", **{field: value}), jsonl_row("s2", year=1965.0)])
         result = ingest(str(path), format="jsonl")
-        assert result.rejects == (Reject("bad", f"line:2: {reason}"),) and result.quality_ok
+        assert result.rejects == (Reject(2, "bad", f"line:2: {reason}"),) and result.quality_ok
         cache = tmp_path / "c.cache"
         save_cache(result.corpus, str(cache))
         loaded = tuple(load_cache(str(cache)))

@@ -27,7 +27,7 @@ from lyricstats.embeddings import (
     unigram_noise_probs,
 )
 from lyricstats.resources import default_battery_path
-from lyricstats.weat import load_battery, run_battery
+from lyricstats.weat import WeatTest, apply_oov_policy, load_battery, run_battery
 from tests.conftest import make_record, make_table
 
 
@@ -100,7 +100,7 @@ def load_vectors_per_row(path):
 
 def load_outcome(loader, path):
     """What a loader makes of a file: the table's vocabulary, the bits of its
-    vectors, its zero words and its warnings, or the error message."""
+    vectors and its warnings, or the error message."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -108,7 +108,7 @@ def load_outcome(loader, path):
         except EmbeddingError as exc:
             return ("error", str(exc), [str(w.message) for w in caught])
     bits = np.ascontiguousarray(table.vectors, dtype=np.float64).view(np.uint64)
-    return (table.dim, table.vocab, bits.shape, bits.tolist(), table.zero_words, [str(w.message) for w in caught])
+    return (table.dim, table.vocab, bits.shape, bits.tolist(), [str(w.message) for w in caught])
 
 
 def assert_loads_as_per_row(path):
@@ -256,10 +256,13 @@ class TestVectorFile:
         assert table.get("a") == pytest.approx([0, 1])
 
     def test_zero_vector_flagged(self, tmp_path):
+        # no cosine is defined for a zero vector: WEAT drops its word as missing
         path = tmp_path / "v.txt"
-        path.write_text("a 0 0\nb 1 0\n")
-        table = load_vectors(str(path))
-        assert table.zero_words == {"a"}
+        path.write_text("a 0 0\nb 1 0\nc 0 1\nd 1 1\n")
+        test = WeatTest("z", ("a", "b"), ("c", "d"), ("b", "d"), ("c", "a"))
+        x, y, a, b, coverage, dropped = apply_oov_policy(test, load_vectors(str(path)))
+        assert (x, y, a, b, dropped) == (["b"], ["c"], ["b", "d"], ["c"], ("a", "a", "d"))
+        assert coverage == {"targets_x": (2, 1), "targets_y": (2, 1), "attributes_a": (2, 2), "attributes_b": (2, 1)}
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)

@@ -2,7 +2,10 @@
 underscore name is free to change inside its own module."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import lyricstats
 
@@ -77,3 +80,25 @@ def test_guard_sees_each_form(tmp_path):
         "style.py:7 uses lyricstats.corpus._ANNOTATION",
         "style.py:7 uses lyricstats.weat._p_values",
     ]
+
+
+def test_permutation_core_imports_no_package_module():
+    """`permutation` is a leaf that imports only the standard library and
+    numpy: any module can use the core without loading `weat` or
+    `embeddings`."""
+    modules = set()
+    for node in ast.walk(ast.parse((PACKAGE / "permutation.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            modules.add("." if node.level else node.module.split(".")[0])
+    assert "numpy" in modules and modules - {"numpy"} <= sys.stdlib_module_names
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    """numpy loads `numpy.random` on first use; the permutation core looks up
+    `np.random.default_rng` only when it draws, so a command that draws
+    nothing does not pay for that import."""
+    code = "import sys, lyricstats.cli; print('numpy.random' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    assert subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True).stdout == "False\n"

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import lyricstats.weat as weat
+from lyricstats import permutation
 from lyricstats.embeddings import EmbeddingTable, cosine, load_vectors, save_vectors
 from lyricstats.resources import default_battery_path
 from lyricstats.weat import (
@@ -525,31 +526,40 @@ class TestSharedDraw:
     # fewer than the C(6, 3) = 20 partitions of the smallest size
     @pytest.mark.parametrize("n_samples", [924, 19], ids=["exact", "monte_carlo"])
     def test_one_draw_per_chunk_per_list_size(self, monkeypatch, n_samples):
-        import lyricstats.weat as weat
+        calls: list[tuple[int, int, str, int]] = []  # (n, columns, method, chunks) per p_values call
+        draws = []
+        original, real_islice, real_rng = permutation.p_values, permutation.islice, np.random.default_rng
 
-        chunks: dict[int, int] = {}
-        methods: dict[int, str] = {}
-        original = weat._subset_chunks
+        def counted(scores, n, *args):
+            before = len(draws)
+            method, p = original(scores, n, *args)
+            calls.append((n, scores.shape[1], method, len(draws) - before))
+            return method, p
 
-        def counted(n, *args):
-            method, size, draws = original(n, *args)
-            methods[n] = method
+        def counting_islice(*args):
+            draws.append("enumerated")
+            return real_islice(*args)
 
-            def counting():
-                for subsets in draws:
-                    chunks[n] = chunks.get(n, 0) + 1
-                    yield subsets
+        class CountingRng:
+            def __init__(self, seed):
+                self.rng = real_rng(seed)
 
-            return method, size, counting()
+            def random(self, out):
+                draws.append("drawn")
+                return self.rng.random(out=out)
 
-        monkeypatch.setattr(weat, "_subset_chunks", counted)
-        monkeypatch.setattr(weat, "_SUBSET_CHUNK", 7)
         tests, table = mixed_battery(np.random.default_rng(32), self.SIZES)
+        monkeypatch.setattr(permutation, "p_values", counted)
+        monkeypatch.setattr(permutation, "islice", counting_islice)
+        monkeypatch.setattr(np.random, "default_rng", CountingRng)
+        monkeypatch.setattr(permutation, "_SUBSET_CHUNK", 7)
         results = run_battery(tests, table, n_samples=n_samples, seed=2)
-        # list sizes 3, 4 and 6 (the third test runs at 4, two tests fail)
-        expected = {3: 20, 4: 70, 6: 924} if n_samples == 924 else {3: 19, 4: 19, 6: 19}
-        assert chunks == {n: -(-size // 7) for n, size in expected.items()}
-        assert set(methods.values()) == {"exact" if n_samples == 924 else "monte_carlo(n=19, seed=2)"}
+        # list sizes 4, 3 and 6 in order of first test, with 3, 2 and 2 tests
+        # (the third test runs at 4, two tests fail)
+        sizes = {4: 70, 3: 20, 6: 924} if n_samples == 924 else {4: 19, 3: 19, 6: 19}
+        method = "exact" if n_samples == 924 else "monte_carlo(n=19, seed=2)"
+        assert calls == [(n, columns, method, -(-size // 7)) for (n, size), columns in zip(sizes.items(), (3, 2, 2))]
+        assert set(draws) == {"enumerated" if n_samples == 924 else "drawn"}
         assert sum(r.p_value is not None for r in results) == 7
 
     # lists of 7 and 8 targets have 3,432 and 12,870 partitions, so 3,001
@@ -559,12 +569,10 @@ class TestSharedDraw:
         (SIZES, 3001), (SIZES, 19), ([(7, 0), (8, 0), (8, 1)], 3001),
     ], ids=["exact", "monte_carlo", "monte_carlo_over_chunks"])
     def test_p_values_do_not_depend_on_the_chunk_size(self, monkeypatch, sizes, n_samples):
-        import lyricstats.weat as weat
-
         tests, table = mixed_battery(np.random.default_rng(35), sizes)
         runs = []
         for chunk in (7, 1000, 2_000, 20_000):
-            monkeypatch.setattr(weat, "_SUBSET_CHUNK", chunk)
+            monkeypatch.setattr(permutation, "_SUBSET_CHUNK", chunk)
             runs.append([(r.p_method, r.p_value) for r in run_battery(tests, table, n_samples=n_samples, seed=3)])
         assert all(run == runs[0] for run in runs)
 
@@ -620,7 +628,7 @@ def score_matrix(pairs):
 
 
 class TestIntegerMaskScoring:
-    """`_p_values` scores each chunk of subsets as 0/1 masks against the
+    """`permutation.p_values` scores each chunk of subsets as 0/1 masks against the
     scores rounded to integers: every subset sum is exact, and each p-value
     is the one the argsort-and-gather scoring gave."""
 
@@ -635,7 +643,7 @@ class TestIntegerMaskScoring:
         pairs = [(sx, sy), (sx, sy), (sy, sx)] if duplicated else [(sx, sy), (rng.normal(0.0, 0.3, n), sy)]
         for n_samples in (50, 3001, 20_000):
             for inclusive in (False, True):
-                assert weat._p_values(score_matrix(pairs), n, n_samples, 7, inclusive) == (
+                assert permutation.p_values(score_matrix(pairs), n, n_samples, 7, inclusive) == (
                     argsort_reference_p_values(pairs, n_samples, 7, inclusive)
                 )
 
@@ -647,20 +655,28 @@ class TestIntegerMaskScoring:
         # even rows: the (n + 1)-th smallest uniform equals the n-th
         even = np.arange(0, rows, 2)
         uniforms[even, argsorted[even, n]] = uniforms[even, argsorted[even, n - 1]]
-        argsorted = np.argsort(uniforms, axis=1)[:, :n]
-        masks = weat._smallest_masks(uniforms, n, np.empty_like(uniforms))
-        assert masks.sum(axis=1).tolist() == [n + 1, n] * (rows // 2)
-        method = f"monte_carlo(n={rows}, seed=0)"
-        monkeypatch.setattr(weat, "_subset_chunks", lambda *args: (method, rows, iter([(masks, uniforms)])))
+        argsorted = np.sort(np.argsort(uniforms, axis=1)[:, :n], axis=1)
+        cut = np.sort(uniforms, axis=1)[:, n - 1 : n]
+        assert (uniforms <= cut).sum(axis=1).tolist() == [n + 1, n] * (rows // 2)
+
+        class TiedRng:
+            def __init__(self, seed):
+                assert seed == 0
+
+            def random(self, out):
+                out[...] = uniforms
+                return out
+
         sx, sy = rng.normal(0.0, 0.1, n), rng.normal(0.0, 0.1, n)
-        p = weat._p_values(score_matrix([(sx, sy)]), n, rows, 0, False)
-        # the chunk's masks were redone: n ones a row, argsort's subsets
-        expected = np.zeros_like(masks)
-        np.put_along_axis(expected, argsorted, 1.0, axis=1)
-        assert (masks == expected).all()
+        monkeypatch.setattr(np.random, "default_rng", TiedRng)
         pooled = np.concatenate([sx, sy])
-        stats = 2.0 * np.take(pooled, np.sort(argsorted, axis=1)).sum(axis=1) - pooled.sum()
-        assert p == (method, [np.count_nonzero(stats > 2.0 * sx.sum() - pooled.sum()) / rows])
+        observed = 2.0 * sx.sum() - pooled.sum()
+        stats = 2.0 * np.take(pooled, argsorted).sum(axis=1) - pooled.sum()
+        p = permutation.p_values(score_matrix([(sx, sy)]), n, rows, 0, False)
+        assert p == (f"monte_carlo(n={rows}, seed=0)", [np.count_nonzero(stats > observed) / rows])
+        # the masks with n + 1 ones would have counted otherwise
+        tied_sums = np.where(uniforms <= cut, pooled, 0.0).sum(axis=1)
+        assert np.count_nonzero(2.0 * tied_sums - pooled.sum() > observed) != np.count_nonzero(stats > observed)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_exact_ties_match_fraction_enumeration(self, n):
@@ -673,20 +689,20 @@ class TestIntegerMaskScoring:
         size = math.comb(2 * n, n)
         for inclusive in (False, True):
             expected = sum(s > observed or (inclusive and s == observed) for s in sums) / size
-            assert weat._p_values(pooled[:, None], n, size, 0, inclusive) == ("exact", [expected])
+            assert permutation.p_values(pooled[:, None], n, size, 0, inclusive) == ("exact", [expected])
             # the sums are exact in float too, so drawn subsets count as the reference does
             pairs = [(pooled[:n], pooled[n:])]
-            assert weat._p_values(pooled[:, None], n, size - 1, 3, inclusive) == (
+            assert permutation.p_values(pooled[:, None], n, size - 1, 3, inclusive) == (
                 argsort_reference_p_values(pairs, size - 1, 3, inclusive)
             )
 
     def test_all_zero_column_ties_every_subset(self):
         scores = np.column_stack([np.zeros(8), np.random.default_rng(70).normal(size=8)])
         for n_samples, method in ((70, "exact"), (50, "monte_carlo(n=50, seed=0)")):
-            strict = weat._p_values(scores, 4, n_samples, 0, False)
+            strict = permutation.p_values(scores, 4, n_samples, 0, False)
             assert strict[:1] == (method,) and strict[1][0] == 0.0
-            assert strict[1][1] == weat._p_values(scores[:, 1:], 4, n_samples, 0, False)[1][0]
-            assert weat._p_values(scores, 4, n_samples, 0, True)[1][0] == 1.0
+            assert strict[1][1] == permutation.p_values(scores[:, 1:], 4, n_samples, 0, False)[1][0]
+            assert permutation.p_values(scores, 4, n_samples, 0, True)[1][0] == 1.0
 
     def test_unequal_sides_match_enumeration(self):
         # 3 of 7 items on the X side: C(7, 3) = 35 subsets
@@ -695,4 +711,4 @@ class TestIntegerMaskScoring:
         observed = math.fsum(pooled[:3])
         for inclusive in (False, True):
             expected = sum(s > observed or (inclusive and s == observed) for s in sums) / 35
-            assert weat._p_values(pooled[:, None], 3, 35, 0, inclusive) == ("exact", [expected])
+            assert permutation.p_values(pooled[:, None], 3, 35, 0, inclusive) == ("exact", [expected])
