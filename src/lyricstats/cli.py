@@ -110,10 +110,10 @@ def _config_defaults(parser: argparse.ArgumentParser, args: argparse.Namespace) 
     """The --config file's options for `args.command`, keyed by argparse
     destination. Raises ValueError for a file that is not a JSON object, a key
     the command does not take, a value outside the option's choices, a flag
-    that is not true or false, or a value that is not a string and that the
-    option's `type` rejects or would change, such as 2.5 or true for an int.
-    argparse checks none of these for defaults; it passes only string
-    defaults through `type`."""
+    that is not true or false, a path or word list that is not a string, or a
+    non-string that the option's `type` rejects or would change, such as 2.5
+    or true for an int. argparse checks none of these for defaults; it passes
+    only string defaults through `type`."""
     with open(args.config, "r", encoding="utf-8") as fh:
         config = json.load(fh)
     if not isinstance(config, dict):
@@ -131,6 +131,8 @@ def _config_defaults(parser: argparse.ArgumentParser, args: argparse.Namespace) 
             continue
         if action.nargs == 0 and not isinstance(value, bool):
             raise ValueError(f"{action.dest}: {value!r} is not true or false")
+        if action.nargs != 0 and action.type is None and action.choices is None and not isinstance(value, str):
+            raise ValueError(f"{action.dest}: {value!r} is not a string")
         if action.type is not None and not isinstance(value, str):
             try:
                 converted = action.type(value)

@@ -132,8 +132,8 @@ class Corpus:
             yield SongRecord(id=rid, year=year, cohort=COHORTS[cohort], duration_seconds=duration, lines=lines)
 
 
-# tokens renumbered per step when a corpus is built: bounds the temporary copy
-_RENUMBER_CHUNK = 1 << 20
+# tokens per step of a pass over the token stream: bounds any per-token temporary
+_TOKEN_CHUNK = 1 << 20
 
 
 class _CorpusBuilder:
@@ -168,8 +168,8 @@ class _CorpusBuilder:
         renumber = np.empty(len(words), dtype=np.int32)
         renumber[order] = np.arange(len(words), dtype=np.int32)
         tokens = np.frombuffer(self.tokens, dtype=np.int32)  # a view, renumbered in place
-        for lo in range(0, len(tokens), _RENUMBER_CHUNK):
-            tokens[lo : lo + _RENUMBER_CHUNK] = renumber[tokens[lo : lo + _RENUMBER_CHUNK]]
+        for lo in range(0, len(tokens), _TOKEN_CHUNK):
+            tokens[lo : lo + _TOKEN_CHUNK] = renumber[tokens[lo : lo + _TOKEN_CHUNK]]
         return Corpus(
             vocab=tuple(words[i] for i in order),
             tokens=tokens,
@@ -280,7 +280,7 @@ def _encodable(text: str) -> bool:
 
 def _validate_record(raw: dict, drop_annotations: bool, seen_ids: set[str], where: str) -> SongRecord:
     for key in ("id", "title", "artist", "year", "cohort", "lyrics"):
-        if key not in raw or raw[key] is None:
+        if raw.get(key) is None or (key == "id" and raw[key] == ""):  # an empty id names no song
             raise RecordError(f"{where}: missing required field {key!r}")
     rid = str(raw["id"])
     if not _encodable(rid):
@@ -392,7 +392,7 @@ def ingest(
                 rec = _validate_record(raw, drop_annotations, seen_ids, f"line:{line_no}")
             except RecordError as exc:
                 rid = raw.get("id")
-                rejects.append(Reject(line_no, None if rid is None else str(rid), str(exc)))
+                rejects.append(Reject(line_no, None if rid in (None, "") else str(rid), str(exc)))
                 continue
             seen_ids.add(rec.id)
             builder.add(rec)
@@ -442,7 +442,11 @@ def token_counts(corpus: Corpus, songs: Optional[np.ndarray] = None) -> np.ndarr
         # song to that song's first token
         runs = np.arange(lengths.sum()) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
         tokens = tokens[runs]
-    return np.bincount(tokens, minlength=len(corpus.vocab))
+    # bincount copies int32 input to int64, so it counts a chunk at a time
+    counts = np.zeros(len(corpus.vocab), dtype=np.int64)
+    for lo in range(0, len(tokens), _TOKEN_CHUNK):
+        counts += np.bincount(tokens[lo : lo + _TOKEN_CHUNK], minlength=len(corpus.vocab))
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ import functools
 import math
 import os
 from dataclasses import dataclass
-from itertools import chain
-from typing import Optional, Sequence
+from itertools import chain, pairwise
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -215,7 +215,6 @@ def load_vectors(path: str) -> EmbeddingTable:
     duplicates = n_rows - len(index)
     if duplicates:
         vectors = vectors[source]
-    if duplicates:
         import warnings
 
         warnings.warn(f"{path}: {duplicates} duplicate words, last occurrence kept")
@@ -464,25 +463,25 @@ class _TrainState:
         self.vocab = {corpus.vocab[i]: row for row, i in enumerate(kept.tolist())}
         self.counts = counts[kept]
         self.noise_cdf = np.cumsum(unigram_noise_probs(self.counts))
-        total = float(self.counts.sum())
+        self.n_positions = int(self.counts.sum())  # the in-vocabulary tokens
         # keep probability per vocab word under frequent-word subsampling
-        freq = self.counts / total
+        freq = self.counts / self.n_positions
         self.keep_prob = np.minimum(1.0, np.sqrt(config.subsample_threshold / freq))
-        # a song's sentence is its in-vocabulary tokens as table rows: views
-        # of one array that holds them all
-        row_of = np.full(len(corpus.vocab), -1, dtype=np.int64)
-        row_of[kept] = np.arange(len(kept))
-        rows = row_of[corpus.tokens]
-        inside = rows >= 0
-        kept_before = np.concatenate(([0], np.cumsum(inside)))
-        in_vocab = rows[inside]
-        self.sentences = np.split(in_vocab, kept_before[corpus.song_bounds[1:-1]])
-        self.n_positions = len(in_vocab)
+        # each word's table row, -1 below min_count: `sentences` maps the tokens through it
+        self.row_of = np.full(len(corpus.vocab), -1, dtype=np.int32)
+        self.row_of[kept] = np.arange(len(kept))
+        self.tokens, self.bounds = corpus.tokens, corpus.song_bounds
         rng = np.random.default_rng(config.seed)
         self.w_in = (rng.random((len(kept), config.dim)) - 0.5) / config.dim
         self.w_out = np.zeros((len(kept), config.dim))
         self.offsets = np.concatenate((np.arange(-config.window, 0), np.arange(1, config.window + 1)))
         self.config = config
+
+    def sentences(self) -> Iterator[np.ndarray]:
+        """Each song's in-vocabulary tokens as table rows (int32), song after song."""
+        for a, b in pairwise(self.bounds.tolist()):
+            rows = self.row_of[self.tokens[a:b]]
+            yield rows[rows >= 0]
 
     def draw_negatives(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
         """Noise-word indices of the given shape, from the unigram^0.75 table."""
@@ -494,7 +493,7 @@ class _TrainState:
         lr_floor = 1e-4 * lr0
         total_positions = max(cfg.epochs * self.n_positions, 1)
         done = epoch * self.n_positions
-        for sent in self.sentences:
+        for sent in self.sentences():
             if len(sent) == 0:
                 continue
             kept = sent[rng.random(len(sent)) < self.keep_prob[sent]]
@@ -542,4 +541,4 @@ def train_sgns(corpus: Corpus, config: SgnsConfig, epoch_callback=None) -> Embed
         state.train_epoch(np.random.default_rng((config.seed, epoch)), epoch)
         if epoch_callback is not None:
             epoch_callback(epoch, state.w_in, state.w_out)
-    return EmbeddingTable(dim=config.dim, vocab=state.vocab, vectors=state.w_in.copy())
+    return EmbeddingTable(dim=config.dim, vocab=state.vocab, vectors=state.w_in)

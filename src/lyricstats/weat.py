@@ -66,6 +66,8 @@ def load_battery(path: str) -> list[WeatTest]:
         raise WeatError(f"{path}: not a JSON battery ({exc})") from exc
     if not isinstance(raw, list):
         raise WeatError(f"{path}: a battery is a JSON list of tests")
+    if not raw:
+        raise WeatError(f"{path}: the battery names no test")
     tests = []
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):

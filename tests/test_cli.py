@@ -94,6 +94,25 @@ class TestIngestCommand:
             {"line_no": "2", "reason": "line:2: missing required field 'id'"},
         ]
 
+    @pytest.mark.parametrize("suffix, line", [(".jsonl", 2), (".csv", 3)])
+    def test_empty_id_is_a_missing_id(self, tmp_path, suffix, line):
+        # an empty JSONL id and an empty CSV id cell name no song
+        src = tmp_path / f"songs{suffix}"
+        rows = [jsonl_row("s1"), jsonl_row("")]
+        if suffix == ".csv":
+            with open(src, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+                writer.writeheader()
+                writer.writerows(rows)
+        else:
+            write_jsonl(src, rows)
+        out = tmp_path / "build"
+        assert main(["ingest", "--input", str(src), "--out", str(out)]) == 0
+        assert [json.loads(row) for row in (out / "rejects.jsonl").read_text().splitlines()] == [
+            {"line_no": str(line), "reason": f"line:{line}: missing required field 'id'"},
+        ]
+        assert load_cache(str(out / "corpus.cache")).ids == ("s1",)
+
     @pytest.mark.parametrize(
         "row, reason",
         [
@@ -575,6 +594,15 @@ class TestWeatCommand:
         err = capsys.readouterr().err
         assert err == f"error: {tests}: entry 0 (t): targets_x is not a non-empty list of words\n"
 
+    def test_empty_battery_exit_1(self, tmp_path, capsys):
+        vecs = self._vector_file(tmp_path, ["a", "b"])
+        tests = tmp_path / "tests.json"
+        tests.write_text("[]")
+        out = tmp_path / "w"
+        assert main(["weat", "--vectors", str(vecs), "--tests", str(tests), "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: {tests}: the battery names no test\n")
+        assert not out.exists()
+
 
 class TestOutputDirectory:
     """An --out that cannot be a directory ends the command before any work
@@ -900,14 +928,19 @@ class TestMisc:
             ("style", {"cohort": "pop"}, "cohort: 'pop' is not one of popular, other"),
             ("ingest", {"format": 3}, "format: 3 is not one of jsonl, csv"),
             ("ingest", {"keep_annotations": "no"}, "keep_annotations: 'no' is not true or false"),
+            # a path or word list is a string: 0 would read stdin, 3 a file descriptor
+            ("style", {"stopwords": 0}, "stopwords: 0 is not a string"),
+            ("weat", {"tests": 0}, "tests: 0 is not a string"),
+            ("style", {"lexicon": 3}, "lexicon: 3 is not a string"),
+            ("style", {"words": ["rock", "blues"]}, "words: ['rock', 'blues'] is not a string"),
         ],
-        ids=["choice", "choice_not_a_string", "flag"],
+        ids=["choice", "choice_not_a_string", "flag", "stopwords", "tests", "lexicon", "words"],
     )
     def test_config_value_outside_option_exit_1(self, tmp_path, mini_cache, capsys, command, config, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         out = tmp_path / "out"
-        source = ["--cache", str(mini_cache)] if command == "style" else ["--input", str(mini_cache)]
+        source = [{"style": "--cache", "ingest": "--input", "weat": "--vectors"}[command], str(mini_cache)]
         assert main(["--config", str(cfg), command, *source, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
         assert not out.exists()

@@ -3,6 +3,7 @@ import pathlib
 import tempfile
 import tracemalloc
 import warnings
+from itertools import islice
 from unittest import mock
 
 import numpy as np
@@ -734,7 +735,7 @@ class TestTraining:
         state_probe = _TrainState(corpus, config)
         frozen = []
         probe_rng = np.random.default_rng(99)
-        for sent in state_probe.sentences[:10]:
+        for sent in islice(state_probe.sentences(), 10):
             for pos in range(0, len(sent) - 1, 5):
                 negs = state_probe.draw_negatives(probe_rng, config.negatives)
                 frozen.append((int(sent[pos]), int(sent[pos + 1]), negs))
@@ -748,6 +749,32 @@ class TestTraining:
 
         train_sgns(corpus, config, epoch_callback=record)
         assert losses[1] < losses[0]
+
+    def test_train_state_holds_nothing_token_sized(self):
+        # 4M tokens of 1000 words, in 10-token lines and 30-line songs, built
+        # straight from arrays: the state reads the corpus's own tokens
+        n_songs = 4_000_000 // 300 + 1
+        tokens = np.arange(300 * n_songs, dtype=np.int32) % 1000
+        corpus = Corpus(
+            vocab=tuple(f"w{i:03d}" for i in range(1000)),
+            tokens=tokens,
+            line_offsets=np.arange(0, len(tokens) + 1, 10, dtype=np.int64),
+            song_offsets=np.arange(0, 30 * n_songs + 1, 30, dtype=np.int64),
+            ids=tuple(f"s{i}" for i in range(n_songs)),
+            years=np.full(n_songs, 2000, dtype=np.int64),
+            cohorts=np.zeros(n_songs, dtype=np.int8),
+            durations=np.full(n_songs, np.nan),
+        )
+        corpus.song_bounds  # cached before tracing: the corpus's own array
+        tracemalloc.start()
+        try:
+            state = _TrainState(corpus, SgnsConfig(dim=4, min_count=1, seed=0))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(state.vocab) == 1000
+        assert peak < tokens.nbytes
+        assert held < tokens.nbytes / 4
 
 
 def distinct_word_corpus(rng, n_songs, inclusion=(0.9, 0.7, 0.5, 0.35, 0.2, 0.1)):
