@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from lyricstats import __version__
-from lyricstats.corpus import CorpusError, atomic_write, ingest, load_cache, save_cache, write_reject_report
+from lyricstats.corpus import CorpusError, atomic_write, ingest, load_cache, save_cache, tokenize, write_reject_report
 from lyricstats.embeddings import EmbeddingError, SgnsConfig, load_vectors, save_vectors, train_sgns
 from lyricstats.resources import default_battery_path, default_stopwords_path, default_swear_lexicon_path
 from lyricstats.style import (
@@ -31,7 +31,7 @@ from lyricstats.style import (
     top_words,
     year_rankings,
 )
-from lyricstats.weat import DEFAULT_MC_SAMPLES, WeatError, load_battery, run_battery, write_results_csv
+from lyricstats.weat import DEFAULT_MC_SAMPLES, WeatError, load_battery, run_battery
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -203,9 +203,13 @@ def cmd_ingest(args) -> int:
 def cmd_style(args) -> int:
     if args.top_k < 1:
         raise _Failure("--top-k must be >= 1")
-    words = [w.strip() for w in (args.words or "").split(",") if w.strip()]
+    # lowercase as the word lists are read, each word once, in order
+    words = list(dict.fromkeys(w.strip().lower() for w in (args.words or "").split(",") if w.strip()))
     if args.words and not words:
         raise _Failure(f"--words {args.words!r} names no word")
+    for word in words:
+        if tokenize(word) != ((word,),):
+            raise _Failure(f"--words: {word!r} would not survive tokenization")
     lexicon_path = _input_path(args.lexicon, "--lexicon", default_swear_lexicon_path)
     stopwords_path = _input_path(args.stopwords, "--stopwords", default_stopwords_path)
     _check_out_dir(args.out)
@@ -294,6 +298,20 @@ def _print_summary(results, n_samples: int) -> None:
         print(f"{r.test_name:<55} {effect:>8} {p:>10}  {r.p_method}")
 
 
+def _weat_row(r) -> list[str]:
+    """One result's row of weat_results.csv, each value already a string:
+    `""` stands for a missing score, and each coverage reads `found/requested`."""
+    scores = ((r.effect_size, ".6f"), (r.test_statistic, ".6f"), (r.p_value, ".6g"))
+    return [
+        r.test_name,
+        *("" if value is None else format(value, spec) for value, spec in scores),
+        r.p_method,
+        *(f"{found}/{requested}" for requested, found in r.coverage.values()),
+        " ".join(r.dropped_words),
+        r.error or "",
+    ]
+
+
 def cmd_weat(args) -> int:
     if args.mc_samples < 1:
         raise _Failure("--mc-samples must be >= 1")
@@ -306,9 +324,12 @@ def cmd_weat(args) -> int:
     results = run_battery(tests, table, n_samples=args.mc_samples, seed=args.seed, inclusive=args.inclusive)
     with _io("write", args.out):
         os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "weat_results.csv")
-    with _io("write", path):
-        write_results_csv(results, path)
+    _write_csv(
+        os.path.join(args.out, "weat_results.csv"),
+        ["test_name", "effect_size", "test_statistic", "p_value", "p_method",
+         "coverage_x", "coverage_y", "coverage_a", "coverage_b", "dropped_words", "error"],
+        map(_weat_row, results),
+    )
     _write_config_digest(args.out, args)
     _print_summary(results, args.mc_samples)
     return EXIT_OK

@@ -22,9 +22,10 @@ import numpy as np
 
 COHORTS = ("popular", "other")  # a corpus stores each song's cohort as its index here
 
-# strips any run of non-word characters (plus underscore) at a token edge;
-# interior apostrophes and hyphens survive
-_EDGE = re.compile(r"^[\W_]+|[\W_]+$")
+# a token: a whitespace-free run from its first to its last alphanumeric
+# character ([^\W_] is str.isalnum(), \S is what str.split() keeps), so edge
+# punctuation goes and interior apostrophes and hyphens stay
+_TOKEN = re.compile(r"[^\W_](?:\S*[^\W_])?")
 # a section-annotation line such as "[Chorus]", dropped by default
 _ANNOTATION = re.compile(r"^\[[^\[\]]*\]$")
 YEAR_MIN, YEAR_MAX = 1900, 2100  # the years a song may carry
@@ -243,26 +244,18 @@ class IngestResult:
 def tokenize(lyrics: str, *, drop_annotations: bool = True) -> tuple[tuple[str, ...], ...]:
     """Normalize and split lyrics into lines of lowercase word tokens.
 
-    NFC-normalizes, lowercases, splits on newlines then whitespace, strips
-    edge punctuation (interior apostrophes and hyphens kept), drops empty
-    lines and, by default, section-annotation lines like "[Chorus]". Lyrics
-    without a token give no lines.
+    NFC-normalizes, lowercases and splits on newlines; each line's tokens
+    are its whitespace-free runs from a first to a last alphanumeric
+    character, so edge punctuation goes (interior apostrophes and hyphens
+    stay). Drops lines without a token and, by default, section-annotation
+    lines like "[Chorus]". Lyrics without a token give no lines.
     """
     text = unicodedata.normalize("NFC", lyrics).lower()
     lines: list[tuple[str, ...]] = []
     for raw_line in text.split("\n"):
-        stripped = raw_line.strip()
-        if not stripped:
+        if drop_annotations and _ANNOTATION.match(raw_line.strip()):
             continue
-        if drop_annotations and _ANNOTATION.match(stripped):
-            continue
-        # a word that starts and ends with an alphanumeric character has no edge
-        # for _EDGE to strip (\w is isalnum() plus "_"), so it skips the regex
-        toks = tuple(
-            t
-            for t in (w if w[0].isalnum() and w[-1].isalnum() else _EDGE.sub("", w) for w in stripped.split())
-            if t
-        )
+        toks = tuple(_TOKEN.findall(raw_line))
         if toks:
             lines.append(toks)
     return tuple(lines)
@@ -278,11 +271,18 @@ def _encodable(text: str) -> bool:
     return True
 
 
+def _row_id(raw: dict) -> Optional[str]:
+    """The row's id as a string, or None when it is missing, null, empty or
+    only whitespace: such an id names no song."""
+    rid = raw.get("id")
+    return None if rid is None or not str(rid).strip() else str(rid)
+
+
 def _validate_record(raw: dict, drop_annotations: bool, seen_ids: set[str], where: str) -> SongRecord:
+    rid = _row_id(raw)
     for key in ("id", "title", "artist", "year", "cohort", "lyrics"):
-        if raw.get(key) is None or (key == "id" and raw[key] == ""):  # an empty id names no song
+        if (rid if key == "id" else raw.get(key)) is None:
             raise RecordError(f"{where}: missing required field {key!r}")
-    rid = str(raw["id"])
     if not _encodable(rid):
         raise RecordError(f"{where}: id {rid!r} holds a lone surrogate")
     year = raw["year"]
@@ -391,8 +391,7 @@ def ingest(
             try:
                 rec = _validate_record(raw, drop_annotations, seen_ids, f"line:{line_no}")
             except RecordError as exc:
-                rid = raw.get("id")
-                rejects.append(Reject(line_no, None if rid in (None, "") else str(rid), str(exc)))
+                rejects.append(Reject(line_no, _row_id(raw), str(exc)))
                 continue
             seen_ids.add(rec.id)
             builder.add(rec)

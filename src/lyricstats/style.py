@@ -12,9 +12,9 @@ import numpy as np
 from lyricstats.corpus import COHORTS, Corpus, ranked_ids, token_counts, tokenize
 
 _VOWELS = np.array([ord(c) for c in "aeiouy"], dtype=np.uint32)
-# songs that `_song_sums` and `_repetitiveness` take at once: bounds the
-# per-token values and the line objects held (4096 songs of 30 lines of 10
-# words: 1.2M values, 123k lines)
+# songs that `_block_sums` takes at once: bounds the per-token values and the
+# line objects held (4096 songs of 30 lines of 10 words: 1.2M values, 123k
+# lines)
 _SONGS_PER_BLOCK = 4096
 
 
@@ -69,40 +69,6 @@ class RankSeries:
     entries: dict[int, int]  # year -> rank (1 = most frequent); absent year = word unseen
 
 
-def _repetitiveness(corpus: Corpus) -> np.ndarray:
-    """Per song, the percentage of its lines that repeat an earlier line of it.
-
-    Lines are equal when their tokens are, so trailing punctuation or case
-    differences in the raw text do not count as new lines. Each line is the
-    bytes of its slice of token ids, and a song's distinct lines are a set of
-    those, built for a block of songs at a time."""
-    unique = np.empty(len(corpus), dtype=np.int64)
-    line_at, song_at = corpus.line_offsets, corpus.song_offsets
-    for lo in range(0, len(corpus), _SONGS_PER_BLOCK):
-        hi = min(lo + _SONGS_PER_BLOCK, len(corpus))
-        first, last = song_at[lo], song_at[hi]
-        ids = corpus.tokens[line_at[first] : line_at[last]]
-        ends = ((line_at[first : last + 1] - line_at[first]) * ids.itemsize).tolist()
-        text = ids.tobytes()
-        lines = [text[a:b] for a, b in zip(ends, ends[1:])]
-        songs = (song_at[lo : hi + 1] - first).tolist()
-        unique[lo:hi] = [len(set(lines[a:b])) for a, b in zip(songs, songs[1:])]
-    return (1.0 - unique / np.diff(song_at)) * 100.0
-
-
-def _song_sums(corpus: Corpus, per_id: np.ndarray) -> np.ndarray:
-    """Per song, the sum of `per_id` (one value per vocabulary id) over its
-    tokens, a block of songs at a time: the per-token values held at once are
-    one block's."""
-    sums = np.empty(len(corpus), dtype=np.int64)
-    bounds = corpus.song_bounds
-    for lo in range(0, len(corpus), _SONGS_PER_BLOCK):
-        hi = min(lo + _SONGS_PER_BLOCK, len(corpus))
-        values = per_id[corpus.tokens[bounds[lo] : bounds[hi]]]
-        sums[lo:hi] = np.add.reduceat(values, bounds[lo:hi] - bounds[lo], dtype=np.int64)
-    return sums
-
-
 def syllable_table(words: Sequence[str]) -> np.ndarray:
     """The heuristic syllable count of each word, as an int64 array: its
     maximal vowel groups (a, e, i, o, u, y), minus one for a terminal silent
@@ -127,20 +93,27 @@ def syllable_table(words: Sequence[str]) -> np.ndarray:
     return np.maximum(groups - silent_e, 1)
 
 
-def _fk_grades(corpus: Corpus) -> np.ndarray:
-    """Per song, the Flesch-Kincaid grade level with each line one sentence."""
-    words = np.diff(corpus.song_bounds)
-    sentences = np.diff(corpus.song_offsets)
-    syllables = _song_sums(corpus, syllable_table(corpus.vocab))
-    return 0.39 * (words / sentences) + 11.8 * (syllables / words) - 15.59
-
-
-def _swear_counts(corpus: Corpus, lexicon: frozenset[str]) -> np.ndarray:
-    """Per song, how many of its tokens are entries of the lexicon."""
-    if not lexicon:
-        raise LexiconError("empty swear lexicon")
-    swears = np.fromiter((w in lexicon for w in corpus.vocab), dtype=bool, count=len(corpus.vocab))
-    return _song_sums(corpus, swears)
+def _block_sums(corpus: Corpus, *per_id: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per song, the sum of each `per_id` table (one value per vocabulary id)
+    over its tokens, then the number of its distinct lines, from one pass over
+    a block of songs at a time. Lines are equal when their tokens are, so
+    trailing punctuation or case differences in the raw text do not count as
+    new lines: each line is the bytes of its slice of token ids."""
+    sums = [np.empty(len(corpus), dtype=np.int64) for _ in per_id]
+    distinct = np.empty(len(corpus), dtype=np.int64)
+    bounds, line_at, song_at = corpus.song_bounds, corpus.line_offsets, corpus.song_offsets
+    for lo in range(0, len(corpus), _SONGS_PER_BLOCK):
+        hi = min(lo + _SONGS_PER_BLOCK, len(corpus))
+        ids = corpus.tokens[bounds[lo] : bounds[hi]]
+        for table, out in zip(per_id, sums):
+            out[lo:hi] = np.add.reduceat(table[ids], bounds[lo:hi] - bounds[lo], dtype=np.int64)
+        first, last = song_at[lo], song_at[hi]
+        ends = ((line_at[first : last + 1] - bounds[lo]) * ids.itemsize).tolist()
+        text = ids.tobytes()
+        lines = [text[a:b] for a, b in zip(ends, ends[1:])]
+        songs = (song_at[lo : hi + 1] - first).tolist()
+        distinct[lo:hi] = [len(set(lines[a:b])) for a, b in zip(songs, songs[1:])]
+    return (*sums, distinct)
 
 
 @lru_cache(maxsize=200_000)
@@ -179,22 +152,28 @@ def load_swear_lexicon(path: str) -> frozenset[str]:
 
 
 def corpus_style_metrics(corpus: Corpus, lexicon: frozenset[str]) -> StyleMetrics:
-    """Every song's metrics, in corpus order, each column computed for all
-    songs at once from vocabulary-level tables. One song's metrics are those
-    of its one-song corpus, `Corpus.from_records([song])`."""
-    swears = _swear_counts(corpus, lexicon)
-    lengths = np.diff(corpus.song_bounds)
+    """Every song's metrics, in corpus order, from vocabulary-level tables
+    (syllables per id, a swear mask) summed per song in one pass over each
+    block of songs; repetitiveness is the percentage of a song's lines that
+    repeat an earlier line of it. One song's metrics are those of its
+    one-song corpus, `Corpus.from_records([song])`."""
+    if not lexicon:
+        raise LexiconError("empty swear lexicon")
+    swears = np.fromiter((w in lexicon for w in corpus.vocab), dtype=bool, count=len(corpus.vocab))
+    syllables, swear_counts, unique_lines = _block_sums(corpus, syllable_table(corpus.vocab), swears)
+    words, sentences = np.diff(corpus.song_bounds), np.diff(corpus.song_offsets)
     return StyleMetrics(
         song_id=corpus.ids,
         year=corpus.years,
         cohort=np.array(COHORTS)[corpus.cohorts],
-        length_words=lengths,
+        length_words=words,
         duration_seconds=corpus.durations,
-        speed_wps=lengths / corpus.durations,
-        repetitiveness_pct=_repetitiveness(corpus),
-        fk_grade=_fk_grades(corpus),
-        swear_count=swears,
-        swear_rate=swears / lengths,
+        speed_wps=words / corpus.durations,
+        repetitiveness_pct=(1.0 - unique_lines / sentences) * 100.0,
+        # Flesch-Kincaid grade level, each line one sentence
+        fk_grade=0.39 * (words / sentences) + 11.8 * (syllables / words) - 15.59,
+        swear_count=swear_counts,
+        swear_rate=swear_counts / words,
     )
 
 

@@ -10,7 +10,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from lyricstats import permutation
-from lyricstats.corpus import atomic_write
 from lyricstats.embeddings import EmbeddingTable
 
 DEFAULT_MC_SAMPLES = 100_000
@@ -174,44 +173,3 @@ def run_battery(
             results[i] = WeatResult(tests[i].name, d, float(sx.sum() - sy.sum()), p, method, coverage, dropped)
     return results
 
-
-def write_results_csv(results: Sequence[WeatResult], path: str) -> None:
-    """One CSV row per result. The file is written to a temporary file beside
-    `path` and moved into place, so a failed write leaves any previous file
-    as it was."""
-    import csv
-
-    with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "test_name",
-                "effect_size",
-                "test_statistic",
-                "p_value",
-                "p_method",
-                "coverage_x",
-                "coverage_y",
-                "coverage_a",
-                "coverage_b",
-                "dropped_words",
-                "error",
-            ]
-        )
-        for r in results:
-            cov = {k: f"{v[1]}/{v[0]}" for k, v in r.coverage.items()}
-            writer.writerow(
-                [
-                    r.test_name,
-                    "" if r.effect_size is None else f"{r.effect_size:.6f}",
-                    "" if r.test_statistic is None else f"{r.test_statistic:.6f}",
-                    "" if r.p_value is None else f"{r.p_value:.6g}",
-                    r.p_method,
-                    cov.get("targets_x", ""),
-                    cov.get("targets_y", ""),
-                    cov.get("attributes_a", ""),
-                    cov.get("attributes_b", ""),
-                    " ".join(r.dropped_words),
-                    r.error or "",
-                ]
-            )

@@ -94,11 +94,12 @@ class TestIngestCommand:
             {"line_no": "2", "reason": "line:2: missing required field 'id'"},
         ]
 
-    @pytest.mark.parametrize("suffix, line", [(".jsonl", 2), (".csv", 3)])
-    def test_empty_id_is_a_missing_id(self, tmp_path, suffix, line):
-        # an empty JSONL id and an empty CSV id cell name no song
+    @staticmethod
+    def _ingest_second_id(tmp_path, suffix, rid):
+        """Ingest rows s1 and `rid` from a file of the given format: (the
+        rejects as read back, the cached ids)."""
         src = tmp_path / f"songs{suffix}"
-        rows = [jsonl_row("s1"), jsonl_row("")]
+        rows = [jsonl_row("s1"), jsonl_row(rid)]
         if suffix == ".csv":
             with open(src, "w", encoding="utf-8", newline="") as fh:
                 writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
@@ -108,10 +109,24 @@ class TestIngestCommand:
             write_jsonl(src, rows)
         out = tmp_path / "build"
         assert main(["ingest", "--input", str(src), "--out", str(out)]) == 0
-        assert [json.loads(row) for row in (out / "rejects.jsonl").read_text().splitlines()] == [
-            {"line_no": str(line), "reason": f"line:{line}: missing required field 'id'"},
-        ]
-        assert load_cache(str(out / "corpus.cache")).ids == ("s1",)
+        rejects = [json.loads(row) for row in (out / "rejects.jsonl").read_text().splitlines()]
+        return rejects, load_cache(str(out / "corpus.cache")).ids
+
+    @pytest.mark.parametrize("suffix, line", [(".jsonl", 2), (".csv", 3)])
+    def test_empty_id_is_a_missing_id(self, tmp_path, suffix, line):
+        # an empty JSONL id and an empty CSV id cell name no song
+        assert self._ingest_second_id(tmp_path, suffix, "") == (
+            [{"line_no": str(line), "reason": f"line:{line}: missing required field 'id'"}],
+            ("s1",),
+        )
+
+    @pytest.mark.parametrize("suffix, line, rid", [(".jsonl", 2, "  "), (".csv", 3, " "), (".jsonl", 2, "\t\u00a0")])
+    def test_blank_id_is_a_missing_id(self, tmp_path, suffix, line, rid):
+        # an id of only whitespace names no song either
+        assert self._ingest_second_id(tmp_path, suffix, rid) == (
+            [{"line_no": str(line), "reason": f"line:{line}: missing required field 'id'"}],
+            ("s1",),
+        )
 
     @pytest.mark.parametrize(
         "row, reason",
@@ -177,6 +192,20 @@ class TestStyleCommand:
         out = tmp_path / "o"
         assert main(["style", "--cache", str(mini_cache), "--out", str(out), "--words", " , "]) == 1
         assert capsys.readouterr().err == "error: --words ' , ' names no word\n"
+        assert not out.exists()
+
+    def test_words_lowercased_and_named_once(self, tmp_path, mini_cache):
+        out = {}
+        for name, words in (("plain", "rock,blues"), ("repeated", "rock, Rock,ROCK,blues,rock")):
+            assert main(["style", "--cache", str(mini_cache), "--out", str(tmp_path / name), "--words", words]) == 0
+            out[name] = (tmp_path / name / "rank_series.csv").read_bytes()
+        assert out["repeated"] == out["plain"] and out["plain"].count(b"\n") > 1
+
+    @pytest.mark.parametrize("word", ["rock!", "'rock", "rock n", "_", "rock\u00a0roll"])
+    def test_words_not_a_token_exit_1(self, tmp_path, mini_cache, capsys, word):
+        out = tmp_path / "o"
+        assert main(["style", "--cache", str(mini_cache), "--out", str(out), "--words", f"blues,{word}"]) == 1
+        assert capsys.readouterr().err == f"error: --words: {word!r} would not survive tokenization\n"
         assert not out.exists()
 
     def test_top_k_below_one_exit_1(self, tmp_path, mini_cache, capsys):
@@ -762,6 +791,10 @@ class TestWriteErrors:
                 if self.rows > 1:
                     raise OSError(errno.ENOSPC, "No space left on device")
                 self.fh.write(",".join(row) + "\n")
+
+            def writerows(self, rows):
+                for row in rows:
+                    self.writerow(row)
 
         monkeypatch.setattr(csv, "writer", NoSpaceAfterTheHeader)
         assert main([*args, "2"]) == 1

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lyricstats.corpus import (
-    _EDGE,
     CACHE_VERSION,
     COHORTS,
     Corpus,
@@ -73,15 +72,27 @@ class TestTokenize:
 # non-ASCII digits and numerals, a letter whose lowercase ends in a combining
 # mark, and the edge characters the tokenizer strips or keeps inside a word
 TOKEN_ALPHABET = "aZ\u00e9\u00dc\u00df\u4e2d\u0130\u0301\u0308\u0663\u06f4\u00b2\u216b7_'-!\".\u2014"
+# whitespace that str.split() splits on but a line break does not end: space,
+# tab, no-break space, a file separator and the line separator
+SEPARATORS = " \t\u00a0\x1c\u2028"
+# the reference: strip any run of non-word characters (plus underscore) at
+# each edge of a whitespace-split word
+EDGE = re.compile(r"^[\W_]+|[\W_]+$")
 
 
 class TestEdgeStripFastPath:
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.text(st.sampled_from(TOKEN_ALPHABET), min_size=1, max_size=5), min_size=1, max_size=6))
+    @given(
+        st.lists(
+            st.tuples(st.text(st.sampled_from(TOKEN_ALPHABET), min_size=1, max_size=5), st.sampled_from(SEPARATORS)),
+            min_size=1,
+            max_size=6,
+        )
+    )
     def test_tokens_match_edge_regex_on_every_word(self, words):
-        line = " ".join(words)
+        line = "".join(word + separator for word, separator in words)
         text = unicodedata.normalize("NFC", line).lower()
-        expected = tuple(t for t in (_EDGE.sub("", w) for w in text.split()) if t)
+        expected = tuple(t for t in (EDGE.sub("", w) for w in text.split()) if t)
         assert tokenize(line, drop_annotations=False) == ((expected,) if expected else ())
 
 
@@ -387,6 +398,19 @@ class TestTokenCounts:
         by_year = sum(token_counts(mini_corpus, songs_of(mini_corpus, y)) for y in set(mini_corpus.years.tolist()))
         assert by_year.tolist() == whole.tolist()
         assert as_counter(mini_corpus, whole) == Counter(t for s in mini_corpus for line in s.lines for t in line)
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_chunked_passes_match_default(self, mini_corpus, monkeypatch, chunk):
+        # every test corpus is far below one chunk; a chunk of 1 or 3 tokens
+        # makes the renumbering and the counting loops cross chunk boundaries
+        records, songs = list(mini_corpus), songs_of(mini_corpus, 1965)
+        default = Corpus.from_records(records)
+        counts = token_counts(default), token_counts(default, songs)
+        monkeypatch.setattr("lyricstats.corpus._TOKEN_CHUNK", chunk)
+        chunked = Corpus.from_records(records)
+        assert chunked.vocab == default.vocab and chunked.tokens.tolist() == default.tokens.tolist()
+        assert token_counts(default).tolist() == counts[0].tolist()
+        assert token_counts(default, songs).tolist() == counts[1].tolist()
 
 
 # ids and tokens with non-ASCII text, quotes and backslashes, which JSON escapes
