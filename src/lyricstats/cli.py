@@ -18,12 +18,13 @@ import sys
 import numpy as np
 
 from lyricstats import __version__
-from lyricstats.corpus import CorpusError, atomic_write, ingest, load_cache, save_cache, tokenize, write_reject_report
+from lyricstats.corpus import CorpusError, atomic_write, ingest, load_cache, save_cache, write_reject_report
 from lyricstats.embeddings import EmbeddingError, SgnsConfig, load_vectors, save_vectors, train_sgns
 from lyricstats.resources import default_battery_path, default_stopwords_path, default_swear_lexicon_path
 from lyricstats.style import (
     StyleError,
     aggregate,
+    check_tokens,
     corpus_style_metrics,
     load_swear_lexicon,
     load_wordlist,
@@ -207,9 +208,7 @@ def cmd_style(args) -> int:
     words = list(dict.fromkeys(w.strip().lower() for w in (args.words or "").split(",") if w.strip()))
     if args.words and not words:
         raise _Failure(f"--words {args.words!r} names no word")
-    for word in words:
-        if tokenize(word) != ((word,),):
-            raise _Failure(f"--words: {word!r} would not survive tokenization")
+    check_tokens(words, "--words:")
     lexicon_path = _input_path(args.lexicon, "--lexicon", default_swear_lexicon_path)
     stopwords_path = _input_path(args.stopwords, "--stopwords", default_stopwords_path)
     _check_out_dir(args.out)

@@ -3,7 +3,6 @@ negative-sampling trainer over a tokenized corpus."""
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from dataclasses import dataclass
@@ -75,7 +74,6 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
 # save_vectors formats at once: this bounds the text and the parsed or
 # formatted block held besides the table
 _BLOCK_ROWS = 1024
-_PRINTABLE_ASCII = bytes(range(0x20, 0x7F))
 
 
 def _header(line: str) -> Optional[tuple[int, int]]:
@@ -127,7 +125,7 @@ def _parse_block(path: str, line_nos: list, rests: list, dim: Optional[int]) -> 
     row."""
     text = "".join(rests)
     # a block without any number never reaches loadtxt, which would warn
-    if text.strip(" ") and text.isascii() and not text.encode("ascii").translate(None, _PRINTABLE_ASCII):
+    if text.strip(" ") and text.isascii() and text.isprintable():
         try:
             values = np.loadtxt(rests, comments=None, ndmin=2)
         except ValueError:
@@ -234,44 +232,16 @@ _FORMAT_VALUES = 1 << 13
 _GAP = b"\xff"
 
 
-@functools.cache
-def _digit_words() -> tuple[np.ndarray, ...]:
-    """Lookup tables of four-byte words, each read as one native uint32, for
-    three-digit groups g in range(1000), where _GAP stands for no byte:
-
-    - an integer group's word: a sign slot and g's digits. The tables of the
-      last (rightmost) group and of any other hold, at index g, g's digits
-      without leading zeros after a _GAP sign slot, for a group with no digit
-      above it; at 1000 + g, all three digits; at 2000 + g, the digits of
-      index g after a "-". The last group keeps the "0" of g = 0, any other
-      group none.
-    - ".ddd" and "ddd ", the first and second half of a fraction."""
-
-    def words(texts) -> np.ndarray:
-        return np.frombuffer("".join(texts).encode("latin-1"), np.uint32)
-
-    gap = _GAP.decode("latin-1")
-    padded = [f"{gap}{g:03d}" for g in range(1000)]
-    last = [f"{g:3d}".replace(" ", gap) for g in range(1000)]
-    inner = [gap * 3] + last[1:]
-    return (
-        words([gap + d for d in last] + padded + ["-" + d for d in last]),
-        words([gap + d for d in inner] + padded + ["-" + d for d in inner]),
-        words(f".{g:03d}" for g in range(1000)),
-        words(f"{g:03d} " for g in range(1000)),
-    )
-
-
 def _rounds_exactly(y: np.ndarray) -> np.ndarray:
     """Per row of values times 1e6 (`y`, the products rounded to floats),
     whether np.rint(y) rounds each value to millionths as "%.6f" does, half
     to even: each y is more than 2 spacings from a half-way point, so the
-    product's own rounding cannot have moved it onto or across one. This also
-    keeps |y| below 2**51 (from there on a spacing is 0.5 or more), where
-    floats hold whole numbers exactly, and fails NaN and +-inf."""
+    product's own rounding cannot have moved it onto or across one, and
+    |y| < 2**32 - 1, so that the whole millionths fit in a uint32. This fails
+    NaN and +-inf too."""
     size = np.abs(y)
     with np.errstate(invalid="ignore"):
-        return (np.abs(size - np.floor(size) - 0.5) > 2 * np.spacing(size)).all(axis=1)
+        return ((np.abs(size - np.floor(size) - 0.5) > 2 * np.spacing(size)) & (size < 2**32 - 1)).all(axis=1)
 
 
 def _write_block(fh, words: Sequence[str], x: np.ndarray) -> None:
@@ -279,49 +249,43 @@ def _write_block(fh, words: Sequence[str], x: np.ndarray) -> None:
     to the binary file `fh`, each value as "%.6f" gives it.
 
     Rows that `_rounds_exactly` passes are formatted with numpy. The block is
-    laid out as bytes, one layout row per line: the word and a space, padded
-    to a multiple of 4 bytes, then per value uint32 words from `_digit_words`:
-    a sign slot and three integer digits per integer group, ".ddd" and
-    "ddd ". The block has as many integer groups as its widest value needs.
-    The padding, the sign slot of a value whose sign bit is clear and the
-    leading zeros of the integer part are _GAP bytes, and one bytes.translate
-    call deletes them. Every other row (a near-tie such as k/128, NaN, +-inf,
-    a huge value) is written with one "%" call, which shares CPython's float
-    formatter with "{:.6f}"."""
-    last_group, inner_group, dot_words, sep_words = _digit_words()
+    laid out as bytes, one layout row per line: the word and a space, then per
+    value a sign slot, as many digit slots as the block's largest whole
+    millionths need (at least 7) with "." before the last six, and a space.
+    The digits come from repeated division of the whole millionths by 10. The
+    padding after a short word, the sign slot of a value whose sign bit is
+    clear and the slots of the integer part above its leading digit are _GAP
+    bytes, and one bytes.translate call deletes them. Every other row (a
+    near-tie such as k/128, NaN, +-inf, a value of 4294.967295 or more) is
+    written with one "%" call, which shares CPython's float formatter with
+    "{:.6f}"."""
     n, dim = x.shape
     with np.errstate(over="ignore"):
         y = x * 1e6
     slow = np.flatnonzero(~_rounds_exactly(y)).tolist()
     y[slow] = 0.0  # laid out as zeros, then written with "%"
-    # whole millionths, their integer part and their fraction; below 2**52
-    # each floor of a quotient is the exact integer quotient
-    millionths = np.abs(np.rint(y))
-    units = np.floor(millionths / 1e6)
-    fraction = millionths - units * 1e6
-    groups = -(-len(str(int(units.max()))) // 3)
+    millionths = np.abs(np.rint(y)).astype(np.uint32)
+    width = max(7, len(str(millionths.max())))
 
     encoded = np.frombuffer((" ".join(words) + " ").encode("utf-8"), np.uint8)
     word_lengths = np.diff(np.flatnonzero(encoded == ord(" ")), prepend=-1)
-    word_bytes = -(-int(word_lengths.max()) // 4) * 4  # the value words start 4-byte aligned
-    text = bytearray(n * (word_bytes + 4 * dim * (groups + 2)))
+    word_bytes = int(word_lengths.max())
+    text = bytearray(n * (word_bytes + dim * (width + 3)))
     layout = np.frombuffer(text, np.uint8).reshape(n, -1)
     layout[:, :word_bytes] = _GAP[0]
     layout[:, :word_bytes][np.arange(word_bytes) < word_lengths[:, None]] = encoded
-    values = layout[:, word_bytes:].view(np.uint32).reshape(n, dim, groups + 2)
-    high = np.floor(fraction / 1e3)
-    values[:, :, groups] = dot_words[high.astype(np.intp)]
-    values[:, :, groups + 1] = sep_words[(fraction - high * 1e3).astype(np.intp)]
-    for k in range(groups - 1, -1, -1):  # integer groups, rightmost first
-        above = np.floor(units / 1e3)
-        index = (units - above * 1e3).astype(np.intp)
-        if k:  # a digit above the group shows its leading zeros
-            index += (above > 0) * 1000
-        else:  # the leftmost group holds the sign
-            index += np.signbit(x) * 2000
-        values[:, :, k] = (last_group if k == groups - 1 else inner_group)[index]
-        units = above
-    values.view(np.uint8)[:, -1, -1] = ord("\n")
+    values = layout[:, word_bytes:].reshape(n, dim, width + 3)
+    values[:, :, 0] = np.where(np.signbit(x), ord("-"), _GAP[0])
+    values[:, :, width - 5] = ord(".")
+    values[:, :, -1] = ord(" ")
+    values[:, -1, -1] = ord("\n")
+    # digit slots right to left: six fraction digits, the units digit, then
+    # the integer digits above it, which are gaps once nothing is left
+    for k, slot in enumerate([*range(width + 1, width - 5, -1), *range(width - 6, 0, -1)]):
+        quotient = millionths // 10
+        digit = millionths - quotient * 10 + ord("0")
+        values[:, :, slot] = digit if k < 7 else np.where(millionths, digit, _GAP[0])
+        millionths = quotient
     joined = memoryview(text.translate(None, _GAP))
 
     start = 0

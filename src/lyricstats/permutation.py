@@ -15,7 +15,8 @@ import numpy as np
 # 50, 2 cores), `lyricstats weat` peaked at 37.3, 37.8, 38.6 and 40.1 MB RSS at
 # 250, 500, 1,000 and 2,000 rows, against 39.0 MB for the argsort draw it
 # replaced; an in-process battery took about 0.15 s at every size from 125 to
-# 2,000 rows.
+# 2,000 rows. A chunk also holds at most 2**22 // N rows, so that the buffers
+# stay near 64 MB at any N; WEAT's N <= 96 keeps all 500.
 _SUBSET_CHUNK = 500
 
 
@@ -29,15 +30,15 @@ def p_values(scores: np.ndarray, n_x: int, n_samples: int, seed: int, inclusive:
     ("monte_carlo(n=..., seed=...)"): the n_x smallest of N uniforms per
     row of one default_rng(seed) stream, the subset an argsort picks.
 
-    Each chunk of at most _SUBSET_CHUNK subsets is a block of 0/1 masks, one
-    row a subset, scored against every column by one (rows, N) @ (N, k + 1)
-    product. The scores are first rounded to integers small enough that
-    every subset sum is exact in float64, whatever order BLAS adds them in:
-    per column, max|s| = f * 2**e with 0.5 <= f < 1 is scaled to below
-    2**(52 - ceil(log2 N)); an all-zero column stays zero. The last column
-    of ones counts each subset's items: a drawn row with a tie at its n_x-th
-    smallest uniform marks more than n_x of them, and its chunk takes
-    argsort's subsets instead."""
+    Each chunk of at most _SUBSET_CHUNK and 2**22 // N subsets is a block of
+    0/1 masks, one row a subset, scored against every column by one
+    (rows, N) @ (N, k + 1) product. The scores are first rounded to integers
+    small enough that every subset sum is exact in float64, whatever order
+    BLAS adds them in: per column, max|s| = f * 2**e with 0.5 <= f < 1 is
+    scaled to below 2**(52 - ceil(log2 N)); an all-zero column stays zero.
+    The last column of ones counts each subset's items: a drawn row with a
+    tie at its n_x-th smallest uniform marks more than n_x of them, and its
+    chunk takes argsort's subsets instead."""
     n_items, k = scores.shape
     size = math.comb(n_items, n_x)
     if size <= n_samples:
@@ -50,11 +51,12 @@ def p_values(scores: np.ndarray, n_x: int, n_samples: int, seed: int, inclusive:
     observed = q[:n_x, :k].sum(axis=0)
     beats = np.greater_equal if inclusive else np.greater
     hits = np.zeros(k, dtype=np.int64)
-    masks = np.empty((min(_SUBSET_CHUNK, size), n_items))
+    chunk_rows = min(_SUBSET_CHUNK, max(1, 2**22 // n_items))
+    masks = np.empty((min(chunk_rows, size), n_items))
     uniforms = None if rng is None else np.empty_like(masks)
     sums = np.empty((len(masks), k + 1))
-    for start in range(0, size, _SUBSET_CHUNK):
-        rows = min(_SUBSET_CHUNK, size - start)
+    for start in range(0, size, chunk_rows):
+        rows = min(chunk_rows, size - start)
         chunk, chunk_sums = masks[:rows], sums[:rows]
         if rng is None:
             chosen = np.fromiter(chain.from_iterable(islice(subsets, rows)), np.intp, rows * n_x).reshape(rows, n_x)

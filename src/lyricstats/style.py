@@ -125,29 +125,37 @@ def count_syllables(word: str) -> int:
     return int(syllable_table([word])[0])
 
 
+def check_tokens(words, prefix: str) -> None:
+    """Raises LexiconError, `<prefix> <word> would not survive tokenization`,
+    for the first word that no token can equal: one that `tokenize` does not
+    give back as a one-token line."""
+    for word in words:
+        if tokenize(word) != ((word,),):
+            raise LexiconError(f"{prefix} {word!r} would not survive tokenization")
+
+
 def load_wordlist(path: str) -> frozenset[str]:
-    """One lowercase word per line; '#' starts a comment; blanks ignored."""
-    entries: set[str] = set()
+    """One lowercase word per line; '#' starts a comment; blanks ignored.
+    Raises LexiconError for a word that no token can equal."""
+    entries: dict[str, None] = {}  # in file order, so the first bad line is named
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for line in fh:
                 word = line.split("#", 1)[0].strip()
                 if word:
-                    entries.add(word.lower())
+                    entries[word.lower()] = None
     except UnicodeDecodeError as exc:
         raise StyleError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    check_tokens(entries, f"{path}: entry")
     return frozenset(entries)
 
 
 def load_swear_lexicon(path: str) -> frozenset[str]:
     """The lexicon's words, as `load_wordlist` reads them. Raises LexiconError
-    for an empty lexicon or a word that no token can equal."""
+    for an empty lexicon."""
     entries = load_wordlist(path)
     if not entries:
         raise LexiconError(f"{path}: empty lexicon")
-    for word in entries:
-        if tokenize(word) != ((word,),):
-            raise LexiconError(f"{path}: entry {word!r} would not survive tokenization")
     return entries
 
 

@@ -208,6 +208,17 @@ class TestStyleCommand:
         assert capsys.readouterr().err == f"error: --words: {word!r} would not survive tokenization\n"
         assert not out.exists()
 
+    # "rock!" is tokenized "rock", and a decomposed "cafe\u0301" comes out NFC, so
+    # neither entry could drop a word from top_words.csv
+    @pytest.mark.parametrize("entry", ["rock!", "cafe\u0301"])
+    def test_stopword_not_a_token_exit_1(self, tmp_path, mini_cache, capsys, entry):
+        stopwords = tmp_path / "stop.txt"
+        stopwords.write_text(f"the\n{entry}\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["style", "--cache", str(mini_cache), "--out", str(out), "--stopwords", str(stopwords)]) == 1
+        assert capsys.readouterr().err == f"error: {stopwords}: entry {entry!r} would not survive tokenization\n"
+        assert not out.exists()
+
     def test_top_k_below_one_exit_1(self, tmp_path, mini_cache, capsys):
         assert main(["style", "--cache", str(mini_cache), "--out", str(tmp_path / "o"), "--top-k", "0"]) == 1
         assert "--top-k" in capsys.readouterr().err

@@ -43,13 +43,6 @@ def test_sgns_throughput_tool_runs_at_a_tiny_size():
     assert [m and m.groups() for m in runs] == [("criterion7", "4"), ("criterion7", "8"), ("zipf", "4"), ("zipf", "8")]
 
 
-def test_vector_io_throughput_tool_runs_at_a_tiny_size():
-    lines = run_script(os.path.join("tools", "vector_io_throughput.py"), "--sizes", "7x3,2x5", "--repeats", "1")
-    runs = [re.fullmatch(r"rows=(\d+) dim=(\d+) bytes=\d+ save_s=[\d.]+ save_rows_per_s=\d+ "
-                         r"load_s=[\d.]+ load_rows_per_s=\d+", line) for line in lines]
-    assert [m and m.groups() for m in runs] == [("7", "3"), ("2", "5")]
-
-
 def test_weat_throughput_tool_runs_at_a_tiny_size():
     lines = run_script(os.path.join("tools", "weat_throughput.py"), "--dims", "3,5", "--repeats", "1",
                        "--mc-samples", "20")

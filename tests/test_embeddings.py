@@ -408,6 +408,24 @@ class TestVectorWriter:
         monkeypatch.setattr(embeddings, "_BLOCK_ROWS", block_rows)
         assert_same_bytes_as_reference(make_table({f"w{i}": row for i, row in enumerate(vectors)}), tmp_path)
 
+    def test_values_at_the_uint32_bound(self, tmp_path, monkeypatch):
+        # whole millionths must stay below 2**32 - 1: 4294.9672949 rounds to
+        # 4294967295 on the numpy path, 4294.967295 times 1e6 is just past the
+        # bound. Each row also holds values of 1, 2, 3 and 4 integer digits.
+        edges = [4294.967294, 4294.9672949, 4294.967295, 1e4]
+        rows = [[sign * edge, 1.5, -22.25, 333.125, -1234.0625] for edge in edges for sign in (1, -1)]
+        exact = []
+        rounds_exactly = embeddings._rounds_exactly
+
+        def recorded(*args):
+            flags = rounds_exactly(*args)
+            exact.extend(flags.tolist())
+            return flags
+
+        monkeypatch.setattr(embeddings, "_rounds_exactly", recorded)
+        assert_same_bytes_as_reference(make_table({f"w{i}": row for i, row in enumerate(rows)}), tmp_path)
+        assert exact == [True] * 4 + [False] * 4
+
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "v.txt"
         save_vectors(make_table({f"w{i}": [float(i), 1.0] for i in range(10)}), str(path))

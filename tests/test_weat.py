@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -712,3 +713,16 @@ class TestIntegerMaskScoring:
         for inclusive in (False, True):
             expected = sum(s > observed or (inclusive and s == observed) for s in sums) / 35
             assert permutation.p_values(pooled[:, None], 3, 35, 0, inclusive) == ("exact", [expected])
+
+    def test_chunk_buffers_are_bounded_at_large_n(self):
+        # at N = 2**14 a chunk takes 2**22 // N = 256 subsets, not 500, so its
+        # two (rows, N) float64 buffers, the masks and the uniforms, hold 64 MiB
+        scores = np.random.default_rng(90).normal(size=(2**14, 1))
+        tracemalloc.start()
+        try:
+            method, _ = permutation.p_values(scores, 2, 500, 0, False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert method == "monte_carlo(n=500, seed=0)"
+        assert peak < 2.5 * 2**22 * 8
