@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -115,7 +116,7 @@ def _config_defaults(parser: argparse.ArgumentParser, args: argparse.Namespace) 
     non-string that the option's `type` rejects or would change, such as 2.5
     or true for an int. argparse checks none of these for defaults; it passes
     only string defaults through `type`."""
-    with open(args.config, "r", encoding="utf-8") as fh:
+    with open(args.config, "r", encoding="utf-8-sig") as fh:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise ValueError("config must be a JSON object")
@@ -318,7 +319,11 @@ def cmd_weat(args) -> int:
         raise _Failure("--seed must be >= 0")
     battery_path = _input_path(args.tests, "--tests", default_battery_path)
     _check_out_dir(args.out)
-    table = _read(load_vectors, args.vectors)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        table = _read(load_vectors, args.vectors)
+    for warning in caught:  # one line each, as an error is
+        print(f"warning: {warning.message}", file=sys.stderr)
     tests = _read(load_battery, battery_path)
     results = run_battery(tests, table, n_samples=args.mc_samples, seed=args.seed, inclusive=args.inclusive)
     with _io("write", args.out):

@@ -331,7 +331,7 @@ def _validate_record(raw: dict, drop_annotations: bool, seen_ids: set[str], wher
 def _iter_jsonl(path: str) -> Iterator[tuple[int, dict | RecordError]]:
     """Each non-blank line's row, or the RecordError that rejects it: a line
     that is not JSON, or whose JSON is not an object."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -348,7 +348,7 @@ _CSV_COLUMNS = {"id", "title", "artist", "year", "duration_seconds", "cohort", "
 
 
 def _iter_csv(path: str) -> Iterator[tuple[int, dict]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not _CSV_COLUMNS.issubset(set(reader.fieldnames)):
             raise IngestError(f"{path}: malformed CSV header, need columns {sorted(_CSV_COLUMNS)}")

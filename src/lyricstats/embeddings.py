@@ -74,6 +74,7 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
 # save_vectors formats at once: this bounds the text and the parsed or
 # formatted block held besides the table
 _BLOCK_ROWS = 1024
+_PRINTABLE_ASCII = bytes(range(0x20, 0x7F))
 
 
 def _header(line: str) -> Optional[tuple[int, int]]:
@@ -125,7 +126,7 @@ def _parse_block(path: str, line_nos: list, rests: list, dim: Optional[int]) -> 
     row."""
     text = "".join(rests)
     # a block without any number never reaches loadtxt, which would warn
-    if text.strip(" ") and text.isascii() and text.isprintable():
+    if text.strip(" ") and text.isascii() and not text.encode("ascii").translate(None, _PRINTABLE_ASCII):
         try:
             values = np.loadtxt(rests, comments=None, ndmin=2)
         except ValueError:
@@ -153,7 +154,7 @@ def _count_rows(path: str) -> int:
     """The file's non-blank lines, split and judged blank as `load_vectors`
     reads them. Bytes that are not UTF-8 count as text here; the parse that
     follows reports them."""
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+    with open(path, "r", encoding="utf-8-sig", errors="replace") as fh:
         return sum(1 for line in fh if line.strip())
 
 
@@ -161,18 +162,18 @@ def load_vectors(path: str) -> EmbeddingTable:
     """Parse the text vector format: optional "V D" header, then one word and
     D space-separated reals per line. A header must match the V rows of
     dimension D that follow it. Duplicate words: the word keeps the row of its
-    first occurrence and takes the values of its last.
+    first occurrence and takes the values of its last. A UTF-8 byte-order
+    mark before the first line is ignored.
 
     Every row is parsed and checked, in blocks of rows (see `_parse_block`),
     into one table filled in place. The header gives the table's rows, or,
     without one, a first pass that counts them. So parsing holds one table and
     one block."""
     index: dict = {}  # word -> table row
-    source: list[int] = []  # table row -> the file row its values come from
     dim: Optional[int] = None
     n_rows = 0
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             first = fh.readline()
             header = _header(first)
             if header is None:
@@ -189,15 +190,12 @@ def load_vectors(path: str) -> EmbeddingTable:
                     dim = values.shape[1]
                     # a header of another dimension is wrong too and gets no table
                     vectors = np.empty((rows if header is None or header[1] == dim else 0, dim))
-                if n_rows + len(values) <= len(vectors):
-                    vectors[n_rows : n_rows + len(values)] = values
+                # table row -> the block row its values come from: a repeated
+                # word keeps its first table row and takes its last values
+                last = {index.setdefault(word, len(index)): k for k, word in enumerate(words)}
+                if len(index) <= len(vectors):
+                    vectors[list(last)] = values[list(last.values())]
                 # else the header is wrong, or the file grew, which the checks below report
-                for row, word in enumerate(words, start=n_rows):
-                    i = index.setdefault(word, len(source))
-                    if i == len(source):
-                        source.append(row)
-                    else:
-                        source[i] = row
                 n_rows += len(values)
     except UnicodeDecodeError as exc:
         raise EmbeddingError(f"{path}: not UTF-8 text ({exc.reason})") from exc
@@ -212,7 +210,7 @@ def load_vectors(path: str) -> EmbeddingTable:
         raise EmbeddingError(f"{path}: changed while it was read")
     duplicates = n_rows - len(index)
     if duplicates:
-        vectors = vectors[source]
+        vectors = vectors[: len(index)]
         import warnings
 
         warnings.warn(f"{path}: {duplicates} duplicate words, last occurrence kept")

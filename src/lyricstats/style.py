@@ -139,7 +139,7 @@ def load_wordlist(path: str) -> frozenset[str]:
     Raises LexiconError for a word that no token can equal."""
     entries: dict[str, None] = {}  # in file order, so the first bad line is named
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for line in fh:
                 word = line.split("#", 1)[0].strip()
                 if word:

@@ -59,7 +59,7 @@ def load_battery(path: str) -> list[WeatTest]:
     lists. Raises WeatError naming the path, and the entry, for a file that
     does not have that shape."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             raw = json.load(fh)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise WeatError(f"{path}: not a JSON battery ({exc})") from exc
@@ -96,38 +96,30 @@ def apply_oov_policy(test: WeatTest, emb: EmbeddingTable):
     return x, y, a, b, coverage, tuple(dropped)
 
 
-def _unit_rows(words: Sequence[str], emb: EmbeddingTable) -> np.ndarray:
-    mat = np.vstack([emb.get(w) for w in words])
-    return mat / np.linalg.norm(mat, axis=1, keepdims=True)
-
-
-def _association_scores(
-    targets: Sequence[str], attributes_a: Sequence[str], attributes_b: Sequence[str], emb: EmbeddingTable
-) -> np.ndarray:
-    t = _unit_rows(targets, emb)
-    a = _unit_rows(attributes_a, emb)
-    b = _unit_rows(attributes_b, emb)
-    return (t @ a.T).mean(axis=1) - (t @ b.T).mean(axis=1)
-
-
 def _scores(
     name: str, x: list[str], y: list[str], a: list[str], b: list[str], emb: EmbeddingTable
-) -> tuple[np.ndarray, np.ndarray, float] | str:
-    """Both target lists' association scores and the effect size, (sx, sy,
+) -> tuple[np.ndarray, float] | str:
+    """The pooled association scores, X's then Y's, and the effect size, (s,
     d), for lists that `apply_oov_policy` filtered; or, when the test cannot
-    be scored, the error that says why."""
+    be scored, the error that says why. A target's score is its mean cosine to
+    the A words minus its mean cosine to the B words, read from one matrix of
+    every target's cosine to every attribute."""
     if len(x) < MIN_WORDS:
         return f"{name}: target lists under-filled after filtering (|X|=|Y|={len(x)})"
     if len(a) < MIN_WORDS or len(b) < MIN_WORDS:
         return f"{name}: attribute lists under-filled after filtering (|A|={len(a)}, |B|={len(b)})"
+    n = len(x)
+    rows = emb.vectors[[emb.vocab[w] for w in x + y + a + b]]
     with np.errstate(invalid="ignore"):  # an infinite vector: reported below
-        sx, sy = _association_scores(x, a, b, emb), _association_scores(y, a, b, emb)
-    if not (np.isfinite(sx).all() and np.isfinite(sy).all()):
+        unit = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+        cos = unit[: 2 * n] @ unit[2 * n :].T
+        s = cos[:, : len(a)].mean(axis=1) - cos[:, len(a) :].mean(axis=1)
+    if not np.isfinite(s).all():
         return f"{name}: association scores are not all finite (a vector holds nan or inf)"
-    denom = np.concatenate([sx, sy]).std()  # population std
+    denom = s.std()  # population std
     if denom == 0.0:
         return "all association scores equal; effect size undefined"
-    return sx, sy, float((sx.mean() - sy.mean()) / denom)
+    return s, float((s[:n].mean() - s[n:].mean()) / denom)
 
 
 def run_battery(
@@ -164,12 +156,12 @@ def run_battery(
         if isinstance(scored, str):
             results[i] = WeatResult(test.name, None, None, None, "none", coverage, dropped, scored)
             continue
-        sx, sy, d = scored
-        groups.setdefault(len(sx), []).append((i, sx, sy, coverage, dropped, d))
+        s, d = scored
+        groups.setdefault(len(x), []).append((i, s, coverage, dropped, d))
     for n, members in groups.items():
-        scores = np.column_stack([np.concatenate([sx, sy]) for _, sx, sy, *_ in members])
+        scores = np.column_stack([s for _, s, *_ in members])
         method, p_values = permutation.p_values(scores, n, n_samples, seed, inclusive)
-        for (i, sx, sy, coverage, dropped, d), p in zip(members, p_values):
-            results[i] = WeatResult(tests[i].name, d, float(sx.sum() - sy.sum()), p, method, coverage, dropped)
+        for (i, s, coverage, dropped, d), p in zip(members, p_values):
+            results[i] = WeatResult(tests[i].name, d, float(s[:n].sum() - s[n:].sum()), p, method, coverage, dropped)
     return results
 

@@ -5,6 +5,7 @@ import json
 import os
 import random
 import re
+import shutil
 from collections import Counter
 
 import numpy as np
@@ -634,6 +635,12 @@ class TestWeatCommand:
         err = capsys.readouterr().err
         assert err == f"error: {tests}: entry 0 (t): targets_x is not a non-empty list of words\n"
 
+    def test_duplicate_word_warning_is_one_line(self, tmp_path, capsys):
+        vecs = tmp_path / "vecs.txt"
+        vecs.write_text("a 1 0\nb 0 1\na 1 1\n", encoding="utf-8")
+        assert main(["weat", "--vectors", str(vecs), "--out", str(tmp_path / "w")]) == 0
+        assert capsys.readouterr().err == f"warning: {vecs}: 1 duplicate words, last occurrence kept\n"
+
     def test_empty_battery_exit_1(self, tmp_path, capsys):
         vecs = self._vector_file(tmp_path, ["a", "b"])
         tests = tmp_path / "tests.json"
@@ -911,6 +918,63 @@ class TestNotUtf8:
         assert main(["weat", "--vectors", str(vecs), "--out", str(tmp_path / "w")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {vecs}: not UTF-8 text") and err.count("\n") == 1
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark at the start of a text input, as Excel's "CSV
+    UTF-8" export writes one, changes no output, message or exit code."""
+
+    @pytest.mark.parametrize(
+        "case", ["ingest_csv", "ingest_jsonl", "vectors", "battery", "config", "lexicon", "stopwords"]
+    )
+    def test_outputs_byte_identical(self, tmp_path, mini_cache, capsys, monkeypatch, case):
+        from lyricstats.embeddings import save_vectors
+
+        lists = {
+            "targets_x": ["x1", "x2", "x3"],
+            "targets_y": ["y1", "y2", "y3"],
+            "attributes_a": ["a1", "a2"],
+            "attributes_b": ["b1", "b2"],
+        }
+        vecs = tmp_path / "vecs.txt"
+        words = sorted(w for ws in lists.values() for w in ws)
+        save_vectors(random_table(words, 6, np.random.default_rng(0)), str(vecs))
+        with open(mini_corpus_path(), "rb") as fh:
+            songs_csv = fh.read()
+        inputs = {
+            "songs.csv": songs_csv,
+            "songs.jsonl": "".join(json.dumps(jsonl_row(f"s{i}")) + "\n" for i in range(3)).encode(),
+            "vecs.txt": vecs.read_bytes(),
+            "tests.json": json.dumps([{"name": "tiny", **lists}]).encode(),
+            "config.json": json.dumps({"mc_samples": 10, "seed": 3}).encode(),
+            "words.txt": b"damn\nhell\n",
+        }
+        weat = ["weat", "--vectors", "vecs.txt", "--tests", "tests.json"]
+        style = ["style", "--cache", str(mini_cache)]
+        argv, name = {
+            "ingest_csv": (["ingest", "--input", "songs.csv"], "songs.csv"),
+            "ingest_jsonl": (["ingest", "--input", "songs.jsonl"], "songs.jsonl"),
+            "vectors": (weat, "vecs.txt"),
+            "battery": (weat, "tests.json"),
+            "config": (["--config", "config.json", *weat], "config.json"),
+            "lexicon": ([*style, "--lexicon", "words.txt"], "words.txt"),
+            "stopwords": ([*style, "--stopwords", "words.txt"], "words.txt"),
+        }[case]
+        monkeypatch.chdir(tmp_path)
+
+        def run():
+            code = main([*argv, "--out", "out"])
+            out = tmp_path / "out"
+            outputs = {path.name: path.read_bytes() for path in out.iterdir()} if out.exists() else None
+            shutil.rmtree(out, ignore_errors=True)
+            return code, capsys.readouterr(), outputs
+
+        for file, data in inputs.items():
+            (tmp_path / file).write_bytes(data)
+        plain = run()
+        assert plain[0] == 0 and plain[2]
+        (tmp_path / name).write_bytes(b"\xef\xbb\xbf" + inputs[name])
+        assert run() == plain
 
 
 class TestMisc:

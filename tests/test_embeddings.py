@@ -137,7 +137,7 @@ GOOD_NUMBERS = st.one_of(
 )
 ODD_NUMBERS = st.sampled_from(
     ["1_000", "\u0661\u0662", "\uff11", "1.0\t", "\t1", "1.0\t2.0", "1\x0c", "1\x00", "1\u3000", "\u00a01",
-     "abc", "1.2.3", "0x10", "--1", "1e", "#1", "1d5", "nanx", "", " ", "1 2"]
+     "1\x1c", "1\x1d", "1\x1e", "1\x1f", "abc", "1.2.3", "0x10", "--1", "1e", "#1", "1d5", "nanx", "", " ", "1 2"]
 )
 
 
@@ -491,6 +491,11 @@ class TestLoaderAgainstPerRowParser:
             ("w 1.0\t 2.0\t", [1.0, 2.0]),  # and whitespace around a number
             ("w 1.0\t2.0", None),  # but a tab does not separate numbers
             ("w 1.0\x002.0", None),  # nor does a NUL
+            # float() refuses the separators U+001C-U+001F after a number; loadtxt reads them as 1.0
+            ("w 1\x1c 2", None),
+            ("w 1\x1d 2", None),
+            ("w 1\x1e 2", None),
+            ("w 1\x1f 2", None),
         ],
     )
     def test_spellings_float_reads_are_kept(self, tmp_path, row, values):

@@ -15,7 +15,7 @@ from lyricstats.resources import default_battery_path
 from lyricstats.weat import (
     WeatError,
     WeatTest,
-    _association_scores,
+    _scores,
     apply_oov_policy,
     load_battery,
     run_battery,
@@ -102,28 +102,39 @@ def cosine_association(w, attributes_a, attributes_b, table):
 
 
 class TestAssociation:
+    """Each check reads the first target's pooled score from `_scores`."""
+
     def test_identical_to_a_orthogonal_to_b(self):
-        table = make_table({"w": [1.0, 0.0], "a1": [1.0, 0.0], "b1": [0.0, 1.0]})
-        assert _association_scores(["w"], ["a1"], ["b1"], table)[0] == pytest.approx(1.0)
+        table = make_table(
+            {"w": [1.0, 0.0], "v": [0.0, 1.0], "a1": [1.0, 0.0], "a2": [2.0, 0.0], "b1": [0.0, 1.0], "b2": [0.0, 3.0]}
+        )
+        s, _ = _scores("t", ["w", "v"], ["v", "w"], ["a1", "a2"], ["b1", "b2"], table)
+        assert s[0] == pytest.approx(1.0)
 
     def test_a_equals_b_gives_zero(self):
+        # every target scores 0 against A == B, in either order, so the
+        # scores are all equal and no effect size is defined
         rng = np.random.default_rng(0)
-        table = random_table(["w", "p", "q"], 5, rng)
-        assert _association_scores(["w"], ["p", "q"], ["p", "q"], table)[0] == pytest.approx(0.0, abs=1e-15)
+        table = random_table(["w", "v", "u", "t", "p", "q"], 5, rng)
+        for b in (["p", "q"], ["q", "p"]):
+            assert _scores("t", ["w", "v"], ["u", "t"], ["p", "q"], b, table) == (
+                "all association scores equal; effect size undefined"
+            )
 
     def test_matches_two_mean_oracle(self):
         rng = np.random.default_rng(1)
-        table = random_table(["w", "a1", "a2", "b1", "b2"], 7, rng)
+        table = random_table(["w", "v", "u", "t", "a1", "a2", "b1", "b2"], 7, rng)
         expected = (
             (cosine(table.get("w"), table.get("a1")) + cosine(table.get("w"), table.get("a2"))) / 2
             - (cosine(table.get("w"), table.get("b1")) + cosine(table.get("w"), table.get("b2"))) / 2
         )
-        assert _association_scores(["w"], ["a1", "a2"], ["b1", "b2"], table)[0] == pytest.approx(expected, abs=1e-12)
+        s, _ = _scores("t", ["w", "v"], ["u", "t"], ["a1", "a2"], ["b1", "b2"], table)
+        assert s[0] == pytest.approx(expected, abs=1e-12)
 
     def test_equidistant_attribute_is_neutral(self):
         rng = np.random.default_rng(5)
         dim = 6
-        table = random_table(["w", "a0", "a1", "a2", "b0", "b1"], dim, rng)
+        table = random_table(["w", "v", "u", "t", "a0", "a1", "a2", "b0", "b1"], dim, rng)
         w = table.get("w")
         m = np.mean([cosine(w, table.get(a)) for a in ("a0", "a1", "a2")])
         # construct a* with cos(w, a*) exactly m
@@ -135,9 +146,10 @@ class TestAssociation:
         vecs = {word: table.get(word) for word in table.vocab}
         vecs["a_star"] = a_star
         table2 = make_table(vecs)
-        base = _association_scores(["w"], ["a0", "a1", "a2"], ["b0", "b1"], table2)[0]
-        extended = _association_scores(["w"], ["a0", "a1", "a2", "a_star"], ["b0", "b1"], table2)[0]
-        assert extended == pytest.approx(base, abs=1e-12)
+        targets = (["w", "v"], ["u", "t"])
+        base, _ = _scores("t", *targets, ["a0", "a1", "a2"], ["b0", "b1"], table2)
+        extended, _ = _scores("t", *targets, ["a0", "a1", "a2", "a_star"], ["b0", "b1"], table2)
+        assert extended[0] == pytest.approx(base[0], abs=1e-12)
 
 
 class TestEffectSize:
@@ -201,10 +213,17 @@ class TestStatistic:
 
 
 def pooled_scores(test, table):
-    """The X then Y association scores of a test whose words are all in the table."""
-    sx = _association_scores(list(test.targets_x), test.attributes_a, test.attributes_b, table)
-    sy = _association_scores(list(test.targets_y), test.attributes_a, test.attributes_b, table)
-    return list(np.concatenate([sx, sy]))
+    """Independent oracle: the X then Y association scores of a test whose
+    words are all in the table, each target list against each attribute list
+    in its own product."""
+
+    def unit_rows(words):
+        mat = np.vstack([table.get(w) for w in words])
+        return mat / np.linalg.norm(mat, axis=1, keepdims=True)
+
+    a, b = unit_rows(test.attributes_a), unit_rows(test.attributes_b)
+    targets = (unit_rows(test.targets_x), unit_rows(test.targets_y))
+    return list(np.concatenate([(t @ a.T).mean(axis=1) - (t @ b.T).mean(axis=1) for t in targets]))
 
 
 class TestPermutationP:
@@ -409,7 +428,7 @@ class TestRunTest:
     def test_filters_and_scores_once(self, monkeypatch):
         import lyricstats.weat as weat
 
-        calls = {"apply_oov_policy": 0, "_association_scores": 0}
+        calls = {"apply_oov_policy": 0, "_scores": 0}
         for name in calls:
             original = getattr(weat, name)
 
@@ -420,7 +439,7 @@ class TestRunTest:
             monkeypatch.setattr(weat, name, counted)
         test, table = random_weat(np.random.default_rng(23))
         assert run_battery([test], table, n_samples=500, seed=1)[0].error is None
-        assert calls == {"apply_oov_policy": 1, "_association_scores": 2}
+        assert calls == {"apply_oov_policy": 1, "_scores": 1}
 
     def test_degenerate_result_keeps_coverage(self):
         rng = np.random.default_rng(24)
