@@ -11,8 +11,10 @@ Run from the repo root:  python3 demos/train_and_weat.py
 
 import random
 
+import numpy as np
+
 from lyricstats.corpus import Corpus, SongRecord, tokenize
-from lyricstats.embeddings import SgnsConfig, cosine, train_sgns
+from lyricstats.embeddings import SgnsConfig, train_sgns
 from lyricstats.resources import default_battery_path
 from lyricstats.weat import load_battery, run_battery
 
@@ -49,10 +51,11 @@ corpus = Corpus.from_records(records)
 config = SgnsConfig(dim=32, window=5, negatives=5, epochs=5, min_count=5, seed=42)
 table = train_sgns(corpus, config)
 print(f"trained {len(table)} vectors of dim {table.dim}")
-print(f"cos(john, career)  = {cosine(table.get('john'), table.get('career')):+.3f}")
-print(f"cos(john, family)  = {cosine(table.get('john'), table.get('family')):+.3f}")
-print(f"cos(donna, career) = {cosine(table.get('donna'), table.get('career')):+.3f}")
-print(f"cos(donna, family) = {cosine(table.get('donna'), table.get('family')):+.3f}")
+john, donna, career, family = (v / np.linalg.norm(v) for v in map(table.get, ("john", "donna", "career", "family")))
+print(f"cos(john, career)  = {john @ career:+.3f}")
+print(f"cos(john, family)  = {john @ family:+.3f}")
+print(f"cos(donna, career) = {donna @ career:+.3f}")
+print(f"cos(donna, family) = {donna @ family:+.3f}")
 
 # --- run the eight-test battery --------------------------------------------
 tests = load_battery(default_battery_path())

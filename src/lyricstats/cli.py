@@ -179,7 +179,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def cmd_ingest(args) -> int:
-    args.format = args.format or ("csv" if args.input.endswith(".csv") else "jsonl")
+    args.format = args.format or ("csv" if args.input.lower().endswith(".csv") else "jsonl")
     _check_out_dir(args.out)
     result = ingest(
         args.input,
@@ -408,7 +408,7 @@ def main(argv=None) -> int:
         # line is parsed again, so every flag given there wins, abbreviated or not
         try:
             config = _config_defaults(parser, args)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             print(f"error: {args.config}: {exc}", file=sys.stderr)
             return EXIT_IO
         args = build_parser(config).parse_args(raw_argv)

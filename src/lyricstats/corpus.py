@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -98,13 +99,13 @@ class Corpus:
     provenance: dict = field(default_factory=dict)
 
     @classmethod
-    def from_records(cls, records: Iterable[SongRecord], provenance: Optional[dict] = None) -> Corpus:
+    def from_records(cls, records: Iterable[SongRecord]) -> Corpus:
         """The corpus of the given songs, in order. Raises CorpusError for
         songs that break an invariant, such as a repeated id or an empty line."""
         builder = _CorpusBuilder()
         for record in records:
             builder.add(record)
-        corpus = builder.corpus(provenance or {})
+        corpus = builder.corpus({})
         problem = _invariant_error(corpus)
         if problem:
             raise CorpusError(problem)
@@ -339,7 +340,7 @@ def _iter_jsonl(path: str) -> Iterator[tuple[int, dict | RecordError]]:
                 raw = json.loads(line)
                 if not isinstance(raw, dict):
                     raw = RecordError("row is not a JSON object")
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: JSON nested too deep
                 raw = RecordError(str(exc))
             yield line_no, raw
 
@@ -347,12 +348,26 @@ def _iter_jsonl(path: str) -> Iterator[tuple[int, dict | RecordError]]:
 _CSV_COLUMNS = {"id", "title", "artist", "year", "duration_seconds", "cohort", "lyrics"}
 
 
-def _iter_csv(path: str) -> Iterator[tuple[int, dict]]:
+def _iter_csv(path: str) -> Iterator[tuple[int, dict | RecordError]]:
+    """Each row after the header, or the RecordError that rejects it: a row
+    that the csv module refuses, such as one with a field over its size limit.
+    The reader goes on with the next row."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not _CSV_COLUMNS.issubset(set(reader.fieldnames)):
+        try:
+            columns = reader.fieldnames
+        except csv.Error as exc:
+            raise IngestError(f"{path}: malformed CSV header ({exc})") from exc
+        if columns is None or not _CSV_COLUMNS.issubset(set(columns)):
             raise IngestError(f"{path}: malformed CSV header, need columns {sorted(_CSV_COLUMNS)}")
-        for line_no, raw in enumerate(reader, start=2):
+        for line_no in itertools.count(2):
+            try:
+                raw = next(reader)
+            except StopIteration:
+                return
+            except csv.Error as exc:
+                yield line_no, RecordError(str(exc))
+                continue
             if raw.get("lyrics"):
                 # CSV carries newlines escaped as the two-character sequence \n
                 raw = dict(raw, lyrics=raw["lyrics"].replace("\\n", "\n"))
@@ -507,7 +522,7 @@ def _not_version_4(path: str, first_line: bytes) -> IngestError:
     first line is a JSON header, gets the re-run hint."""
     try:
         header = json.loads(first_line)
-    except ValueError:
+    except (ValueError, RecursionError):
         header = None
     if not isinstance(header, dict) or "cache_version" not in header:
         return IngestError(f"{path}: not a corpus cache")
@@ -542,7 +557,7 @@ def load_cache(path: str) -> Corpus:
             raise ValueError(f"{_META} is not a JSON object")
     except UnicodeDecodeError as exc:
         raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise IngestError(f"{path}: malformed cache ({exc})") from exc
     if meta.get("cache_version") != CACHE_VERSION:
         raise _version_error(path, meta.get("cache_version"))

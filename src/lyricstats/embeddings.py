@@ -1,5 +1,5 @@
-"""Word vectors: text-format load/save, cosine similarity, and a skip-gram
-negative-sampling trainer over a tokenized corpus."""
+"""Word vectors: text-format load/save and a skip-gram negative-sampling
+trainer over a tokenized corpus."""
 
 from __future__ import annotations
 
@@ -56,18 +56,6 @@ class SgnsConfig:
                 raise EmbeddingError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if self.seed < 0:
             raise EmbeddingError(f"seed must be >= 0, got {self.seed}")
-
-
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise EmbeddingError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise EmbeddingError("cosine undefined for a zero vector")
-    return float(np.dot(u, v) / (nu * nv))
 
 
 # rows whose numbers one np.loadtxt call parses, and the most rows that
@@ -334,32 +322,6 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def sgns_pair_loss(center: np.ndarray, context: np.ndarray, negatives: np.ndarray) -> float:
-    """Negative log-likelihood for one (center, context, negatives) triple:
-    -log sigma(c.x) - sum_neg log sigma(-c.n)."""
-    loss = -np.log(_sigmoid(np.dot(center, context)))
-    if len(negatives):
-        loss -= np.sum(np.log(_sigmoid(-negatives @ center)))
-    return float(loss)
-
-
-def sgns_pair_grads(
-    center: np.ndarray, context: np.ndarray, negatives: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Analytic gradients of sgns_pair_loss w.r.t. center, context, and each
-    negative vector."""
-    g_pos = _sigmoid(np.dot(center, context)) - 1.0  # in (-1, 0)
-    g_center = g_pos * context
-    g_context = g_pos * center
-    if len(negatives):
-        g_negs_scal = _sigmoid(negatives @ center)  # in (0, 1)
-        g_center = g_center + g_negs_scal @ negatives
-        g_negatives = np.outer(g_negs_scal, center)
-    else:
-        g_negatives = np.zeros((0, len(center)))
-    return g_center, g_context, g_negatives
-
-
 def unigram_noise_probs(counts: Sequence[int]) -> np.ndarray:
     """Negative-sampling distribution: unigram counts raised to the 3/4 power
     (Mikolov et al. 2013)."""
@@ -374,8 +336,10 @@ def sgns_batch_grads(
     contexts: np.ndarray,
     negatives: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of the summed sgns_pair_loss over a batch of pairs, all taken
-    at the given parameters.
+    """Gradients of the summed loss over a batch of pairs, all taken at the
+    given parameters. A pair's loss is -log sigmoid(c.x) - sum_n log
+    sigmoid(-c.n), for its center vector c, context vector x and noise
+    vectors n.
 
     Pair p is (w_in[centers[p]], w_out[contexts[p]]) with the noise words in
     row p of `negatives`, shaped (pairs, k); a noise word equal to its pair's
@@ -481,7 +445,7 @@ class _TrainState:
                 self.w_out[out_rows] -= lr * out_grads
 
 
-def train_sgns(corpus: Corpus, config: SgnsConfig, epoch_callback=None) -> EmbeddingTable:
+def train_sgns(corpus: Corpus, config: SgnsConfig) -> EmbeddingTable:
     """Skip-gram with negative sampling over the tokenized corpus.
 
     Training runs one sentence (one song's in-vocabulary tokens, after
@@ -494,13 +458,9 @@ def train_sgns(corpus: Corpus, config: SgnsConfig, epoch_callback=None) -> Embed
     `sgns_batch_grads`). Sharing leaves fewer distinct noise rows for a batch
     to score. A sentence with more than 256 pairs is trained in consecutive
     batches of 256, which bounds memory and the size of one update. There is
-    one code path, so a fixed seed
-    gives bit-identical vectors. `epoch_callback(epoch, w_in, w_out)` runs
-    after each epoch.
+    one code path, so a fixed seed gives bit-identical vectors.
     """
     state = _TrainState(corpus, config)
     for epoch in range(config.epochs):
         state.train_epoch(np.random.default_rng((config.seed, epoch)), epoch)
-        if epoch_callback is not None:
-            epoch_callback(epoch, state.w_in, state.w_out)
     return EmbeddingTable(dim=config.dim, vocab=state.vocab, vectors=state.w_in)

@@ -61,7 +61,7 @@ def load_battery(path: str) -> list[WeatTest]:
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             raw = json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise WeatError(f"{path}: not a JSON battery ({exc})") from exc
     if not isinstance(raw, list):
         raise WeatError(f"{path}: a battery is a JSON list of tests")

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -27,6 +28,13 @@ def write_jsonl(path, rows):
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:
             fh.write(json.dumps(row) + "\n")
+
+
+def write_csv(path, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def jsonl_row(song_id="s1", **overrides):

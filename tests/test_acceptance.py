@@ -21,8 +21,6 @@ from lyricstats.embeddings import (
     _TrainState,
     load_vectors,
     save_vectors,
-    sgns_pair_grads,
-    sgns_pair_loss,
     train_sgns,
     unigram_noise_probs,
 )
@@ -30,6 +28,7 @@ from lyricstats.resources import default_battery_path, default_swear_lexicon_pat
 from lyricstats.style import corpus_style_metrics, load_swear_lexicon
 from lyricstats.weat import WeatTest, load_battery, run_battery
 from tests.conftest import make_record, make_table, random_table
+from tests.sgns_reference import sgns_pair_grads, sgns_pair_loss
 from tests.test_embeddings import corpus_from_token_lists, two_cluster_corpus
 from tests.test_style import lyric, metrics_of
 from tests.test_weat import brute_force_p, combinations_p, pooled_scores, random_weat

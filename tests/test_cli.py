@@ -22,6 +22,7 @@ from tests.conftest import (
     read_cache,
     without_lines,
     write_cache,
+    write_csv,
     write_jsonl,
 )
 
@@ -101,13 +102,7 @@ class TestIngestCommand:
         rejects as read back, the cached ids)."""
         src = tmp_path / f"songs{suffix}"
         rows = [jsonl_row("s1"), jsonl_row(rid)]
-        if suffix == ".csv":
-            with open(src, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-                writer.writeheader()
-                writer.writerows(rows)
-        else:
-            write_jsonl(src, rows)
+        (write_csv if suffix == ".csv" else write_jsonl)(src, rows)
         out = tmp_path / "build"
         assert main(["ingest", "--input", str(src), "--out", str(out)]) == 0
         rejects = [json.loads(row) for row in (out / "rejects.jsonl").read_text().splitlines()]
@@ -128,6 +123,27 @@ class TestIngestCommand:
             [{"line_no": str(line), "reason": f"line:{line}: missing required field 'id'"}],
             ("s1",),
         )
+
+    def test_oversized_csv_field_rejects_its_row(self, tmp_path):
+        # the csv module refuses a field over 131,072 characters; the rows after it still read
+        src = tmp_path / "songs.csv"
+        write_csv(src, [jsonl_row("s1"), jsonl_row("s2", lyrics="la " * 50_000), jsonl_row("s3")])
+        out = tmp_path / "build"
+        assert main(["ingest", "--input", str(src), "--out", str(out)]) == 0
+        rejects = [json.loads(line) for line in (out / "rejects.jsonl").read_text().splitlines()]
+        assert rejects == [{"line_no": "3", "reason": "field larger than field limit (131072)"}]
+        assert load_cache(str(out / "corpus.cache")).ids == ("s1", "s3")
+
+    def test_csv_suffix_matched_in_any_case(self, tmp_path):
+        # without --format, songs.CSV reads as CSV: the same outputs as --format csv
+        src = tmp_path / "songs.CSV"
+        write_csv(src, [jsonl_row("s1"), jsonl_row("s2", lyrics="one\\ntwo")])
+        outputs = []
+        for out, flags in ((tmp_path / "inferred", []), (tmp_path / "given", ["--format", "csv"])):
+            assert main(["ingest", "--input", str(src), "--out", str(out), *flags]) == 0
+            outputs.append([(out / name).read_bytes() for name in ("corpus.cache", "rejects.jsonl", "ingest.config.json")])
+        assert outputs[0] == outputs[1]
+        assert len(load_cache(str(tmp_path / "inferred" / "corpus.cache"))) == 2
 
     @pytest.mark.parametrize(
         "row, reason",
@@ -918,6 +934,44 @@ class TestNotUtf8:
         assert main(["weat", "--vectors", str(vecs), "--out", str(tmp_path / "w")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {vecs}: not UTF-8 text") and err.count("\n") == 1
+
+
+class TestDeeplyNestedJson:
+    """JSON nested deeper than the parser's recursion limit is bad input like
+    any other: a rejected row, or one line on stderr, never a traceback."""
+
+    @pytest.mark.parametrize("case", ["jsonl_row", "battery", "config", "cache", "cache_meta"])
+    def test_a_reject_or_one_line(self, tmp_path, mini_cache, capsys, case):
+        nested = "[" * 100_000
+        path = tmp_path / "nested"
+        vecs = tmp_path / "vecs.txt"
+        vecs.write_text("a 1 0\nb 0 1\n", encoding="utf-8")
+        out = str(tmp_path / "out")
+        code, err = 1, f"error: {path}: maximum recursion depth exceeded"
+        if case == "jsonl_row":
+            path.write_text(f"{json.dumps(jsonl_row('s1'))}\n{nested}\n{json.dumps(jsonl_row('s3'))}\n")
+            argv, code, err = ["ingest", "--input", str(path), "--format", "jsonl", "--out", out], 0, ""
+        elif case == "battery":
+            path.write_text(nested)
+            argv = ["weat", "--vectors", str(vecs), "--tests", str(path), "--out", out]
+            err = f"error: {path}: not a JSON battery (maximum recursion depth exceeded"
+        elif case == "config":
+            path.write_text(nested)
+            argv = ["--config", str(path), "style", "--cache", str(mini_cache), "--out", out]
+        elif case == "cache":
+            path.write_text(nested + "\n")
+            argv, err = ["style", "--cache", str(path), "--out", out], f"error: {path}: not a corpus cache"
+        else:
+            write_cache(path, read_cache(mini_cache)[0], nested.encode())
+            argv = ["style", "--cache", str(path), "--out", out]
+            err = f"error: {path}: malformed cache (maximum recursion depth exceeded"
+        assert main(argv) == code
+        stderr = capsys.readouterr().err
+        assert stderr.startswith(err) and stderr.count("\n") == (1 if err else 0)
+        if case == "jsonl_row":
+            (reject,) = [json.loads(line) for line in (tmp_path / "out" / "rejects.jsonl").read_text().splitlines()]
+            assert reject["line_no"] == "2" and reject["reason"].startswith("maximum recursion depth exceeded")
+            assert load_cache(str(tmp_path / "out" / "corpus.cache")).ids == ("s1", "s3")
 
 
 class TestByteOrderMark:

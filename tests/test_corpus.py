@@ -1,4 +1,4 @@
-import csv
+import dataclasses
 import json
 import os
 import re
@@ -28,7 +28,7 @@ from lyricstats.corpus import (
     write_reject_report,
 )
 from lyricstats.resources import mini_corpus_path
-from tests.conftest import edit_cache, jsonl_row, read_cache, without_lines, write_jsonl
+from tests.conftest import edit_cache, jsonl_row, read_cache, without_lines, write_csv, write_jsonl
 
 
 class TestTokenize:
@@ -147,6 +147,12 @@ class TestIngest:
         path = tmp_path / "songs.csv"
         path.write_text("id,only\n1,2\n")
         with pytest.raises(IngestError):
+            ingest(str(path), format="csv")
+
+    def test_csv_header_over_the_field_limit(self, tmp_path):
+        path = tmp_path / "songs.csv"
+        path.write_text("id," + "x" * 200_000 + "\n1,2\n")
+        with pytest.raises(IngestError, match=r"malformed CSV header \(field larger than field limit \(131072\)\)$"):
             ingest(str(path), format="csv")
 
     # json.dumps writes a float inf or nan as the bare JSON Infinity or NaN,
@@ -344,10 +350,7 @@ class TestIngest:
         # a CSV column of that name is one more field too
         src = tmp_path / "songs.csv"
         row = dict(jsonl_row("s1"), __parse_error__="looks fine")
-        with open(src, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(row))
-            writer.writeheader()
-            writer.writerows([row, dict(row, id="s2")])
+        write_csv(src, [row, dict(row, id="s2")])
         result = ingest(str(src), format="csv")
         assert [song.id for song in result.corpus] == ["s1", "s2"] and result.rejects == ()
 
@@ -429,7 +432,8 @@ class TestCacheRoundTrip:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(CACHE_SONGS, max_size=5, unique_by=lambda song: song.id))
     def test_load_inverts_save(self, songs):
-        corpus = Corpus.from_records(songs, provenance={"source": "songs.jsonl", "config_digest": "0" * 16})
+        provenance = {"source": "songs.jsonl", "config_digest": "0" * 16}
+        corpus = dataclasses.replace(Corpus.from_records(songs), provenance=provenance)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "corpus.cache")
             save_cache(corpus, path)

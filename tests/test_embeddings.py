@@ -18,18 +18,16 @@ from lyricstats.embeddings import (
     EmbeddingTable,
     SgnsConfig,
     _TrainState,
-    cosine,
     load_vectors,
     save_vectors,
     sgns_batch_grads,
-    sgns_pair_grads,
-    sgns_pair_loss,
     train_sgns,
     unigram_noise_probs,
 )
 from lyricstats.resources import default_battery_path
 from lyricstats.weat import WeatTest, apply_oov_policy, load_battery, run_battery
 from tests.conftest import make_record, make_table
+from tests.sgns_reference import cosine, sgns_pair_grads, sgns_pair_loss
 
 
 def save_vectors_per_float(table, path):
@@ -738,40 +736,39 @@ class TestTraining:
         corpus, clusters = two_cluster_corpus(rng)
         config = SgnsConfig(dim=16, window=4, min_count=1, epochs=5, seed=5, subsample_threshold=1.0)
         table = train_sgns(corpus, config)
-        from lyricstats.embeddings import cosine as cos
-
         within, across = [], []
         for ci, cluster in enumerate(clusters):
             for w in cluster:
                 for v in cluster:
                     if w < v:
-                        within.append(cos(table.get(w), table.get(v)))
+                        within.append(cosine(table.get(w), table.get(v)))
                 for v in clusters[1 - ci]:
                     if ci == 0:
-                        across.append(cos(table.get(w), table.get(v)))
+                        across.append(cosine(table.get(w), table.get(v)))
         assert np.mean(within) > np.mean(across)
 
     def test_loss_decreases_across_epochs(self):
         rng = np.random.default_rng(2)
         corpus, _ = two_cluster_corpus(rng, n_songs=30, song_len=30)
         config = SgnsConfig(dim=8, min_count=1, epochs=3, seed=9, subsample_threshold=1.0)
-        state_probe = _TrainState(corpus, config)
+        state = _TrainState(corpus, config)
         frozen = []
         probe_rng = np.random.default_rng(99)
-        for sent in islice(state_probe.sentences(), 10):
+        for sent in islice(state.sentences(), 10):
             for pos in range(0, len(sent) - 1, 5):
-                negs = state_probe.draw_negatives(probe_rng, config.negatives)
+                negs = state.draw_negatives(probe_rng, config.negatives)
                 frozen.append((int(sent[pos]), int(sent[pos + 1]), negs))
 
+        # the epochs of train_sgns, each with the rng it draws from, and the
+        # frozen triples' mean loss after each one
         losses = []
-
-        def record(epoch, w_in, w_out):
+        for epoch in range(config.epochs):
+            state.train_epoch(np.random.default_rng((config.seed, epoch)), epoch)
             losses.append(
-                float(np.mean([sgns_pair_loss(w_in[c], w_out[x], w_out[n]) for c, x, n in frozen]))
+                float(np.mean([sgns_pair_loss(state.w_in[c], state.w_out[x], state.w_out[n]) for c, x, n in frozen]))
             )
-
-        train_sgns(corpus, config, epoch_callback=record)
         assert losses[1] < losses[0]
+        assert np.array_equal(state.w_in, train_sgns(corpus, config).vectors)
 
     def test_train_state_holds_nothing_token_sized(self):
         # 4M tokens of 1000 words, in 10-token lines and 30-line songs, built

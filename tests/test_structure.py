@@ -10,6 +10,7 @@ import sys
 import lyricstats
 
 PACKAGE = pathlib.Path(lyricstats.__file__).parent
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def _private(name: str) -> bool:
@@ -102,3 +103,43 @@ def test_cli_import_leaves_numpy_random_unloaded():
     code = "import sys, lyricstats.cli; print('numpy.random' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     assert subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True).stdout == "False\n"
+
+
+def unnamed_functions(modules, sources) -> list[str]:
+    """The public top-level functions defined in `modules` that no file of
+    `sources` names: as a name, an attribute or an imported name."""
+    defined = {
+        node.name
+        for path in modules
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    named = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    return sorted(defined - named)
+
+
+def test_every_public_function_serves_the_package_its_tools_or_the_benchmark():
+    """A public function that only tests call is a test helper: it belongs
+    under tests/. `__init__` re-exports names without using them, and the
+    benchmark's own tests are tests."""
+    modules = sorted((REPO_ROOT / "src" / "lyricstats").glob("*.py"))
+    sources = [path for path in modules if path.name != "__init__.py"]
+    sources += sorted((REPO_ROOT / "demos").glob("*.py")) + sorted((REPO_ROOT / "tools").glob("*.py"))
+    sources += [path for path in sorted((REPO_ROOT / "perfbench").glob("*.py")) if not path.name.startswith("test_")]
+    assert unnamed_functions(modules, sources) == []
+
+
+def test_unnamed_function_guard_sees_each_form(tmp_path):
+    module, user = tmp_path / "m.py", tmp_path / "user.py"
+    module.write_text("def called(): pass\ndef looked_up(): pass\ndef imported(): pass\ndef unused(): unused()\n"
+                      "def _private(): pass\nclass C:\n    def method(self): pass\n")
+    user.write_text("from m import imported\nimport m\ncalled()\nm.looked_up\n")
+    assert unnamed_functions([module], [user]) == ["unused"]

@@ -10,7 +10,7 @@ import pytest
 
 import lyricstats.weat as weat
 from lyricstats import permutation
-from lyricstats.embeddings import EmbeddingTable, cosine, load_vectors, save_vectors
+from lyricstats.embeddings import EmbeddingTable, load_vectors, save_vectors
 from lyricstats.resources import default_battery_path
 from lyricstats.weat import (
     WeatError,
@@ -21,6 +21,7 @@ from lyricstats.weat import (
     run_battery,
 )
 from tests.conftest import make_table, random_table
+from tests.sgns_reference import cosine
 
 
 def brute_force_p(pooled, n, inclusive=False):
