@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -273,14 +272,21 @@ def _encodable(text: str) -> bool:
 
 
 def _row_id(raw: dict) -> Optional[str]:
-    """The row's id as a string, or None when it is missing, null, empty or
-    only whitespace: such an id names no song."""
+    """The row's id as a string, or None when it is missing, null, empty, only
+    whitespace, or neither a string nor an integer: such an id names no song."""
     rid = raw.get("id")
-    return None if rid is None or not str(rid).strip() else str(rid)
+    if isinstance(rid, bool) or not isinstance(rid, (str, int)) or not str(rid).strip():
+        return None
+    return str(rid)
 
 
 def _validate_record(raw: dict, drop_annotations: bool, seen_ids: set[str], where: str) -> SongRecord:
     rid = _row_id(raw)
+    # a JSON value of another type would be read as its Python repr
+    if isinstance(raw.get("id"), bool) or not isinstance(raw.get("id"), (str, int, type(None))):
+        raise RecordError(f"{where}: id is not a string or an integer")
+    if not isinstance(raw.get("lyrics"), (str, type(None))):
+        raise RecordError(f"{where}: lyrics is not a string")
     for key in ("id", "title", "artist", "year", "cohort", "lyrics"):
         if (rid if key == "id" else raw.get(key)) is None:
             raise RecordError(f"{where}: missing required field {key!r}")
@@ -316,7 +322,7 @@ def _validate_record(raw: dict, drop_annotations: bool, seen_ids: set[str], wher
     cohort = str(raw["cohort"])
     if cohort not in COHORTS:
         raise RecordError(f"{where}: cohort {cohort!r} not in {COHORTS}")
-    lyrics = str(raw["lyrics"])
+    lyrics = raw["lyrics"]
     if not lyrics.strip():
         raise RecordError(f"{where}: lyrics empty after trimming")
     if rid in seen_ids:
@@ -349,25 +355,31 @@ _CSV_COLUMNS = {"id", "title", "artist", "year", "duration_seconds", "cohort", "
 
 
 def _iter_csv(path: str) -> Iterator[tuple[int, dict | RecordError]]:
-    """Each row after the header, or the RecordError that rejects it: a row
-    that the csv module refuses, such as one with a field over its size limit.
-    The reader goes on with the next row."""
+    """Each non-blank row after the header, numbered by the line it starts
+    on, as a dict of the header's columns, or the RecordError that rejects
+    it: a row that the csv module refuses, such as one with a field over its
+    size limit. The reader goes on with the next row."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
         try:
-            columns = reader.fieldnames
+            columns = next(reader, None)
         except csv.Error as exc:
             raise IngestError(f"{path}: malformed CSV header ({exc})") from exc
         if columns is None or not _CSV_COLUMNS.issubset(set(columns)):
             raise IngestError(f"{path}: malformed CSV header, need columns {sorted(_CSV_COLUMNS)}")
-        for line_no in itertools.count(2):
+        while True:
+            # a quoted field can span lines: the row starts after the last one read
+            line_no = reader.line_num + 1
             try:
-                raw = next(reader)
+                row = next(reader)
             except StopIteration:
                 return
             except csv.Error as exc:
                 yield line_no, RecordError(str(exc))
                 continue
+            if not row:  # a blank line
+                continue
+            raw = dict(zip(columns, row))
             if raw.get("lyrics"):
                 # CSV carries newlines escaped as the two-character sequence \n
                 raw = dict(raw, lyrics=raw["lyrics"].replace("\\n", "\n"))

@@ -22,7 +22,7 @@ class EmbeddingError(Exception):
 class EmbeddingTable:
     dim: int
     vocab: dict  # word -> row index
-    vectors: np.ndarray  # (V, dim) float64
+    vectors: np.ndarray  # (V, dim): float64 from load_vectors, float32 from train_sgns
 
     def __contains__(self, word: str) -> bool:
         return word in self.vocab
@@ -365,7 +365,8 @@ def sgns_batch_grads(
     weight = _sigmoid((v @ u.T).ravel()[cell])
     weight[: len(centers)] -= 1.0
     weight[len(centers) :] *= (negatives != contexts[:, None]).ravel()
-    coupling = np.bincount(cell, weights=weight, minlength=len(in_rows) * len(out_rows))
+    # bincount sums in float64; the products run in the tables' dtype
+    coupling = np.bincount(cell, weights=weight, minlength=len(in_rows) * len(out_rows)).astype(v.dtype)
     coupling = coupling.reshape(len(in_rows), len(out_rows))
     return in_rows, coupling @ u, out_rows, coupling.T @ v
 
@@ -378,7 +379,9 @@ _BATCH_PAIRS = 256
 
 
 class _TrainState:
-    """Vocabulary, noise table, and vector arrays during training."""
+    """Vocabulary, noise table, and vector arrays during training. The
+    vectors are float32, as word2vec trains them (Mikolov et al. 2013): each
+    batch's gathers, products and updates move half the bytes of float64."""
 
     def __init__(self, corpus: Corpus, config: SgnsConfig):
         counts = token_counts(corpus)
@@ -398,8 +401,11 @@ class _TrainState:
         self.row_of[kept] = np.arange(len(kept))
         self.tokens, self.bounds = corpus.tokens, corpus.song_bounds
         rng = np.random.default_rng(config.seed)
-        self.w_in = (rng.random((len(kept), config.dim)) - 0.5) / config.dim
-        self.w_out = np.zeros((len(kept), config.dim))
+        # drawn and scaled in place: no float64 array the size of the table
+        self.w_in = rng.random((len(kept), config.dim), dtype=np.float32)
+        self.w_in -= 0.5
+        self.w_in /= config.dim
+        self.w_out = np.zeros((len(kept), config.dim), dtype=np.float32)
         self.offsets = np.concatenate((np.arange(-config.window, 0), np.arange(1, config.window + 1)))
         self.config = config
 
@@ -458,7 +464,8 @@ def train_sgns(corpus: Corpus, config: SgnsConfig) -> EmbeddingTable:
     `sgns_batch_grads`). Sharing leaves fewer distinct noise rows for a batch
     to score. A sentence with more than 256 pairs is trained in consecutive
     batches of 256, which bounds memory and the size of one update. There is
-    one code path, so a fixed seed gives bit-identical vectors.
+    one code path, so a fixed seed gives bit-identical vectors. The table
+    returned holds the float32 vectors that training updates.
     """
     state = _TrainState(corpus, config)
     for epoch in range(config.epochs):

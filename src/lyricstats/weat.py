@@ -103,13 +103,14 @@ def _scores(
     d), for lists that `apply_oov_policy` filtered; or, when the test cannot
     be scored, the error that says why. A target's score is its mean cosine to
     the A words minus its mean cosine to the B words, read from one matrix of
-    every target's cosine to every attribute."""
+    every target's cosine to every attribute, in float64 whatever the table's
+    dtype."""
     if len(x) < MIN_WORDS:
         return f"{name}: target lists under-filled after filtering (|X|=|Y|={len(x)})"
     if len(a) < MIN_WORDS or len(b) < MIN_WORDS:
         return f"{name}: attribute lists under-filled after filtering (|A|={len(a)}, |B|={len(b)})"
     n = len(x)
-    rows = emb.vectors[[emb.vocab[w] for w in x + y + a + b]]
+    rows = np.asarray(emb.vectors[[emb.vocab[w] for w in x + y + a + b]], dtype=np.float64)
     with np.errstate(invalid="ignore"):  # an infinite vector: reported below
         unit = rows / np.linalg.norm(rows, axis=1, keepdims=True)
         cos = unit[: 2 * n] @ unit[2 * n :].T

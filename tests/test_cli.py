@@ -96,6 +96,22 @@ class TestIngestCommand:
             {"line_no": "2", "reason": "line:2: missing required field 'id'"},
         ]
 
+    def test_csv_rows_after_a_multi_line_field_named_by_their_first_line(self, tmp_path):
+        # a quoted field may hold newlines: s1 spans lines 2-3, s2 is on line
+        # 4, s3 spans lines 5-7 and the id-less row after it is on line 8
+        src = tmp_path / "songs.csv"
+        rows = [jsonl_row("s1"), jsonl_row("s2", year=3000, lyrics="la la"), jsonl_row("s3", lyrics="one\n\ntwo"),
+                jsonl_row(None, lyrics="la la")]
+        write_csv(src, rows)
+        assert src.read_text().count("\n") == 8
+        out = tmp_path / "build"
+        assert main(["ingest", "--input", str(src), "--out", str(out), "--max-reject-fraction", "1"]) == 0
+        assert [json.loads(line) for line in (out / "rejects.jsonl").read_text().splitlines()] == [
+            {"id": "s2", "reason": "line:4: year 3000 outside [1900, 2100]"},
+            {"line_no": "8", "reason": "line:8: missing required field 'id'"},
+        ]
+        assert load_cache(str(out / "corpus.cache")).ids == ("s1", "s3")
+
     @staticmethod
     def _ingest_second_id(tmp_path, suffix, rid):
         """Ingest rows s1 and `rid` from a file of the given format: (the
@@ -108,7 +124,8 @@ class TestIngestCommand:
         rejects = [json.loads(row) for row in (out / "rejects.jsonl").read_text().splitlines()]
         return rejects, load_cache(str(out / "corpus.cache")).ids
 
-    @pytest.mark.parametrize("suffix, line", [(".jsonl", 2), (".csv", 3)])
+    # s1's lyrics hold a newline: in the CSV file s1 spans lines 2-3
+    @pytest.mark.parametrize("suffix, line", [(".jsonl", 2), (".csv", 4)])
     def test_empty_id_is_a_missing_id(self, tmp_path, suffix, line):
         # an empty JSONL id and an empty CSV id cell name no song
         assert self._ingest_second_id(tmp_path, suffix, "") == (
@@ -116,7 +133,7 @@ class TestIngestCommand:
             ("s1",),
         )
 
-    @pytest.mark.parametrize("suffix, line, rid", [(".jsonl", 2, "  "), (".csv", 3, " "), (".jsonl", 2, "\t\u00a0")])
+    @pytest.mark.parametrize("suffix, line, rid", [(".jsonl", 2, "  "), (".csv", 4, " "), (".jsonl", 2, "\t\u00a0")])
     def test_blank_id_is_a_missing_id(self, tmp_path, suffix, line, rid):
         # an id of only whitespace names no song either
         assert self._ingest_second_id(tmp_path, suffix, rid) == (
@@ -131,7 +148,8 @@ class TestIngestCommand:
         out = tmp_path / "build"
         assert main(["ingest", "--input", str(src), "--out", str(out)]) == 0
         rejects = [json.loads(line) for line in (out / "rejects.jsonl").read_text().splitlines()]
-        assert rejects == [{"line_no": "3", "reason": "field larger than field limit (131072)"}]
+        # s1 spans lines 2-3 and s2 starts on line 4
+        assert rejects == [{"line_no": "4", "reason": "field larger than field limit (131072)"}]
         assert load_cache(str(out / "corpus.cache")).ids == ("s1", "s3")
 
     def test_csv_suffix_matched_in_any_case(self, tmp_path):

@@ -181,6 +181,22 @@ class TestIngest:
         loaded = tuple(load_cache(str(cache)))
         assert [(r.id, r.year, r.duration_seconds) for r in loaded] == [("s1", 1990, 200.0), ("s2", 1965, 200.0)]
 
+    # any other JSON type would be ingested as its Python repr
+    @pytest.mark.parametrize(
+        "field, value",
+        [("lyrics", {"a": "hey"}), ("lyrics", 12345), ("lyrics", ["love me", "do"]), ("lyrics", True),
+         ("id", ["x"]), ("id", {"x": 1}), ("id", True), ("id", 1.5)],
+    )
+    def test_json_value_of_another_type_rejected(self, tmp_path, field, value):
+        path = tmp_path / "songs.jsonl"
+        write_jsonl(path, [jsonl_row("s1"), jsonl_row("bad", **{field: value}), jsonl_row(7)])
+        result = ingest(str(path), format="jsonl")
+        if field == "id":
+            assert result.rejects == (Reject(2, None, "line:2: id is not a string or an integer"),)
+        else:
+            assert result.rejects == (Reject(2, "bad", "line:2: lyrics is not a string"),)
+        assert [song.id for song in result.corpus] == ["s1", "7"]
+
     # the cache stores this digest, so a change to its source JSON changes the
     # bytes of every cache
     @pytest.mark.parametrize(

@@ -892,3 +892,58 @@ def test_planted_poles_read_a_large_effect(seed):
     [result] = run_battery([test], table)
     assert result.coverage["targets_x"] == (25, 25) and result.coverage["attributes_b"] == (25, 25)
     assert result.effect_size > 1.0
+
+
+class TestFloat32Training:
+    """Training holds its tables in float32; the kernel keeps the dtype it is given."""
+
+    def test_float32_kernel_matches_float64(self):
+        rng = np.random.default_rng(31)
+        w_in = rng.normal(scale=0.5, size=(40, 16))
+        w_out = rng.normal(scale=0.5, size=(40, 16))
+        centers, contexts = rng.integers(40, size=(2, 256))
+        negatives = rng.integers(40, size=(256, 5))
+        want = sgns_batch_grads(w_in, w_out, centers, contexts, negatives)
+        got = sgns_batch_grads(w_in.astype(np.float32), w_out.astype(np.float32), centers, contexts, negatives)
+        for rows, rows64 in ((got[0], want[0]), (got[2], want[2])):
+            assert np.array_equal(rows, rows64)
+        for grads, grads64 in ((got[1], want[1]), (got[3], want[3])):
+            assert grads.dtype == np.float32
+            # each row's error against the row's size
+            error = np.linalg.norm(grads - grads64, axis=1) / np.linalg.norm(grads64, axis=1)
+            assert error.max() < 1e-4
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_float32_and_float64_training_read_the_same_effect(self, seed):
+        # float64 training: the epochs of train_sgns on the same state, its
+        # float32 tables widened before the first one
+        test = load_battery(default_battery_path())[0]
+        corpus = planted_poles_corpus(test, np.random.default_rng([seed, 2]))
+        config = SgnsConfig(dim=50, epochs=1, initial_learning_rate=0.1, seed=seed)
+        state = _TrainState(corpus, config)
+        state.w_in, state.w_out = state.w_in.astype(np.float64), state.w_out.astype(np.float64)
+        for epoch in range(config.epochs):
+            state.train_epoch(np.random.default_rng((config.seed, epoch)), epoch)
+        assert state.w_in.dtype == np.float64
+        wide = EmbeddingTable(dim=config.dim, vocab=state.vocab, vectors=state.w_in)
+        d32 = run_battery([test], train_sgns(corpus, config))[0].effect_size
+        d64 = run_battery([test], wide)[0].effect_size
+        assert abs(d32 - d64) < 0.05
+
+    def test_weat_reads_a_float32_table_as_its_float64_copy(self):
+        tests = load_battery(default_battery_path())
+        corpus = planted_poles_corpus(tests[0], np.random.default_rng([0, 2]), n_songs=200)
+        table = train_sgns(corpus, SgnsConfig(dim=20, epochs=1, initial_learning_rate=0.1, seed=0))
+        wide = EmbeddingTable(dim=table.dim, vocab=table.vocab, vectors=table.vectors.astype(np.float64))
+        results = run_battery(tests, table, n_samples=1000)
+        assert results[0].error is None
+        assert results == run_battery(tests, wide, n_samples=1000)
+
+    def test_float32_table_saves_as_its_float64_copy(self, tmp_path):
+        corpus, _ = two_cluster_corpus(np.random.default_rng(1), n_songs=20, song_len=20)
+        table = train_sgns(corpus, SgnsConfig(dim=8, min_count=1, epochs=2, seed=3))
+        assert table.vectors.dtype == np.float32
+        wide = EmbeddingTable(dim=table.dim, vocab=table.vocab, vectors=table.vectors.astype(np.float64))
+        save_vectors(table, str(tmp_path / "narrow.txt"))
+        save_vectors(wide, str(tmp_path / "wide.txt"))
+        assert (tmp_path / "narrow.txt").read_bytes() == (tmp_path / "wide.txt").read_bytes()
