@@ -7,7 +7,7 @@ Run from the repo root:  python3 demos/style_analysis.py
 
 import numpy as np
 
-from lyricstats.corpus import COHORTS, ingest, token_counts
+from lyricstats.corpus import ingest, select_songs, token_counts
 from lyricstats.resources import default_stopwords_path, default_swear_lexicon_path, mini_corpus_path
 from lyricstats.style import (
     aggregate,
@@ -60,11 +60,11 @@ for year, ranked in rankings.items():
 
 # --- rank comparison: how two words trade places over the years ------------
 print("\nrank of 'rock' vs 'blues' in popular lyrics (1 = most frequent):")
-for series in rank_series(rankings, ["rock", "blues"]):
-    entries = ", ".join(f"{y}:{r}" for y, r in sorted(series.entries.items()))
-    print(f"  {series.word}: {entries or 'never seen'}")
+for word, ranks in rank_series(rankings, ["rock", "blues"]).items():
+    entries = ", ".join(f"{y}:{r}" for y, r in ranks.items())
+    print(f"  {word}: {entries or 'never seen'}")
 
 # sanity: counts really are exact multiset counts, one per vocabulary id
-popular_1965 = np.flatnonzero((corpus.years == 1965) & (corpus.cohorts == COHORTS.index("popular")))
+popular_1965 = select_songs(corpus, "popular", 1965)
 counts_1965 = token_counts(corpus, popular_1965)
 print(f"\n1965 popular vocabulary: {np.count_nonzero(counts_1965)} distinct words")

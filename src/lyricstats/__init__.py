@@ -1,6 +1,6 @@
 """Corpus analytics for song lyrics: style metrics and embedding bias tests."""
 
-from lyricstats.corpus import Corpus, IngestResult, SongRecord, ingest, token_counts, tokenize
+from lyricstats.corpus import Corpus, IngestResult, SongRecord, ingest, select_songs, token_counts, tokenize
 from lyricstats.embeddings import EmbeddingTable, SgnsConfig, load_vectors, save_vectors, train_sgns
 from lyricstats.style import (
     StyleMetrics,

@@ -19,7 +19,7 @@ import warnings
 import numpy as np
 
 from lyricstats import __version__
-from lyricstats.corpus import CorpusError, atomic_write, ingest, load_cache, save_cache, write_reject_report
+from lyricstats.corpus import COHORTS, CorpusError, atomic_write, ingest, load_cache, save_cache, write_reject_report
 from lyricstats.embeddings import EmbeddingError, SgnsConfig, load_vectors, save_vectors, train_sgns
 from lyricstats.resources import default_battery_path, default_stopwords_path, default_swear_lexicon_path
 from lyricstats.style import (
@@ -232,15 +232,9 @@ def cmd_style(args) -> int:
             for rank, word in enumerate(top_words(rankings.get(year, []), args.top_k, stopwords), start=1)
         ),
     )
-    _write_csv(
-        os.path.join(args.out, "rank_series.csv"),
-        ["word", "year", "rank"],
-        (
-            (series.word, year, series.entries[year])
-            for series in (rank_series(rankings, words) if words else [])
-            for year in sorted(series.entries)
-        ),
-    )
+    series = rank_series(rankings, words) if words else {}
+    rows = ((word, year, rank) for word, ranks in series.items() for year, rank in ranks.items())
+    _write_csv(os.path.join(args.out, "rank_series.csv"), ["word", "year", "rank"], rows)
     _write_config_digest(args.out, args)
     return EXIT_OK
 
@@ -362,7 +356,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--words", help="comma-separated words for the rank series")
     p.add_argument("--top-k", type=int, default=100)
     p.add_argument("--year", type=int)
-    p.add_argument("--cohort", choices=["popular", "other"])
+    p.add_argument("--cohort", choices=COHORTS)
     p.set_defaults(func=cmd_style)
 
     p = sub.add_parser("train", help="train skip-gram negative-sampling vectors on the cache")

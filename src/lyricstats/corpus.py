@@ -237,7 +237,6 @@ def _invariant_error(corpus: Corpus) -> Optional[str]:
 class IngestResult:
     corpus: Corpus
     rejects: tuple[Reject, ...]
-    total_rows: int
     quality_ok: bool  # False for no rows, or a reject fraction over the threshold
 
 
@@ -358,7 +357,8 @@ def _iter_csv(path: str) -> Iterator[tuple[int, dict | RecordError]]:
     """Each non-blank row after the header, numbered by the line it starts
     on, as a dict of the header's columns, or the RecordError that rejects
     it: a row that the csv module refuses, such as one with a field over its
-    size limit. The reader goes on with the next row."""
+    size limit, or one with more or fewer fields than the header. The reader
+    goes on with the next row."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -367,6 +367,10 @@ def _iter_csv(path: str) -> Iterator[tuple[int, dict | RecordError]]:
             raise IngestError(f"{path}: malformed CSV header ({exc})") from exc
         if columns is None or not _CSV_COLUMNS.issubset(set(columns)):
             raise IngestError(f"{path}: malformed CSV header, need columns {sorted(_CSV_COLUMNS)}")
+        read = [c for c in columns if c in _CSV_COLUMNS]
+        if len(read) > len(_CSV_COLUMNS):  # a later column would silently win
+            repeated = next(c for i, c in enumerate(read) if c in read[:i])
+            raise IngestError(f"{path}: malformed CSV header, column {repeated!r} named twice")
         while True:
             # a quoted field can span lines: the row starts after the last one read
             line_no = reader.line_num + 1
@@ -378,6 +382,9 @@ def _iter_csv(path: str) -> Iterator[tuple[int, dict | RecordError]]:
                 yield line_no, RecordError(str(exc))
                 continue
             if not row:  # a blank line
+                continue
+            if len(row) != len(columns):  # zip would drop or shift fields
+                yield line_no, RecordError(f"line:{line_no}: {len(row)} fields where the header has {len(columns)}")
                 continue
             raw = dict(zip(columns, row))
             if raw.get("lyrics"):
@@ -408,10 +415,8 @@ def ingest(
     builder = _CorpusBuilder()
     rejects: list[Reject] = []
     seen_ids: set[str] = set()
-    total = 0
     try:
         for line_no, raw in rows:
-            total += 1
             if isinstance(raw, RecordError):
                 rejects.append(Reject(line_no, None, str(raw)))
                 continue
@@ -443,8 +448,21 @@ def ingest(
         "config_digest": hashlib.sha256(digest_src.encode()).hexdigest()[:16],
         "max_reject_fraction": max_reject_fraction,
     }
+    total = len(seen_ids) + len(rejects)  # each row is a song or a reject
     quality_ok = total > 0 and len(rejects) / total <= max_reject_fraction
-    return IngestResult(builder.corpus(provenance), tuple(rejects), total, quality_ok)
+    return IngestResult(builder.corpus(provenance), tuple(rejects), quality_ok)
+
+
+def select_songs(corpus: Corpus, cohort: Optional[str] = None, year: Optional[int] = None) -> np.ndarray:
+    """The positions of the songs of `cohort` (every cohort when None) in
+    `year` (every year when None), ascending. Raises CorpusError for a cohort
+    not in COHORTS."""
+    if cohort is not None and cohort not in COHORTS:
+        raise CorpusError(f"unknown cohort {cohort!r}, not one of {COHORTS}")
+    keep = np.ones(len(corpus), dtype=bool) if cohort is None else corpus.cohorts == COHORTS.index(cohort)
+    if year is not None:
+        keep &= corpus.years == year
+    return np.flatnonzero(keep)
 
 
 def ranked_ids(counts: np.ndarray) -> np.ndarray:

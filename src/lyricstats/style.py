@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from lyricstats.corpus import COHORTS, Corpus, ranked_ids, token_counts, tokenize
+from lyricstats.corpus import COHORTS, Corpus, ranked_ids, select_songs, token_counts, tokenize
 
 _VOWELS = np.array([ord(c) for c in "aeiouy"], dtype=np.uint32)
 # songs that `_block_sums` takes at once: bounds the per-token values and the
@@ -61,12 +61,6 @@ class YearCohortAggregate:
     mean_fk_grade: np.ndarray
     mean_swear_count: np.ndarray
     mean_swear_rate: np.ndarray
-
-
-@dataclass(frozen=True)
-class RankSeries:
-    word: str
-    entries: dict[int, int]  # year -> rank (1 = most frequent); absent year = word unseen
 
 
 def syllable_table(words: Sequence[str]) -> np.ndarray:
@@ -218,30 +212,24 @@ def aggregate(metrics: StyleMetrics) -> YearCohortAggregate:
 def year_rankings(
     corpus: Corpus, cohort: Optional[str] = None, year: Optional[int] = None
 ) -> dict[int, list[str]]:
-    """Each year's vocabulary in rank order, for the songs of `cohort` (every
-    song when None) in `year` (every year when None): descending count, ties in
+    """Each year's vocabulary in rank order, for the songs that
+    `select_songs(corpus, cohort, year)` selects: descending count, ties in
     lexicographic order. Keys are the years that have songs, ascending;
     position i + 1 of a list is that word's rank in that year."""
-    keep = np.ones(len(corpus), dtype=bool)
-    if cohort is not None:
-        keep &= corpus.cohorts == (COHORTS.index(cohort) if cohort in COHORTS else -1)
-    if year is not None:
-        keep &= corpus.years == year
-    songs = np.flatnonzero(keep)
-    songs = songs[np.argsort(corpus.years[songs], kind="stable")]
-    years, firsts = np.unique(corpus.years[songs], return_index=True)
     vocab = corpus.vocab
+    years = np.unique(corpus.years[select_songs(corpus, cohort, year)]).tolist()
     # each year is counted and ranked on its own, so only one year's counts
     # are held at a time; ids are in string order, so ties by id are ties by word
     return {
-        y: [vocab[i] for i in ranked_ids(token_counts(corpus, group)).tolist()]
-        for y, group in zip(years.tolist(), np.split(songs, firsts[1:]))
+        y: [vocab[i] for i in ranked_ids(token_counts(corpus, select_songs(corpus, cohort, y))).tolist()]
+        for y in years
     }
 
 
-def rank_series(rankings: dict[int, Sequence[str]], words: Sequence[str]) -> list[RankSeries]:
-    """Year-by-year rank of each requested word (1 = most frequent), from
-    `year_rankings`; a year in which a word does not occur has no entry."""
+def rank_series(rankings: dict[int, Sequence[str]], words: Sequence[str]) -> dict[str, dict[int, int]]:
+    """Each word's rank by year, `{word: {year: rank}}` (1 = most frequent),
+    from `year_rankings`: words in the order of `words`, years in that of
+    `rankings`; a year in which a word does not occur has no entry."""
     if not words:
         raise StyleError("rank_series needs a non-empty word list")
     per_word: dict[str, dict[int, int]] = {w: {} for w in words}
@@ -249,7 +237,7 @@ def rank_series(rankings: dict[int, Sequence[str]], words: Sequence[str]) -> lis
         for rank, word in enumerate(ranked, start=1):
             if word in per_word:
                 per_word[word][year] = rank
-    return [RankSeries(word=w, entries=per_word[w]) for w in words]
+    return per_word
 
 
 def top_words(ranked: Sequence[str], k: int, stopwords: frozenset[str] = frozenset()) -> list[str]:

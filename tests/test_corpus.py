@@ -23,6 +23,7 @@ from lyricstats.corpus import (
     ingest,
     load_cache,
     save_cache,
+    select_songs,
     token_counts,
     tokenize,
     write_reject_report,
@@ -147,6 +148,26 @@ class TestIngest:
         path = tmp_path / "songs.csv"
         path.write_text("id,only\n1,2\n")
         with pytest.raises(IngestError):
+            ingest(str(path), format="csv")
+
+    # csv.reader keeps every field of a row; zip with the header would drop
+    # the extra ones, or shift the later ones into the wrong columns
+    @pytest.mark.parametrize(
+        "row, fields",
+        [("s1,t,a,1965,200,popular,hello there, my love", 8), ("s1,a,1965,200,popular,la la la", 6)],
+        ids=["one_field_more", "one_field_fewer"],
+    )
+    def test_csv_row_of_another_width_rejected(self, tmp_path, row, fields):
+        path = tmp_path / "songs.csv"
+        path.write_text(f"id,title,artist,year,duration_seconds,cohort,lyrics\n{row}\ns2,t,a,1965,,other,la\n")
+        result = ingest(str(path), format="csv")
+        assert result.rejects == (Reject(2, None, f"line:2: {fields} fields where the header has 7"),)
+        assert [song.id for song in result.corpus] == ["s2"]
+
+    def test_csv_column_named_twice_rejected(self, tmp_path):
+        path = tmp_path / "songs.csv"
+        path.write_text("id,title,artist,year,duration_seconds,cohort,lyrics,lyrics\ns1,t,a,1965,,other,,la\n")
+        with pytest.raises(IngestError, match=r"songs\.csv: malformed CSV header, column 'lyrics' named twice$"):
             ingest(str(path), format="csv")
 
     def test_csv_header_over_the_field_limit(self, tmp_path):
@@ -430,6 +451,20 @@ class TestTokenCounts:
         assert chunked.vocab == default.vocab and chunked.tokens.tolist() == default.tokens.tolist()
         assert token_counts(default).tolist() == counts[0].tolist()
         assert token_counts(default, songs).tolist() == counts[1].tolist()
+
+
+class TestSelectSongs:
+    def test_matches_a_filter_over_the_songs(self, mini_corpus):
+        years = sorted(set(mini_corpus.years.tolist()))
+        assert len(years) > 1
+        for cohort in (None, *COHORTS):
+            for year in (None, *years, 1777):
+                expected = [
+                    i for i, song in enumerate(mini_corpus)
+                    if cohort in (None, song.cohort) and year in (None, song.year)
+                ]
+                got = select_songs(mini_corpus, cohort, year)
+                assert got.tolist() == expected and got.dtype == np.intp
 
 
 # ids and tokens with non-ASCII text, quotes and backslashes, which JSON escapes

@@ -36,15 +36,20 @@ def test_readme_quick_start_runs():
     assert run_script("-c", block + "print(len(means.year), table.dim)\n") == ["12 32"]
 
 
+# each result line says how BLAS was threaded: the OPENBLAS_NUM_THREADS its process saw
+BLAS_THREADS = re.escape(os.environ.get("OPENBLAS_NUM_THREADS", "unset"))
+
+
 def test_sgns_throughput_tool_runs_at_a_tiny_size():
     lines = run_script(os.path.join("tools", "sgns_throughput.py"), "--songs", "12", "--dims", "4,8")
-    runs = [re.fullmatch(r"(\w+) songs=12 tokens=\d+ dim=(\d+) seconds=[\d.]+ tokens_per_s=\d+", line)
-            for line in lines]
+    pattern = rf"(\w+) songs=12 tokens=\d+ dim=(\d+) seconds=[\d.]+ tokens_per_s=\d+ blas_threads={BLAS_THREADS}"
+    runs = [re.fullmatch(pattern, line) for line in lines]
     assert [m and m.groups() for m in runs] == [("criterion7", "4"), ("criterion7", "8"), ("zipf", "4"), ("zipf", "8")]
 
 
 def test_weat_throughput_tool_runs_at_a_tiny_size():
     lines = run_script(os.path.join("tools", "weat_throughput.py"), "--dims", "3,5", "--repeats", "1",
                        "--mc-samples", "20")
-    runs = [re.fullmatch(r"dim=(\d+) words=\d+ tests=8 samples=20 seconds=[\d.]+ minflt=\d+", line) for line in lines]
+    pattern = rf"dim=(\d+) words=\d+ tests=8 samples=20 seconds=[\d.]+ minflt=\d+ blas_threads={BLAS_THREADS}"
+    runs = [re.fullmatch(pattern, line) for line in lines]
     assert [m and m.group(1) for m in runs] == ["3", "5"]

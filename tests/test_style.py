@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from lyricstats.corpus import Corpus, CorpusError
+from lyricstats.corpus import Corpus, CorpusError, select_songs
 from lyricstats.resources import default_swear_lexicon_path
 from lyricstats.style import (
     LexiconError,
@@ -285,15 +285,15 @@ class TestRankSeries:
     def test_tie_break_lexicographic(self):
         corpus = self._corpus({2000: {"love": 10, "rock": 5, "blues": 5}})
         assert year_rankings(corpus) == {2000: ["love", "blues", "rock"]}
-        series = {s.word: s.entries for s in rank_series(year_rankings(corpus), ["love", "blues", "rock"])}
+        series = rank_series(year_rankings(corpus), ["love", "blues", "rock"])
         assert series["love"][2000] == 1
         assert series["blues"][2000] == 2
         assert series["rock"][2000] == 3
 
     def test_absent_word_absent_entry(self):
         corpus = self._corpus({2000: {"love": 3}, 2001: {"rock": 2}})
-        (series,) = rank_series(year_rankings(corpus), ["rock"])
-        assert 2000 not in series.entries and series.entries[2001] == 1
+        (ranks,) = rank_series(year_rankings(corpus), ["rock"]).values()
+        assert 2000 not in ranks and ranks[2001] == 1
 
     def test_ranks_form_permutation(self, mini_corpus):
         for year, ranked in year_rankings(mini_corpus).items():
@@ -315,7 +315,7 @@ class TestRankSeries:
 
     def test_mini_corpus_matches_sort_oracle(self, mini_corpus):
         rankings = year_rankings(mini_corpus, cohort="popular")
-        results = {s.word: s.entries for s in rank_series(rankings, ["rock", "blues"])}
+        results = rank_series(rankings, ["rock", "blues"])
         for year in sorted({r.year for r in mini_corpus if r.cohort == "popular"}):
             counts = recount(mini_corpus, year, "popular")
             ordered = sorted(counts, key=lambda w: (-counts[w], w))
@@ -328,7 +328,7 @@ class TestRankSeries:
     @pytest.mark.parametrize("cohort", [None, "other"])
     def test_one_pass_matches_per_year_recount(self, mini_corpus, cohort):
         words = ["rock", "blues", "love", "the"]
-        results = {s.word: s.entries for s in rank_series(year_rankings(mini_corpus, cohort=cohort), words)}
+        results = rank_series(year_rankings(mini_corpus, cohort=cohort), words)
         expected = {w: {} for w in words}
         for year in {r.year for r in mini_corpus if cohort is None or r.cohort == cohort}:
             counts = recount(mini_corpus, year, cohort)
@@ -344,6 +344,14 @@ class TestRankSeries:
         for year in every_year:
             assert year_rankings(mini_corpus, cohort=cohort, year=year) == {year: every_year[year]}
         assert year_rankings(mini_corpus, cohort=cohort, year=1777) == {}
+
+    @pytest.mark.parametrize("cohort", ["Popular", "pop", ""])
+    def test_unknown_cohort_is_an_error(self, mini_corpus, cohort):
+        message = rf"^unknown cohort {cohort!r}, not one of \('popular', 'other'\)$"
+        with pytest.raises(CorpusError, match=message):
+            select_songs(mini_corpus, cohort)
+        with pytest.raises(CorpusError, match=message):
+            year_rankings(mini_corpus, cohort, 1965)
 
     def test_empty_word_list_rejected(self, mini_corpus):
         with pytest.raises(StyleError):

@@ -12,7 +12,8 @@ min_count 5) over the wall time of one `train_sgns` call. The corpora are
 built before any timing. Training uses the library defaults but for dim and
 one epoch, at seed 0. The script asserts nothing about the rates. numpy picks
 its BLAS thread count when it is imported, so fix that (for OpenBLAS,
-OPENBLAS_NUM_THREADS=1) in the environment of the run.
+OPENBLAS_NUM_THREADS=1) in the environment of the run; each line ends with
+blas_threads=, that variable's value or `unset`.
 
 Usage: python tools/sgns_throughput.py [--songs N] [--dims 50,100,300]
 """
@@ -69,6 +70,7 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--songs", type=int, help="songs in each corpus (default: 1000 criterion7, 500 zipf)")
     parser.add_argument("--dims", default="50,100,300", help="comma-separated dimensions (default: 50,100,300)")
     args = parser.parse_args(argv)
+    blas_threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
     dims = [int(d) for d in args.dims.split(",")]
     shapes = {
         "criterion7": criterion7_corpus(args.songs or 1000),
@@ -81,8 +83,8 @@ def main(argv: list[str]) -> int:
             start = time.perf_counter()
             train_sgns(corpus, config)
             seconds = time.perf_counter() - start
-            print(f"{name} songs={len(corpus)} tokens={tokens} dim={dim} "
-                  f"seconds={seconds:.3f} tokens_per_s={tokens / seconds:.0f}", flush=True)
+            print(f"{name} songs={len(corpus)} tokens={tokens} dim={dim} seconds={seconds:.3f} "
+                  f"tokens_per_s={tokens / seconds:.0f} blas_threads={blas_threads}", flush=True)
     return 0
 
 

@@ -9,7 +9,9 @@ as on real vectors with full coverage. `run_battery` runs --repeats times at
 the default 100,000 samples and seed 0; `seconds` is the median wall time of
 one call, and `minflt` the minor page faults of the first call, the one a
 fresh `lyricstats weat` process makes. The table is built before any timing.
-The script asserts nothing about the figures.
+The script asserts nothing about the figures. numpy picks its BLAS thread
+count when it is imported; each line ends with blas_threads=, the value of
+OPENBLAS_NUM_THREADS or `unset`.
 
 Usage: python tools/weat_throughput.py [--dims 50,300] [--repeats 5] [--seed 0] [--mc-samples 100000]
 """
@@ -42,6 +44,7 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--seed", type=int, default=0, help="seed of the vector values")
     parser.add_argument("--mc-samples", type=int, default=100_000)
     args = parser.parse_args(argv)
+    blas_threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
     tests = load_battery(default_battery_path())
     words = sorted({w for t in tests for w in (*t.targets_x, *t.targets_y, *t.attributes_a, *t.attributes_b)})
     for dim in (int(d) for d in args.dims.split(",")):
@@ -54,7 +57,7 @@ def main(argv: list[str]) -> int:
             times.append(time.perf_counter() - start)
             faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         print(f"dim={dim} words={len(words)} tests={len(tests)} samples={args.mc_samples} "
-              f"seconds={statistics.median(times):.4f} minflt={faults[0]}", flush=True)
+              f"seconds={statistics.median(times):.4f} minflt={faults[0]} blas_threads={blas_threads}", flush=True)
     return 0
 
 
