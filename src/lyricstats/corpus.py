@@ -133,7 +133,7 @@ class Corpus:
             yield SongRecord(id=rid, year=year, cohort=COHORTS[cohort], duration_seconds=duration, lines=lines)
 
 
-# tokens per step of a pass over the token stream: bounds any per-token temporary
+# tokens per step of any pass over the token stream or its songs: bounds any per-token temporary
 _TOKEN_CHUNK = 1 << 20
 
 
@@ -472,24 +472,38 @@ def ranked_ids(counts: np.ndarray) -> np.ndarray:
     return ids[np.argsort(-counts[ids], kind="stable")]
 
 
-def token_counts(corpus: Corpus, songs: Optional[np.ndarray] = None) -> np.ndarray:
-    """How often each vocabulary id occurs in the songs at the positions
-    `songs` (an integer array; every song when None): an int64 array with one
-    count per entry of `corpus.vocab`, all zero for no songs."""
-    tokens = corpus.tokens
+def song_chunks(corpus: Corpus, songs: Optional[np.ndarray] = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The songs at the positions `songs` (every song when None), a chunk of at
+    most `_TOKEN_CHUNK` tokens, or one longer song, at a time: the chunk's
+    slice of `songs` (of 0, 1, ... when None) and its songs' token ids. A
+    repeated position gives its song again. Anything but a 1-d integer array of
+    positions in [0, len(corpus)) raises CorpusError; an empty one selects none."""
+    bounds = offsets = corpus.song_bounds  # offsets: each song's start in the chunks' stream, then its end
     if songs is not None:
-        bounds = corpus.song_bounds
-        songs = np.asarray(songs, dtype=np.int64)
-        starts = bounds[songs]
-        lengths = bounds[songs + 1] - starts
-        # the songs' runs of token positions: a running count, shifted at each
-        # song to that song's first token
-        runs = np.arange(lengths.sum()) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-        tokens = tokens[runs]
+        songs, n = np.asarray(songs), len(corpus)
+        if songs.ndim != 1 or songs.size and not (songs.dtype.kind in "iu" and 0 <= songs.min() <= songs.max() < n):
+            raise CorpusError(f"song positions must be a 1-d integer array of values in [0, {n})")
+        songs = songs.astype(np.int64)
+        offsets = np.concatenate(([0], np.cumsum(bounds[songs + 1] - bounds[songs])))
+    lo = 0
+    while lo < len(offsets) - 1:
+        hi = max(int(np.searchsorted(offsets, offsets[lo] + _TOKEN_CHUNK, side="right")) - 1, lo + 1)
+        if songs is None:  # consecutive songs: a view
+            yield np.arange(lo, hi), corpus.tokens[bounds[lo] : bounds[hi]]
+        else:  # a running count of token positions, shifted at each song to its first token
+            positions = np.repeat(bounds[songs[lo:hi]] - offsets[lo:hi] + offsets[lo], np.diff(offsets[lo : hi + 1]))
+            positions += np.arange(len(positions))
+            yield songs[lo:hi], corpus.tokens[positions]
+        lo = hi
+
+
+def token_counts(corpus: Corpus, songs: Optional[np.ndarray] = None) -> np.ndarray:
+    """How often each vocabulary id occurs in the songs that `song_chunks`
+    gives, a repeated one again: one int64 count per entry of `corpus.vocab`."""
     # bincount copies int32 input to int64, so it counts a chunk at a time
     counts = np.zeros(len(corpus.vocab), dtype=np.int64)
-    for lo in range(0, len(tokens), _TOKEN_CHUNK):
-        counts += np.bincount(tokens[lo : lo + _TOKEN_CHUNK], minlength=len(corpus.vocab))
+    for _, ids in song_chunks(corpus, songs):
+        counts += np.bincount(ids, minlength=len(corpus.vocab))
     return counts
 
 

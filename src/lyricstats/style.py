@@ -9,13 +9,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from lyricstats.corpus import COHORTS, Corpus, ranked_ids, select_songs, token_counts, tokenize
+from lyricstats.corpus import COHORTS, Corpus, ranked_ids, select_songs, song_chunks, token_counts, tokenize
 
 _VOWELS = np.array([ord(c) for c in "aeiouy"], dtype=np.uint32)
-# songs that `_block_sums` takes at once: bounds the per-token values and the
-# line objects held (4096 songs of 30 lines of 10 words: 1.2M values, 123k
-# lines)
-_SONGS_PER_BLOCK = 4096
 
 
 class StyleError(Exception):
@@ -90,15 +86,14 @@ def syllable_table(words: Sequence[str]) -> np.ndarray:
 def _block_sums(corpus: Corpus, *per_id: np.ndarray) -> tuple[np.ndarray, ...]:
     """Per song, the sum of each `per_id` table (one value per vocabulary id)
     over its tokens, then the number of its distinct lines, from one pass over
-    a block of songs at a time. Lines are equal when their tokens are, so
-    trailing punctuation or case differences in the raw text do not count as
-    new lines: each line is the bytes of its slice of token ids."""
+    each block of songs that `song_chunks` gives. Lines are equal when their
+    tokens are, so trailing punctuation or case differences in the raw text do
+    not count as new lines: each line is the bytes of its slice of token ids."""
     sums = [np.empty(len(corpus), dtype=np.int64) for _ in per_id]
     distinct = np.empty(len(corpus), dtype=np.int64)
     bounds, line_at, song_at = corpus.song_bounds, corpus.line_offsets, corpus.song_offsets
-    for lo in range(0, len(corpus), _SONGS_PER_BLOCK):
-        hi = min(lo + _SONGS_PER_BLOCK, len(corpus))
-        ids = corpus.tokens[bounds[lo] : bounds[hi]]
+    for block, ids in song_chunks(corpus):
+        lo, hi = block[0], block[-1] + 1
         for table, out in zip(per_id, sums):
             out[lo:hi] = np.add.reduceat(table[ids], bounds[lo:hi] - bounds[lo], dtype=np.int64)
         first, last = song_at[lo], song_at[hi]

@@ -18,8 +18,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import lyricstats.style
-from lyricstats.corpus import COHORTS, Corpus, SongRecord
+import lyricstats.corpus
+from lyricstats.corpus import COHORTS, Corpus, SongRecord, token_counts
 from lyricstats.embeddings import EmbeddingError, SgnsConfig, _TrainState
 from lyricstats.style import (
     StyleMetrics,
@@ -151,13 +151,30 @@ def reference_training(records, min_count):
     return vocab, [c for _, c in kept], sentences
 
 
+# token bounds of a pass over songs: one song per chunk, small chunks, and the
+# default (one chunk for every drawn corpus)
+TOKEN_CHUNKS = [1, 3, lyricstats.corpus._TOKEN_CHUNK]
+
+
 @settings(max_examples=200, deadline=None)
-@given(corpora(), st.sampled_from([4096, 3, 1]))
-def test_style_metrics_match_reference(drawn, songs_per_block):
+@given(corpora(), st.sampled_from(TOKEN_CHUNKS))
+def test_style_metrics_match_reference(drawn, token_chunk):
     corpus, records, lexicon = drawn
-    with mock.patch.object(lyricstats.style, "_SONGS_PER_BLOCK", songs_per_block):
+    with mock.patch.object(lyricstats.corpus, "_TOKEN_CHUNK", token_chunk):
         metrics = corpus_style_metrics(corpus, lexicon)
     assert_columns_match(metrics, [reference_metrics(s, lexicon) for s in records])
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpora(), st.sampled_from(TOKEN_CHUNKS), st.data())
+def test_token_counts_match_recount(drawn, token_chunk, data):
+    corpus, records, _ = drawn
+    # unsorted, with repeats, and sometimes empty
+    songs = data.draw(st.lists(st.integers(0, len(records) - 1), max_size=12)) if records else []
+    expected = Counter(t for i in songs for line in records[i].lines for t in line)
+    with mock.patch.object(lyricstats.corpus, "_TOKEN_CHUNK", token_chunk):
+        counts = token_counts(corpus, songs)
+    assert counts.tolist() == [expected[w] for w in corpus.vocab]
 
 
 # per_song.csv rows: a year holding both cohorts, a cell without a duration,

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import unicodedata
 from collections import Counter
 
@@ -16,7 +17,9 @@ from hypothesis import strategies as st
 from lyricstats.corpus import (
     CACHE_VERSION,
     COHORTS,
+    _TOKEN_CHUNK,
     Corpus,
+    CorpusError,
     IngestError,
     Reject,
     SongRecord,
@@ -451,6 +454,58 @@ class TestTokenCounts:
         assert chunked.vocab == default.vocab and chunked.tokens.tolist() == default.tokens.tolist()
         assert token_counts(default).tolist() == counts[0].tolist()
         assert token_counts(default, songs).tolist() == counts[1].tolist()
+
+    def test_repeats_count_again_and_empty_counts_nothing(self, mini_corpus):
+        once = token_counts(mini_corpus, [49])
+        assert once.sum() == 64
+        assert token_counts(mini_corpus, [49, 49]).tolist() == (2 * once).tolist()
+        assert token_counts(mini_corpus, [3, 49, 0]).tolist() == token_counts(mini_corpus, [0, 3, 49]).tolist()
+        for empty in ([], np.array([], dtype=bool), np.array([], dtype=np.float64)):
+            assert not token_counts(mini_corpus, empty).any()
+
+    @pytest.mark.parametrize(
+        "songs",
+        [
+            lambda c: c.years == 1965,  # a mask, not positions
+            lambda c: [0.7, 1.2],
+            lambda c: [-1],
+            lambda c: [len(c)],
+            lambda c: [[1, 2]],
+            lambda c: 3,
+        ],
+        ids=["mask", "floats", "negative", "past-the-end", "2-d", "scalar"],
+    )
+    def test_a_bad_selection_is_refused(self, mini_corpus, songs):
+        assert len(mini_corpus) == 50
+        with pytest.raises(CorpusError, match=r"1-d integer array of values in \[0, 50\)"):
+            token_counts(mini_corpus, songs(mini_corpus))
+
+    def test_a_selection_is_counted_in_bounded_memory(self):
+        # 4 chunks of tokens in one-line songs of 128, built from arrays: a
+        # position array for every selected token would take 64 MiB here
+        n_tokens = 4 * _TOKEN_CHUNK
+        n_songs = n_tokens // 128
+        vocab = tuple(f"w{i:04d}" for i in range(1024))
+        offsets = np.arange(0, n_tokens + 1, 128, dtype=np.int64)
+        corpus = Corpus(
+            vocab=vocab,
+            tokens=np.arange(n_tokens, dtype=np.int32) % len(vocab),
+            line_offsets=offsets,
+            song_offsets=np.arange(n_songs + 1, dtype=np.int64),
+            ids=tuple(map(str, range(n_songs))),
+            years=np.full(n_songs, 1990, dtype=np.int64),
+            cohorts=np.zeros(n_songs, dtype=np.int8),
+            durations=np.full(n_songs, np.nan),
+        )
+        songs = np.arange(n_songs)
+        tracemalloc.start()
+        try:
+            counts = token_counts(corpus, songs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.tolist() == [n_tokens // len(vocab)] * len(vocab)
+        assert peak < 40 * 2**20
 
 
 class TestSelectSongs:
