@@ -456,9 +456,11 @@ def ingest(
 def select_songs(corpus: Corpus, cohort: Optional[str] = None, year: Optional[int] = None) -> np.ndarray:
     """The positions of the songs of `cohort` (every cohort when None) in
     `year` (every year when None), ascending. Raises CorpusError for a cohort
-    not in COHORTS."""
+    not in COHORTS, and for a year that is not an int (a bool is not one)."""
     if cohort is not None and cohort not in COHORTS:
         raise CorpusError(f"unknown cohort {cohort!r}, not one of {COHORTS}")
+    if year is not None and (isinstance(year, bool) or not isinstance(year, (int, np.integer))):
+        raise CorpusError(f"year {year!r} is not an integer")
     keep = np.ones(len(corpus), dtype=bool) if cohort is None else corpus.cohorts == COHORTS.index(cohort)
     if year is not None:
         keep &= corpus.years == year
@@ -480,9 +482,14 @@ def song_chunks(corpus: Corpus, songs: Optional[np.ndarray] = None) -> Iterator[
     positions in [0, len(corpus)) raises CorpusError; an empty one selects none."""
     bounds = offsets = corpus.song_bounds  # offsets: each song's start in the chunks' stream, then its end
     if songs is not None:
-        songs, n = np.asarray(songs), len(corpus)
+        n = len(corpus)
+        refused = CorpusError(f"song positions must be a 1-d integer array of values in [0, {n})")
+        try:
+            songs = np.asarray(songs)
+        except ValueError:  # a ragged nest of lists
+            raise refused from None
         if songs.ndim != 1 or songs.size and not (songs.dtype.kind in "iu" and 0 <= songs.min() <= songs.max() < n):
-            raise CorpusError(f"song positions must be a 1-d integer array of values in [0, {n})")
+            raise refused
         songs = songs.astype(np.int64)
         offsets = np.concatenate(([0], np.cumsum(bounds[songs + 1] - bounds[songs])))
     lo = 0

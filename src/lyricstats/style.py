@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
@@ -11,7 +12,7 @@ import numpy as np
 
 from lyricstats.corpus import COHORTS, Corpus, ranked_ids, select_songs, song_chunks, token_counts, tokenize
 
-_VOWELS = np.array([ord(c) for c in "aeiouy"], dtype=np.uint32)
+_VOWEL_GROUP = re.compile("[aeiouy]+")
 
 
 class StyleError(Exception):
@@ -59,28 +60,16 @@ class YearCohortAggregate:
     mean_swear_rate: np.ndarray
 
 
+def _syllables(word: str) -> int:
+    """The heuristic syllable count of one word: its maximal runs of vowels
+    (a, e, i, o, u, y), minus one for a final "e" not after "l" (silent in
+    "love", kept in "table"), and at least 1."""
+    return max(len(_VOWEL_GROUP.findall(word)) - (word.endswith("e") and not word.endswith("le")), 1)
+
+
 def syllable_table(words: Sequence[str]) -> np.ndarray:
-    """The heuristic syllable count of each word, as an int64 array: its
-    maximal vowel groups (a, e, i, o, u, y), minus one for a terminal silent
-    "e" (kept when preceded by "l", as in "table"), floored at 1."""
-    lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
-    # one code point per element, word after word
-    codes = np.frombuffer("".join(words).encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-    vowel = np.isin(codes, _VOWELS)
-    starts = np.cumsum(lengths) - lengths
-    group_start = vowel.copy()
-    group_start[1:] &= ~vowel[:-1]
-    # a vowel that begins a word begins a group, whatever ends the word before
-    has_chars = lengths > 0
-    group_start[starts[has_chars]] = vowel[starts[has_chars]]
-    running = np.concatenate(([0], np.cumsum(group_start)))
-    groups = running[starts + lengths] - running[starts]
-    last = starts + lengths - 1
-    silent_e = np.zeros(len(words), dtype=bool)
-    silent_e[has_chars] = codes[last[has_chars]] == ord("e")
-    after_l = lengths >= 2
-    silent_e[after_l] &= codes[last[after_l] - 1] != ord("l")
-    return np.maximum(groups - silent_e, 1)
+    """The `_syllables` count of each word, as an int64 array."""
+    return np.fromiter(map(_syllables, words), dtype=np.int64, count=len(words))
 
 
 def _block_sums(corpus: Corpus, *per_id: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -107,11 +96,10 @@ def _block_sums(corpus: Corpus, *per_id: np.ndarray) -> tuple[np.ndarray, ...]:
 
 @lru_cache(maxsize=200_000)
 def count_syllables(word: str) -> int:
-    """Heuristic syllable count of one word (see `syllable_table`). The corpus
-    code counts each vocabulary word once, through `syllable_table`; this cache
-    serves callers that ask for single words, and `cache_info()` stays part of
-    the function's interface (perfbench/launch.py reads it)."""
-    return int(syllable_table([word])[0])
+    """`_syllables`, cached. The corpus code counts each vocabulary word once,
+    through `syllable_table`, and never calls this; it stays because
+    perfbench/launch.py reads its `cache_info()`."""
+    return _syllables(word)
 
 
 def check_tokens(words, prefix: str) -> None:

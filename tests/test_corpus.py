@@ -472,8 +472,9 @@ class TestTokenCounts:
             lambda c: [len(c)],
             lambda c: [[1, 2]],
             lambda c: 3,
+            lambda c: [[1], [1, 2]],
         ],
-        ids=["mask", "floats", "negative", "past-the-end", "2-d", "scalar"],
+        ids=["mask", "floats", "negative", "past-the-end", "2-d", "scalar", "ragged"],
     )
     def test_a_bad_selection_is_refused(self, mini_corpus, songs):
         assert len(mini_corpus) == 50
@@ -520,6 +521,11 @@ class TestSelectSongs:
                 ]
                 got = select_songs(mini_corpus, cohort, year)
                 assert got.tolist() == expected and got.dtype == np.intp
+
+    @pytest.mark.parametrize("year", ["1965", True, 1965.0, [1965]], ids=["str", "bool", "float", "list"])
+    def test_a_year_that_is_not_an_int_is_refused(self, mini_corpus, year):
+        with pytest.raises(CorpusError, match=re.escape(f"year {year!r} is not an integer")):
+            select_songs(mini_corpus, year=year)
 
 
 # ids and tokens with non-ASCII text, quotes and backslashes, which JSON escapes

@@ -27,7 +27,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-from lyricstats.corpus import Corpus, SongRecord  # noqa: E402
+from lyricstats.corpus import Corpus, SongRecord, token_counts  # noqa: E402
 from lyricstats.embeddings import SgnsConfig, train_sgns  # noqa: E402
 
 MIN_COUNT = SgnsConfig().min_count
@@ -61,7 +61,7 @@ def zipf_corpus(n_songs: int, seed: int = 1, types: int = 20_000, exponent: floa
 
 
 def trained_tokens(corpus: Corpus) -> int:
-    counts = np.bincount(corpus.tokens, minlength=len(corpus.vocab))
+    counts = token_counts(corpus)
     return int(counts[counts >= MIN_COUNT].sum())
 
 
