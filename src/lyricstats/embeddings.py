@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 from dataclasses import dataclass
 from itertools import chain, pairwise
 from typing import Iterator, Optional, Sequence
@@ -199,8 +200,6 @@ def load_vectors(path: str) -> EmbeddingTable:
     duplicates = n_rows - len(index)
     if duplicates:
         vectors = vectors[: len(index)]
-        import warnings
-
         warnings.warn(f"{path}: {duplicates} duplicate words, last occurrence kept")
     return EmbeddingTable(dim=dim, vocab=index, vectors=vectors)
 
@@ -213,8 +212,8 @@ def load_vectors(path: str) -> EmbeddingTable:
 # by 0.4 MB; with 1 << 16 values a block, by 2.1 MB, at the same speed.
 _FORMAT_VALUES = 1 << 13
 
-# a byte that UTF-8 text never holds: the block layout of `_write_block` fills
-# what a line leaves out with it, and deleting it joins the line
+# a byte that no number's text holds: the block layout of `_write_block` fills
+# the slots a number leaves out with it, and deleting it joins the line
 _GAP = b"\xff"
 
 
@@ -234,56 +233,47 @@ def _write_block(fh, words: Sequence[str], x: np.ndarray) -> None:
     """Write the lines "word v1 ... vD" of `words` and their float64 rows `x`
     to the binary file `fh`, each value as "%.6f" gives it.
 
-    Rows that `_rounds_exactly` passes are formatted with numpy. The block is
-    laid out as bytes, one layout row per line: the word and a space, then per
-    value a sign slot, as many digit slots as the block's largest whole
-    millionths need (at least 7) with "." before the last six, and a space.
-    The digits come from repeated division of the whole millionths by 10. The
-    padding after a short word, the sign slot of a value whose sign bit is
-    clear and the slots of the integer part above its leading digit are _GAP
-    bytes, and one bytes.translate call deletes them. Every other row (a
-    near-tie such as k/128, NaN, +-inf, a value of 4294.967295 or more) is
-    written with one "%" call, which shares CPython's float formatter with
-    "{:.6f}"."""
+    numpy lays out the block's numbers as bytes, one layout row per line: per
+    value a space, a sign slot and as many digit slots as the block's largest
+    whole millionths need (at least 7) with "." before the last six, then a
+    newline. The digits come from repeated division of the whole millionths
+    by 10. The sign slot of a value whose sign bit is clear and the slots of
+    the integer part above its leading digit are _GAP bytes, and one
+    bytes.translate call deletes them. A row that `_rounds_exactly` fails (a
+    near-tie such as k/128, NaN, +-inf, a value of 4294.967295 or more)
+    replaces its own line with one "%" call, which shares CPython's float
+    formatter with "{:.6f}". Each line is then joined to its word."""
     n, dim = x.shape
     with np.errstate(over="ignore"):
         y = x * 1e6
     slow = np.flatnonzero(~_rounds_exactly(y)).tolist()
-    y[slow] = 0.0  # laid out as zeros, then written with "%"
+    y[slow] = 0.0  # laid out as zeros, then replaced
     millionths = np.abs(np.rint(y)).astype(np.uint32)
     width = max(7, len(str(millionths.max())))
 
-    encoded = np.frombuffer((" ".join(words) + " ").encode("utf-8"), np.uint8)
-    word_lengths = np.diff(np.flatnonzero(encoded == ord(" ")), prepend=-1)
-    word_bytes = int(word_lengths.max())
-    text = bytearray(n * (word_bytes + dim * (width + 3)))
+    text = bytearray(n * (dim * (width + 3) + 1))
     layout = np.frombuffer(text, np.uint8).reshape(n, -1)
-    layout[:, :word_bytes] = _GAP[0]
-    layout[:, :word_bytes][np.arange(word_bytes) < word_lengths[:, None]] = encoded
-    values = layout[:, word_bytes:].reshape(n, dim, width + 3)
-    values[:, :, 0] = np.where(np.signbit(x), ord("-"), _GAP[0])
-    values[:, :, width - 5] = ord(".")
-    values[:, :, -1] = ord(" ")
-    values[:, -1, -1] = ord("\n")
+    layout[:, -1] = ord("\n")
+    values = layout[:, :-1].reshape(n, dim, width + 3)
+    values[:, :, 0] = ord(" ")
+    values[:, :, 1] = np.where(np.signbit(x), ord("-"), _GAP[0])
+    values[:, :, width - 4] = ord(".")
     # digit slots right to left: six fraction digits, the units digit, then
     # the integer digits above it, which are gaps once nothing is left
-    for k, slot in enumerate([*range(width + 1, width - 5, -1), *range(width - 6, 0, -1)]):
+    for k, slot in enumerate([*range(width + 2, width - 4, -1), *range(width - 5, 1, -1)]):
         quotient = millionths // 10
         digit = millionths - quotient * 10 + ord("0")
         values[:, :, slot] = digit if k < 7 else np.where(millionths, digit, _GAP[0])
         millionths = quotient
-    joined = memoryview(text.translate(None, _GAP))
+    lines = text.translate(None, _GAP).splitlines(keepends=True)
+    for row in slow:
+        lines[row] = ((" %.6f" * dim + "\n") % tuple(x[row].tolist())).encode("ascii")
 
-    start = 0
-    if slow:
-        starts = [0, *(np.flatnonzero(np.frombuffer(joined, np.uint8) == ord("\n")) + 1).tolist()]
-        row_format = " ".join(["%.6f"] * dim) + "\n"
-        for row in slow:
-            fh.write(joined[start : starts[row]])
-            # the word stays out of the format string because it may contain "%"
-            fh.write(f"{words[row]} ".encode("utf-8") + (row_format % tuple(x[row].tolist())).encode("ascii"))
-            start = starts[row + 1]
-    fh.write(joined[start:])
+    # save_vectors refuses a word that holds whitespace, so "\n" splits them apart
+    parts = [b""] * (2 * n)
+    parts[0::2] = "\n".join(words).encode("utf-8").split(b"\n")
+    parts[1::2] = lines
+    fh.write(b"".join(parts))
 
 
 def save_vectors(table: EmbeddingTable, path: str) -> None:
@@ -406,7 +396,10 @@ class _TrainState:
         self.w_in -= 0.5
         self.w_in /= config.dim
         self.w_out = np.zeros((len(kept), config.dim), dtype=np.float32)
-        self.offsets = np.concatenate((np.arange(-config.window, 0), np.arange(1, config.window + 1)))
+        # a pair's positions lie at most (the longest song's tokens - 1) apart,
+        # so a wider window adds offsets that no pair can take
+        span = min(config.window, int(np.diff(self.bounds).max()) - 1)
+        self.offsets = np.concatenate((np.arange(-span, 0), np.arange(1, span + 1)))
         self.config = config
 
     def sentences(self) -> Iterator[np.ndarray]:

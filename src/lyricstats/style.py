@@ -225,7 +225,7 @@ def rank_series(rankings: dict[int, Sequence[str]], words: Sequence[str]) -> dic
 
 def top_words(ranked: Sequence[str], k: int, stopwords: frozenset[str] = frozenset()) -> list[str]:
     """The first k non-stopwords of one year's ranking from `year_rankings`;
-    fewer when the ranking holds fewer."""
+    fewer when the ranking holds fewer, whatever the size of k."""
     if k < 1:
         raise StyleError("k must be >= 1")
-    return list(islice((w for w in ranked if w not in stopwords), k))
+    return list(islice((w for w in ranked if w not in stopwords), min(k, len(ranked))))

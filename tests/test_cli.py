@@ -258,6 +258,21 @@ class TestStyleCommand:
         assert main(["style", "--cache", str(mini_cache), "--out", str(tmp_path / "o"), "--top-k", "0"]) == 1
         assert "--top-k" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_top_k_beyond_sys_maxsize_keeps_every_word(self, tmp_path, mini_cache, via_config):
+        # the config's JSON number 1e20 reads as the int 10**20
+        args = ["style", "--cache", str(mini_cache), "--year", "1965"]
+        assert main([*args, "--out", str(tmp_path / "all"), "--top-k", "1000000"]) == 0
+        if via_config:
+            config = tmp_path / "c.json"
+            config.write_text(json.dumps({"top_k": 1e20}))
+            assert main(["--config", str(config), *args, "--out", str(tmp_path / "huge")]) == 0
+        else:
+            assert main([*args, "--out", str(tmp_path / "huge"), "--top-k", "99999999999999999999"]) == 0
+        everything = (tmp_path / "all" / "top_words.csv").read_bytes()
+        assert (tmp_path / "huge" / "top_words.csv").read_bytes() == everything
+        assert everything.count(b"\n") > 10
+
     def test_truncated_cache_exit_1(self, tmp_path, mini_cache, capsys):
         data = mini_cache.read_bytes()
         cut = tmp_path / "cut.cache"

@@ -126,6 +126,23 @@ def word_rows(draw):
     return dict(zip(words, draw(st.lists(row, min_size=len(words), max_size=len(words)))))
 
 
+# values that send their row down the writer's "%" path
+PERCENT_PATH_VALUES = [float("nan"), float("inf"), -float("inf"), 3 / 128, -5 / 128, 4294.967295, -1e6]
+
+
+@st.composite
+def writer_rows(draw):
+    """word_rows() whose words may start with "%" formats and whose rows may
+    each hold one value that takes the writer's "%" path, so that such rows
+    fall first, last or between the numpy rows of a block."""
+    rows = {}
+    for word, row in draw(word_rows()).items():
+        if draw(st.booleans()):
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(PERCENT_PATH_VALUES))
+        rows[draw(st.sampled_from(["", "%", "%s", "%d%%"])) + word] = row
+    return rows
+
+
 # numbers as save_vectors and other writers spell them, and spellings that
 # float() reads or refuses and that a bulk parser might read otherwise
 GOOD_NUMBERS = st.one_of(
@@ -297,9 +314,14 @@ class TestVectorFile:
         assert_same_bytes_as_reference(table, tmp_path)
 
     @settings(max_examples=50, deadline=None)
-    @given(word_rows())
-    def test_save_matches_per_float_formatting_on_random_tables(self, rows):
-        with tempfile.TemporaryDirectory() as tmp:
+    @given(writer_rows(), st.sampled_from([1, 2, 1024]))
+    # "%" rows first, between numpy rows and last in one block; then blocks
+    # of two rows that end in one, start with one, and are one
+    @example({"%s": [np.nan, 0.5], "\u00e9t\u00e9": [1.25, -2.0], "b%d": [0.1, 3 / 128], "c": [7.0, 8.0],
+              "\u65e5\u672c": [-4294.967295, 1.0]}, 1024)
+    @example({"a": [0.5], "%": [np.inf], "\u00e9": [-5 / 128], "%d%%b": [2.0], "c": [-1e6]}, 2)
+    def test_save_matches_per_float_formatting_on_random_tables(self, rows, block_rows):
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(embeddings, "_BLOCK_ROWS", block_rows):
             assert_same_bytes_as_reference(make_table(rows), pathlib.Path(tmp))
 
     @settings(max_examples=50, deadline=None)
@@ -795,6 +817,29 @@ class TestTraining:
         assert len(state.vocab) == 1000
         assert peak < tokens.nbytes
         assert held < tokens.nbytes / 4
+
+    def test_window_wider_than_every_song_trains_the_same_pairs_in_bounded_memory(self):
+        # no pair lies further apart than the longest song's tokens - 1, so the
+        # offsets stop there: the vectors are those that offsets of the
+        # window's full width give, and a window of 100000 takes about the
+        # memory of one as wide as the longest song
+        corpus, _ = two_cluster_corpus(np.random.default_rng(4), n_songs=20, song_len=40)
+        config = SgnsConfig(dim=8, min_count=1, epochs=2, seed=5, window=2000)
+        full = _TrainState(corpus, config)
+        full.offsets = np.concatenate((np.arange(-2000, 0), np.arange(1, 2001)))
+        for epoch in range(config.epochs):
+            full.train_epoch(np.random.default_rng((config.seed, epoch)), epoch)
+        assert np.array_equal(train_sgns(corpus, config).vectors, full.w_in)
+
+        peaks = []
+        for window in (40, 100_000):
+            tracemalloc.start()
+            try:
+                train_sgns(corpus, SgnsConfig(dim=8, min_count=1, epochs=2, seed=5, window=window))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0]
 
 
 def distinct_word_corpus(rng, n_songs, inclusion=(0.9, 0.7, 0.5, 0.35, 0.2, 0.1)):

@@ -368,6 +368,10 @@ class TestTopWords:
         corpus = TestRankSeries()._corpus({1965: {"love": 2, "baby": 1}})
         assert top_words(year_rankings(corpus)[1965], 100) == ["love", "baby"]
 
+    def test_k_beyond_sys_maxsize_keeps_the_whole_ranking(self):
+        corpus = TestRankSeries()._corpus({1965: {"love": 2, "you": 2, "baby": 1}})
+        assert top_words(year_rankings(corpus)[1965], 10**20, frozenset({"you"})) == ["love", "baby"]
+
     def test_k_must_be_positive(self, mini_corpus):
         with pytest.raises(StyleError):
             top_words(year_rankings(mini_corpus, cohort="popular")[1965], 0)
